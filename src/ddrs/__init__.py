@@ -45,9 +45,7 @@ from .problems import (
     TruncatedFileError,
     gen_synthetic,
     load_idx,
-    load_matrix,
     normalize_and_split,
-    save_matrix,
 )
 from .algorithms import (
     AgentStack,

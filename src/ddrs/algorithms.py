@@ -17,6 +17,7 @@ from .manifold import (
     RankDeficientError,
     StiefelPoint,
     _as_matrix,
+    _polar,
     _tangent_dir,
     project_stiefel,
 )
@@ -54,11 +55,10 @@ class AgentStack:
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Step size, communication rounds per iteration, and run limits."""
+    """Step size, communication rounds per iteration, inexactness schedule."""
 
     alpha: float
     t: int = 1
-    max_iters: int = 500
     eps0: float = 1e-6
     rho: float = 0.9
 
@@ -129,10 +129,7 @@ def _advance(stack, problem, W, params, prox_blocks):
     x_new, mu_sq = prox_blocks(s_new)
     y_new = 2.0 * x_new - s_new
     d_new = mix(W, params.t, stack.d) + (x_new - s_new) - (stack.x - stack.s)
-    mixed_x = mix(W, params.t, x_new)
-    z_new = np.stack(
-        [project_stiefel(mixed_x[i] + d_new[i]).mat for i in range(stack.n)]
-    )
+    z_new = _polar(mix(W, params.t, x_new) + d_new)[0]
     return AgentStack(s=s_new, x=x_new, y=y_new, z=z_new, d=d_new,
                       k=stack.k + 1, mu_sq=mu_sq)
 
@@ -150,9 +147,8 @@ def ddrs_step(stack, problem, W, params):
     """
 
     def prox_blocks(s_new):
-        x_new = np.stack(
-            [problem[i].prox(params.alpha, s_new[i]) for i in range(stack.n)]
-        )
+        x_new = np.stack([inst.prox(params.alpha, s)
+                          for inst, s in zip(problem, s_new, strict=True)])
         return x_new, None
 
     return _advance(stack, problem, W, params, prox_blocks)
@@ -175,10 +171,11 @@ def iddrs_step(stack, problem, W, params, k):
 
     def prox_blocks(s_new):
         xs, mus = [], []
-        for i in range(stack.n):
-            xi, mui = problem[i].prox_inexact(params.alpha, s_new[i], eps_k)
-            xs.append(xi)
-            mus.append(float(np.vdot(mui, mui)))
+        for inst, s in zip(problem, s_new, strict=True):
+            x, mu = inst.prox_inexact(params.alpha, s, eps_k)
+            xs.append(x)
+            # The same vdot prox_inexact certified against eps_k.
+            mus.append(float(np.vdot(mu, mu)))
         return np.stack(xs), np.asarray(mus)
 
     return _advance(stack, problem, W, params, prox_blocks)
@@ -201,7 +198,7 @@ class BaselineStack:
 def baseline_gt_init(problem, W, params, x0):
     """Tracker starts at the local gradients so its mean tracks theirs."""
     x = _stack_blocks(x0, W.n)
-    grad = np.stack([problem[i].egrad(x[i]) for i in range(len(problem))])
+    grad = np.stack([inst.egrad(xi) for inst, xi in zip(problem, x, strict=True)])
     return BaselineStack(x=x, v=grad.copy(), grad=grad, k=0)
 
 
@@ -215,16 +212,10 @@ def baseline_gt_step(stack, problem, W, params):
     the mean gradient at every iteration.  This is a plumbing baseline, not
     a faithful reimplementation of any published method.
     """
-    mixed_x = mix(W, params.t, stack.x)
-    x_new = np.stack(
-        [
-            project_stiefel(
-                mixed_x[i] - params.alpha * _tangent_dir(stack.x[i], stack.v[i])
-            ).mat
-            for i in range(stack.n)
-        ]
-    )
-    grad_new = np.stack([problem[i].egrad(x_new[i]) for i in range(stack.n)])
+    x_new = _polar(mix(W, params.t, stack.x)
+                   - params.alpha * _tangent_dir(stack.x, stack.v))[0]
+    grad_new = np.stack([inst.egrad(xi)
+                         for inst, xi in zip(problem, x_new, strict=True)])
     v_new = mix(W, params.t, stack.v) + grad_new - stack.grad
     return BaselineStack(x=x_new, v=v_new, grad=grad_new, k=stack.k + 1)
 

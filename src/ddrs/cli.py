@@ -19,16 +19,12 @@ from .harness import (
     run_experiment,
     write_records,
     emit_plotdata,
-    _build_dataset,
     _build_graph,
-    resolve_alpha,
+    build_run,
+    start_run,
 )
-from .algorithms import advise_parameters, ddrs_init, SolverParams
-from .manifold import manifold_constants, random_stiefel
 from .network import NotConnectedError, metropolis_weights
 from .problems import BadMagicError, DimMismatchError, TruncatedFileError
-
-import numpy as np
 
 
 def _load_config(args):
@@ -64,26 +60,11 @@ def _cmd_run(args):
 
 def _cmd_advise(args):
     config = _load_config(args)
-    dataset = _build_dataset(config)
-    problem = dataset.instances()
-    graph = _build_graph(config)
-    W = metropolis_weights(graph)
-    d, r = dataset.dim, config.problem.r
-    consts = manifold_constants(d, r)
-    L = max(inst.smoothness() for inst in problem)
-    zero = np.zeros((d, r))
-    grad0 = float(np.sqrt(sum(
-        np.vdot(inst.egrad(zero), inst.egrad(zero)) for inst in problem)))
-    rng = np.random.default_rng(0)
-    x0 = [random_stiefel(d, r, rng)] * dataset.n
-    params = SolverParams(alpha=1.0, t=config.t)
-    stack = ddrs_init(problem, W, params, x0)
-    advice = advise_parameters(L, consts.gamma, consts.zeta, W.sigma2,
-                               dataset.n, grad0, initial_state=stack,
-                               eps0=config.algorithm.eps0,
-                               rho=config.algorithm.rho)
-    alpha = resolve_alpha(config, dataset)
-    print("L = %.6g   sigma2 = %.6g   n = %d" % (L, W.sigma2, dataset.n))
+    setup = build_run(config)
+    _, advice = start_run(config, setup)
+    alpha = setup.params.alpha
+    print("L = %.6g   sigma2 = %.6g   n = %d" % (setup.L, setup.W.sigma2,
+                                                setup.dataset.n))
     print("delta1 = %.10g" % advice.delta1)
     print("delta2 = %.10g" % advice.delta2)
     print("delta3 = %.10g" % advice.delta3)

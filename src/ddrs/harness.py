@@ -336,8 +336,8 @@ def build_run(config):
     graph = _build_graph(config)
     W = metropolis_weights(graph)
     alpha = resolve_alpha(config, dataset)
-    params = SolverParams(alpha=alpha, t=config.t, max_iters=config.max_iters,
-                          eps0=config.algorithm.eps0, rho=config.algorithm.rho)
+    params = SolverParams(alpha=alpha, t=config.t, eps0=config.algorithm.eps0,
+                          rho=config.algorithm.rho)
     d, r = dataset.dim, config.problem.r
     consts = manifold_constants(d, r)
 
@@ -357,6 +357,26 @@ def build_run(config):
                     x0=x0, constants=consts, L=L, grad0_norm=grad0)
 
 
+def start_run(config, setup):
+    """
+    Initial state of a built run and its certified-regime advice.
+
+    The splitting engines' initial stack enters ``c2``/``c4_shape``/
+    ``c5_shape``; the baseline has no splitting state, so those stay None.
+    """
+    consts, W, params = setup.constants, setup.W, setup.params
+    if config.algorithm.kind == "baseline_gt":
+        stack = baseline_gt_init(setup.problem, W, params, setup.x0)
+        state = None
+    else:
+        stack = state = ddrs_init(setup.problem, W, params, setup.x0)
+    advice = advise_parameters(setup.L, consts.gamma, consts.zeta, W.sigma2,
+                               setup.dataset.n, setup.grad0_norm,
+                               initial_state=state, eps0=params.eps0,
+                               rho=params.rho)
+    return stack, advice
+
+
 def run_experiment(config):
     """
     Execute one configured run and return ``(records, summary)``.
@@ -370,20 +390,9 @@ def run_experiment(config):
     setup = build_run(config)
     dataset, problem, W, params = (setup.dataset, setup.problem, setup.W,
                                    setup.params)
-    consts, x0, L, grad0 = (setup.constants, setup.x0, setup.L,
-                            setup.grad0_norm)
-    alpha = params.alpha
-
+    consts, alpha = setup.constants, params.alpha
     algo = config.algorithm.kind
-    if algo == "baseline_gt":
-        stack = baseline_gt_init(problem, W, params, x0)
-        advice = advise_parameters(L, consts.gamma, consts.zeta, W.sigma2,
-                                   dataset.n, grad0)
-    else:
-        stack = ddrs_init(problem, W, params, x0)
-        advice = advise_parameters(L, consts.gamma, consts.zeta, W.sigma2,
-                                   dataset.n, grad0, initial_state=stack,
-                                   eps0=params.eps0, rho=params.rho)
+    stack, advice = start_run(config, setup)
 
     start_ns = time.perf_counter_ns()
 

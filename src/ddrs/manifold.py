@@ -106,17 +106,31 @@ def manifold_constants(d, r):
 
 
 def _polar(M):
-    """Polar factor of M through the thin SVD; raises when rank-deficient."""
+    """
+    Polar factors of a d-by-r block or of an (n, d, r) stack of blocks.
+
+    One (batched) thin SVD ``M = U diag(sv) V^T`` gives ``(Q, sv)``: ``Q =
+    U V^T`` has the shape of ``M``, and ``sv`` holds each block's singular
+    values in descending order, shape (r,) or (n, r).  Q is the nearest
+    point on St(d, r) to its block, at Frobenius distance ``||sv - 1||``.
+
+    Raises RankDeficientError when the smallest singular value of any block
+    is at or below ``RANK_TOL``.
+    """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] < M.shape[1]:
-        raise ValueError("expected a tall d x r matrix, got shape %s" % (M.shape,))
+    if M.ndim not in (2, 3) or M.shape[-2] < M.shape[-1]:
+        raise ValueError(
+            "expected a tall d x r matrix or an (n, d, r) stack, got shape %s"
+            % (M.shape,)
+        )
     U, sv, Vt = np.linalg.svd(M, full_matrices=False)
-    if sv[-1] <= RANK_TOL:
+    smallest = sv[..., -1].min()
+    if smallest <= RANK_TOL:
         raise RankDeficientError(
             "smallest singular value %.3e <= %.1e: projection not unique"
-            % (sv[-1], RANK_TOL)
+            % (smallest, RANK_TOL)
         )
-    return U @ Vt
+    return U @ Vt, sv
 
 
 def project_stiefel(M):
@@ -139,16 +153,14 @@ def project_stiefel(M):
     RankDeficientError
         If the smallest singular value of ``M`` is at or below ``RANK_TOL``.
     """
-    return StiefelPoint(_polar(_as_matrix(M)))
+    return StiefelPoint(_polar(_as_matrix(M))[0])
 
 
-def _sym(A):
-    return 0.5 * (A + A.T)
-
-
-def _tangent_dir(x_mat, v):
-    # v - x sym(x^T v) is the orthogonal projector onto the tangent space.
-    return v - x_mat @ _sym(x_mat.T @ v)
+def _tangent_dir(x, v):
+    # v - x sym(x^T v) is the orthogonal projector onto the tangent space;
+    # x and v are d-by-r blocks or (n, d, r) stacks.
+    xtv = x.swapaxes(-1, -2) @ v
+    return v - x @ (0.5 * (xtv + xtv.swapaxes(-1, -2)))
 
 
 def tangent_project(x, v):
@@ -186,7 +198,7 @@ def tube_distance(M):
     which the projection is single-valued and 2-Lipschitz.
     """
     M = _as_matrix(M)
-    return float(np.linalg.norm(M - _polar(M)))
+    return float(np.linalg.norm(M - project_stiefel(M).mat))
 
 
 def subspace_distance(x, xstar):

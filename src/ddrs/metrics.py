@@ -14,9 +14,9 @@ import numpy as np
 
 from .manifold import (
     RankDeficientError,
+    _polar,
     _tangent_dir,
     project_stiefel,
-    tube_distance,
 )
 from .network import mix
 
@@ -92,18 +92,14 @@ def dre_value(s_blocks, problem, alpha):
     is never available to agents.
     """
     s_blocks = np.asarray(s_blocks, dtype=float)
-    n = s_blocks.shape[0]
-    xs = np.stack([problem[i].prox(alpha, s_blocks[i]) for i in range(n)])
-    grads = np.stack([problem[i].egrad(xs[i]) for i in range(n)])
-    yhat = (xs - alpha * grads).mean(axis=0)
-    ybar = project_stiefel(yhat).mat
-    total = 0.0
-    for i in range(n):
-        gap = ybar - xs[i]
-        total += (problem[i].value(xs[i])
-                  + float(np.vdot(grads[i], gap))
-                  + float(np.vdot(gap, gap)) / (2.0 * alpha))
-    return total
+    xs = np.stack([inst.prox(alpha, s)
+                   for inst, s in zip(problem, s_blocks, strict=True)])
+    grads = np.stack([inst.egrad(x) for inst, x in zip(problem, xs, strict=True)])
+    ybar = project_stiefel((xs - alpha * grads).mean(axis=0)).mat
+    gap = ybar - xs
+    values = sum(inst.value(x) for inst, x in zip(problem, xs, strict=True))
+    return (values + float(np.vdot(grads, gap))
+            + float(np.vdot(gap, gap)) / (2.0 * alpha))
 
 
 def tracking_residual(stack):
@@ -156,9 +152,9 @@ def neighborhood_report(stack, constants, W, t):
     z_dev = mean_spread(stack.z)
     if z_dev > 10.0 * delta2:
         violations.append("z-neighborhood")
-    mixed = mix(W, t, stack.x) + stack.d
     try:
-        max_tube = max(tube_distance(mixed[i]) for i in range(stack.n))
+        sv = _polar(mix(W, t, stack.x) + stack.d)[1]
+        max_tube = float(np.linalg.norm(sv - 1.0, axis=-1).max())
     except RankDeficientError:
         max_tube = math.inf
     if max_tube > constants.gamma:

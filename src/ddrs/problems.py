@@ -8,7 +8,6 @@ data generator, and the IDX image-file loader.
 """
 
 import struct
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,8 +71,8 @@ class DPCAInstance(LocalObjective):
 
     The spectral shift makes the quadratic form negative semidefinite, so
     the prox system ``I + alpha (||A||_2^2 I - A^T A)`` is symmetric positive
-    definite and the prox is an exact linear solve.  One Cholesky
-    factorization per step size is cached and reused.
+    definite and the prox is an exact linear solve.  The Cholesky factor
+    for the step size in use is kept, and rebuilt when the step size changes.
     """
 
     def __init__(self, A):
@@ -86,8 +85,8 @@ class DPCAInstance(LocalObjective):
         # ||A||_2^2; also the largest eigenvalue of the Gram matrix.
         self.shift = float(max(evals[-1], 0.0))
         self._lambda_min = float(max(evals[0], 0.0))
-        self._cache = {}
-        self._cache_lock = threading.Lock()
+        # (alpha, Cholesky factor) for the last step size solved with.
+        self._factor = None
 
     @property
     def dim(self):
@@ -106,17 +105,17 @@ class DPCAInstance(LocalObjective):
         # ||shift*I - A^T A||_2 for a PSD shift equals shift - lambda_min.
         return self.shift - self._lambda_min
 
-    def _factor(self, alpha):
-        key = float(alpha)
-        fac = self._cache.get(key)
-        if fac is None:
+    def _solve(self, alpha, rhs):
+        """Solve the prox system at step size alpha for a finite rhs."""
+        # The slot is replaced by one assignment and each call solves with
+        # the pair it read, so concurrent callers need no lock.  The factor
+        # passed cho_factor's finiteness check, so the solve skips its own.
+        slot = self._factor
+        if slot is None or slot[0] != alpha:
             M = np.eye(self.dim) + alpha * (self.shift * np.eye(self.dim) - self.gram)
-            with self._cache_lock:
-                fac = self._cache.get(key)
-                if fac is None:
-                    fac = cho_factor(M)
-                    self._cache[key] = fac
-        return fac
+            slot = (float(alpha), cho_factor(M))
+            self._factor = slot
+        return cho_solve(slot[1], rhs, check_finite=False)
 
     def _apply_system(self, alpha, x):
         return x + alpha * (self.shift * x - self.gram @ x)
@@ -127,7 +126,7 @@ class DPCAInstance(LocalObjective):
         s = _as_matrix(s)
         if not np.all(np.isfinite(s)):
             raise ValueError("prox input contains non-finite entries")
-        return cho_solve(self._factor(alpha), s)
+        return self._solve(alpha, s)
 
     def residual(self, alpha, s, x):
         """Prox optimality residual ``x - s + alpha * egrad(x)``."""
@@ -188,7 +187,7 @@ class DPCAInstance(LocalObjective):
             mu = self.residual(alpha, s, x)
             if float(np.vdot(mu, mu)) <= eps:
                 return x, mu
-            x = x - cho_solve(self._factor(alpha), mu)
+            x = x - self._solve(alpha, mu)
         mu = self.residual(alpha, s, x)
         if float(np.vdot(mu, mu)) <= eps:
             return x, mu
@@ -196,20 +195,6 @@ class DPCAInstance(LocalObjective):
             "inexact prox stalled at ||mu||^2 = %.3e > %.3e"
             % (float(np.vdot(mu, mu)), eps)
         )
-
-
-def prox_with_injected_residual(inst, alpha, s, mu):
-    """
-    Return x whose prox optimality residual is exactly ``mu``.
-
-    Solving the exact prox from ``s + mu`` gives
-    ``x - (s + mu) + alpha * egrad(x) = 0``, i.e. the residual against s is
-    mu itself.  Test helper for exercising inexactness contracts with a
-    prescribed disturbance.
-    """
-    mu = np.asarray(mu, dtype=float)
-    x = inst.prox(alpha, _as_matrix(s) + mu)
-    return x, inst.residual(alpha, s, x)
 
 
 @dataclass
@@ -328,27 +313,3 @@ def normalize_and_split(matrix, n, seed):
     blocks = [X[i * m:(i + 1) * m].copy() for i in range(n)]
     meta = dict(n=n, m_per=m, d=X.shape[1], seed=seed, source="idx")
     return Dataset(blocks, None, meta)
-
-
-def save_matrix(path, M):
-    """Write a matrix as text: header line ``m d``, then one row per line."""
-    M = np.asarray(M, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%d %d\n" % M.shape)
-        for row in M:
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")
-
-
-def load_matrix(path):
-    """Read a matrix written by ``save_matrix``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("bad matrix header in %s" % path)
-        m, d = int(header[0]), int(header[1])
-        body = np.loadtxt(fh, ndmin=2)
-    if body.shape != (m, d):
-        raise ValueError(
-            "matrix body %s does not match header (%d, %d)" % (body.shape, m, d)
-        )
-    return body

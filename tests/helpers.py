@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from ddrs.algorithms import AgentStack, BaselineStack, epsilon_schedule
 from ddrs.manifold import project_stiefel
+from ddrs.network import mix
 
 
 def random_stiefel_mat(rng, d, r):
@@ -145,3 +147,83 @@ def analytic_dpca_optimum(dataset):
     fstar = -0.5 * float(np.sum(top)) + 0.5 * r * float(np.sum(shifts))
     vstar = evecs[:, ::-1][:, :r]
     return fstar, vstar
+
+
+def prox_with_injected_residual(inst, alpha, s, mu):
+    """
+    Return x whose prox optimality residual is exactly ``mu``.
+
+    Solving the exact prox from ``s + mu`` gives
+    ``x - (s + mu) + alpha * egrad(x) = 0``, i.e. the residual against s is
+    mu itself: a prescribed disturbance for exercising inexactness contracts.
+    """
+    mu = np.asarray(mu, dtype=float)
+    x = inst.prox(alpha, np.asarray(s, dtype=float) + mu)
+    return x, inst.residual(alpha, s, x)
+
+
+def save_matrix(path, M):
+    """Write a matrix as text: header line ``m d``, then one row per line."""
+    M = np.asarray(M, dtype=float)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("%d %d\n" % M.shape)
+        for row in M:
+            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+
+
+def load_matrix(path):
+    """Read a matrix written by ``save_matrix``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise ValueError("bad matrix header in %s" % path)
+        m, d = int(header[0]), int(header[1])
+        body = np.loadtxt(fh, ndmin=2)
+    if body.shape != (m, d):
+        raise ValueError(
+            "matrix body %s does not match header (%d, %d)" % (body.shape, m, d)
+        )
+    return body
+
+
+def tangent_dir_per_block(x, v):
+    """Tangent projection ``v - x sym(x^T v)`` of one d-by-r block."""
+    a = x.T @ v
+    return v - x @ (0.5 * (a + a.T))
+
+
+def per_agent_splitting_step(stack, problem, W, params, k=None):
+    """
+    The splitting step written agent by agent: the exact step when ``k`` is
+    None, otherwise the inexact step at tolerance ``eps0 * rho**k``.
+    """
+    n = stack.n
+    s = stack.s + stack.z - stack.x
+    if k is None:
+        x = np.stack([problem[i].prox(params.alpha, s[i]) for i in range(n)])
+        mu_sq = None
+    else:
+        eps = epsilon_schedule(params.eps0, params.rho, k)
+        pairs = [problem[i].prox_inexact(params.alpha, s[i], eps)
+                 for i in range(n)]
+        x = np.stack([xi for xi, _ in pairs])
+        mu_sq = np.array([float(np.vdot(mu, mu)) for _, mu in pairs])
+    d = mix(W, params.t, stack.d) + (x - s) - (stack.x - stack.s)
+    mixed = mix(W, params.t, x)
+    z = np.stack([project_stiefel(mixed[i] + d[i]).mat for i in range(n)])
+    return AgentStack(s=s, x=x, y=2.0 * x - s, z=z, d=d, k=stack.k + 1,
+                      mu_sq=mu_sq)
+
+
+def per_agent_baseline_step(stack, problem, W, params):
+    """The gradient-tracking baseline step written agent by agent."""
+    n = stack.n
+    mixed = mix(W, params.t, stack.x)
+    x = np.stack([
+        project_stiefel(mixed[i] - params.alpha
+                        * tangent_dir_per_block(stack.x[i], stack.v[i])).mat
+        for i in range(n)
+    ])
+    grad = np.stack([problem[i].egrad(x[i]) for i in range(n)])
+    v = mix(W, params.t, stack.v) + grad - stack.grad
+    return BaselineStack(x=x, v=v, grad=grad, k=stack.k + 1)

@@ -325,6 +325,18 @@ class TestCli:
         # Tuned preset steps sit far outside the certified bound.
         assert "exceeds the certified bound" in out
 
+    def test_advise_reports_the_constants_run_records(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "max_iters = 2\n")
+        out = str(tmp_path / "p.csv")
+        assert cli.main(["run", "--preset", "synthetic-er06",
+                         "--config", cfg, "--out", out]) == 0
+        advice = json.loads((tmp_path / "p.summary.json").read_text())["advice"]
+        capsys.readouterr()
+        assert cli.main(["advise", "--preset", "synthetic-er06"]) == 0
+        printed = capsys.readouterr().out
+        assert "C2 = %s " % advice["c2"] in printed
+        assert "alpha_max = %.10g " % advice["alpha_max"] in printed
+
     def test_validate_graph(self, tmp_path, capsys):
         cfg = self._write(tmp_path, TINY)
         assert cli.main(["validate-graph", "--config", cfg]) == 0

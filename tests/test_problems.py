@@ -12,16 +12,16 @@ from ddrs.problems import (
     TruncatedFileError,
     gen_synthetic,
     load_idx,
-    load_matrix,
     normalize_and_split,
-    prox_with_injected_residual,
-    save_matrix,
 )
 
 from helpers import (
     finite_difference_egrad,
+    load_matrix,
     prox_by_gradient_descent,
+    prox_with_injected_residual,
     random_stiefel_mat,
+    save_matrix,
 )
 
 
@@ -135,6 +135,41 @@ class TestProx:
         assert not errors
         for out in results:
             assert np.array_equal(out, expected)
+
+    def test_alternating_step_sizes_race(self, rng):
+        # Threads that switch between two step sizes keep replacing the one
+        # stored factor; each solve must still use its own step size.
+        import sys
+        import threading
+
+        inst = DPCAInstance(rng.standard_normal((20, 6)))
+        s = rng.standard_normal((6, 3))
+        expected = {a: DPCAInstance(inst.A).prox(a, s) for a in (0.3, 0.7)}
+        mismatches = []
+        errors = []
+
+        def work(i):
+            try:
+                for j in range(40):
+                    a = (0.3, 0.7)[(i + j) % 2]
+                    if not np.array_equal(inst.prox(a, s), expected[a]):
+                        mismatches.append(a)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors
+        assert not mismatches
 
     def test_cache_reproduces_direct_solve(self, rng):
         inst = DPCAInstance(rng.standard_normal((10, 4)))

@@ -41,6 +41,7 @@ from .problems import (
     Dataset,
     DimMismatchError,
     LocalObjective,
+    NonFiniteInputError,
     SolverStallError,
     TruncatedFileError,
     gen_synthetic,

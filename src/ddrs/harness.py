@@ -44,7 +44,13 @@ from .network import (
     gen_ring,
     metropolis_weights,
 )
-from .problems import SolverStallError, gen_synthetic, load_idx, normalize_and_split
+from .problems import (
+    NonFiniteInputError,
+    SolverStallError,
+    gen_synthetic,
+    load_idx,
+    normalize_and_split,
+)
 
 
 class ConfigError(ValueError):
@@ -433,7 +439,7 @@ def run_experiment(config):
                     violations += 1
             if (k + 1) % config.log_every == 0 or (k + 1) == config.max_iters:
                 records.append(make_record(k + 1))
-    except (RankDeficientError, SolverStallError) as exc:
+    except (RankDeficientError, SolverStallError, NonFiniteInputError) as exc:
         status = "diverged"
         error = "%s: %s" % (type(exc).__name__, exc)
     except (FloatingPointError, np.linalg.LinAlgError) as exc:

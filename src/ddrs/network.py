@@ -210,7 +210,8 @@ def mix(W, t, X):
 
     Block i of the result is ``sum_j (W^t)_ij X_j``, realized as t sequential
     neighbor-weighted-sum rounds (the power W^t is never formed; this is the
-    simulated communication).
+    simulated communication).  Each round is one GEMM of W with the stack
+    viewed as an (n, block size) matrix.
 
     Parameters
     ----------
@@ -231,10 +232,10 @@ def mix(W, t, X):
         raise ValueError(
             "got %d blocks for a %d-agent mixing matrix" % (X.shape[0], W.n)
         )
-    out = X
+    out = X.reshape(W.n, -1)
     for _ in range(t):
-        out = np.einsum("ij,j...->i...", W.W, out)
-    return out
+        out = W.W @ out
+    return out.reshape(X.shape)
 
 
 def save_edgelist(graph, path):

@@ -13,13 +13,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotri
 
 from .manifold import StiefelPoint, _as_matrix
 
 
 class SolverStallError(RuntimeError):
     """Inexact prox could not reach the requested residual tolerance."""
+
+
+class NonFiniteInputError(ValueError):
+    """A prox was asked to start from a point with NaN or inf entries."""
 
 
 class BadMagicError(ValueError):
@@ -71,61 +76,82 @@ class DPCAInstance(LocalObjective):
 
     The spectral shift makes the quadratic form negative semidefinite, so
     the prox system ``I + alpha (||A||_2^2 I - A^T A)`` is symmetric positive
-    definite and the prox is an exact linear solve.  The Cholesky factor
-    for the step size in use is kept, and rebuilt when the step size changes.
+    definite with spectrum in ``[1, 1 + alpha L]``, and the prox is an exact
+    linear solve.  The instance keeps the Gram matrix of its data block and
+    the inverse of the prox system for the step size in use, rebuilt when
+    the step size changes.  A product with the inverse streams the d-by-d
+    operand once, where a Cholesky solve reads its factor twice.
     """
 
     def __init__(self, A):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2:
             raise ValueError("data block must be 2-D, got ndim=%d" % A.ndim)
-        self.A = A
         self.gram = A.T @ A
         evals = np.linalg.eigvalsh(self.gram)
         # ||A||_2^2; also the largest eigenvalue of the Gram matrix.
         self.shift = float(max(evals[-1], 0.0))
         self._lambda_min = float(max(evals[0], 0.0))
-        # (alpha, Cholesky factor) for the last step size solved with.
-        self._factor = None
+        # (alpha, inverse of the prox system) for the last step size solved with.
+        self._inverse = None
 
     @property
     def dim(self):
-        return self.A.shape[1]
+        return self.gram.shape[0]
+
+    def _gram_apply(self, x):
+        # G x as (x^T G)^T, which G's symmetry allows: OpenBLAS streams a
+        # C-ordered d-by-d operand fastest from the right of a short-wide
+        # product.  F-ordered operands such as G.T @ x are slower still.
+        return (x.T @ self.gram).T
 
     def value(self, x):
         x = _as_matrix(x)
-        gx = self.gram @ x
+        gx = self._gram_apply(x)
         return -0.5 * (float(np.vdot(x, gx)) - self.shift * float(np.vdot(x, x)))
 
     def egrad(self, x):
         x = _as_matrix(x)
-        return self.shift * x - self.gram @ x
+        return self.shift * x - self._gram_apply(x)
 
     def smoothness(self):
         # ||shift*I - A^T A||_2 for a PSD shift equals shift - lambda_min.
         return self.shift - self._lambda_min
 
     def _solve(self, alpha, rhs):
-        """Solve the prox system at step size alpha for a finite rhs."""
+        """
+        Solve the prox system at step size alpha for a finite rhs.
+
+        Applies the kept inverse as ``(rhs^T M^-1)^T``, one streaming pass
+        over it.  The system's spectrum lies in ``[1, 1 + alpha L]``, so the
+        inverse is as well conditioned as the system.  A product with it
+        passes NaN through silently, which is why ``prox`` checks its input.
+        """
         # The slot is replaced by one assignment and each call solves with
-        # the pair it read, so concurrent callers need no lock.  The factor
-        # passed cho_factor's finiteness check, so the solve skips its own.
-        slot = self._factor
+        # the pair it read, so concurrent callers need no lock.
+        slot = self._inverse
         if slot is None or slot[0] != alpha:
-            M = np.eye(self.dim) + alpha * (self.shift * np.eye(self.dim) - self.gram)
-            slot = (float(alpha), cho_factor(M))
-            self._factor = slot
-        return cho_solve(slot[1], rhs, check_finite=False)
+            eye = np.eye(self.dim)
+            factor, _ = cho_factor(eye + alpha * (self.shift * eye - self.gram))
+            inv, info = dpotri(factor)
+            if info != 0:
+                raise np.linalg.LinAlgError("dpotri failed with info=%d" % info)
+            # dpotri fills the upper triangle; mirroring it makes the inverse
+            # exactly symmetric.
+            inv = np.triu(inv) + np.triu(inv, 1).T
+            slot = (float(alpha), inv)
+            self._inverse = slot
+        return (rhs.T @ slot[1]).T
 
     def _apply_system(self, alpha, x):
-        return x + alpha * (self.shift * x - self.gram @ x)
+        return x + alpha * (self.shift * x - self._gram_apply(x))
 
     def prox(self, alpha, s):
         if not alpha > 0:
             raise ValueError("prox needs alpha > 0, got %r" % (alpha,))
         s = _as_matrix(s)
         if not np.all(np.isfinite(s)):
-            raise ValueError("prox input contains non-finite entries")
+            raise NonFiniteInputError("prox input contains non-finite entries")
         return self._solve(alpha, s)
 
     def residual(self, alpha, s, x):
@@ -136,10 +162,12 @@ class DPCAInstance(LocalObjective):
         """
         Conjugate-gradient prox solve stopped at squared residual <= eps.
 
-        Warm-started from s.  ``eps == 0`` takes the exact factorization
-        path.  When CG cannot certify the tolerance (eps near the floating
-        point floor), the exact solve plus iterative refinement is used; if
-        even that misses eps, SolverStallError is raised.
+        Warm-started from s.  Each CG iteration makes one product with the
+        Gram matrix.  ``eps == 0`` takes the exact path, ``prox``.  When CG
+        cannot certify the tolerance (eps near the floating point floor),
+        ``prox`` plus iterative refinement with the kept inverse is used; if
+        even that misses eps, SolverStallError is raised.  A non-finite s
+        reaches ``prox`` either way and raises NonFiniteInputError.
 
         Returns
         -------
@@ -180,7 +208,7 @@ class DPCAInstance(LocalObjective):
         mu = self.residual(alpha, s, x)
         if float(np.vdot(mu, mu)) <= eps:
             return x, mu
-        # CG hit the floating-point floor; fall back to the factorization
+        # CG hit the floating-point floor; fall back to the exact solve
         # with a few refinement passes.
         x = self.prox(alpha, s)
         for _ in range(4):

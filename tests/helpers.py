@@ -227,3 +227,13 @@ def per_agent_baseline_step(stack, problem, W, params):
     grad = np.stack([problem[i].egrad(x[i]) for i in range(n)])
     v = mix(W, params.t, stack.v) + grad - stack.grad
     return BaselineStack(x=x, v=v, grad=grad, k=stack.k + 1)
+
+
+def mix_per_agent(W, t, X):
+    """t gossip rounds written agent by agent: ``out_i = sum_j W_ij X_j``."""
+    n = W.n
+    blocks = [np.array(X[i], dtype=float) for i in range(n)]
+    for _ in range(t):
+        blocks = [sum(W.W[i, j] * blocks[j] for j in range(n))
+                  for i in range(n)]
+    return np.stack(blocks)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -255,6 +256,34 @@ class TestRunExperiment:
         assert "forced" in summary["error"]
         assert calls["n"] == 1
         assert len(records) == 1  # the initial record survives
+
+
+def test_non_finite_splitting_variable_is_diverged(tmp_path, monkeypatch):
+    # The step the harness calls sees a NaN in the splitting variable at k=3.
+    step = harness.ddrs_step
+
+    def poisoned(stack, *args):
+        if stack.k == 3:
+            s = stack.s.copy()
+            s[0, 0, 0] = np.nan
+            stack = dataclasses.replace(stack, s=s)
+        return step(stack, *args)
+
+    monkeypatch.setattr(harness, "ddrs_step", poisoned)
+    records, summary = run_experiment(parse_config(TINY))
+    assert summary["status"] == "diverged"
+    assert summary["error"] == (
+        "NonFiniteInputError: prox input contains non-finite entries")
+    assert summary["iterations"] == 3
+    assert len(records) == 4  # the initial record and iterations 1..3
+
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(TINY)
+    out = tmp_path / "nan.csv"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    saved = json.loads((tmp_path / "nan.summary.json").read_text())
+    assert saved["status"] == "diverged"
+    assert "NonFiniteInputError" in saved["error"]
 
 
 class TestCli:

@@ -8,6 +8,7 @@ from ddrs.problems import (
     BadMagicError,
     DPCAInstance,
     DimMismatchError,
+    NonFiniteInputError,
     SolverStallError,
     TruncatedFileError,
     gen_synthetic,
@@ -112,12 +113,13 @@ class TestProx:
 
     def test_cache_concurrent_insertion(self, rng):
         # Many threads racing on the same step size must agree with the
-        # single-threaded answer (read-through insertion is locked).
+        # single-threaded answer.
         import threading
 
-        inst = DPCAInstance(rng.standard_normal((20, 6)))
+        block = rng.standard_normal((20, 6))
+        inst = DPCAInstance(block)
         s = rng.standard_normal((6, 3))
-        expected = DPCAInstance(inst.A).prox(0.7, s)
+        expected = DPCAInstance(block).prox(0.7, s)
         results = [None] * 16
         errors = []
 
@@ -142,9 +144,10 @@ class TestProx:
         import sys
         import threading
 
-        inst = DPCAInstance(rng.standard_normal((20, 6)))
+        block = rng.standard_normal((20, 6))
+        inst = DPCAInstance(block)
         s = rng.standard_normal((6, 3))
-        expected = {a: DPCAInstance(inst.A).prox(a, s) for a in (0.3, 0.7)}
+        expected = {a: DPCAInstance(block).prox(a, s) for a in (0.3, 0.7)}
         mismatches = []
         errors = []
 
@@ -180,6 +183,42 @@ class TestProx:
         M = np.eye(4) + 0.3 * (inst.shift * np.eye(4) - inst.gram)
         direct = np.linalg.solve(M, s)
         assert np.abs(first - direct).max() < 1e-12
+
+    def test_non_finite_input_error(self, rng):
+        inst = DPCAInstance(rng.standard_normal((4, 3)))
+        s = np.array([[1.0], [np.inf], [0.0]])
+        with pytest.raises(NonFiniteInputError, match="non-finite"):
+            inst.prox(0.5, s)
+        with pytest.raises(NonFiniteInputError, match="non-finite"):
+            inst.prox_inexact(0.5, s, 1e-8)
+        assert issubclass(NonFiniteInputError, ValueError)
+
+    @pytest.mark.parametrize("alpha_L", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+    def test_inverse_prox_across_conditioning(self, rng, alpha_L):
+        # The prox system's spectrum is [1, 1 + alpha L]; the kept inverse
+        # must stay as accurate as a direct solve across that range.
+        d = 30
+        inst = DPCAInstance(rng.standard_normal((60, d)))
+        alpha = alpha_L / inst.smoothness()
+        s = rng.standard_normal((d, 4))
+        x = inst.prox(alpha, s)
+        bound = 1e-12 * (1.0 + alpha_L) * np.linalg.norm(s)
+        assert np.linalg.norm(x - s + alpha * inst.egrad(x)) <= bound
+        M = np.eye(d) + alpha * (inst.shift * np.eye(d) - inst.gram)
+        assert np.linalg.norm(x - np.linalg.solve(M, s)) <= bound
+        inv = inst._inverse[1]
+        assert np.array_equal(inv, inv.T)
+
+    def test_step_size_switch_rebuilds_inverse(self, rng):
+        inst = DPCAInstance(rng.standard_normal((20, 6)))
+        s = rng.standard_normal((6, 3))
+        first = inst.prox(0.3, s)
+        assert inst._inverse[0] == 0.3
+        other = inst.prox(0.7, s)
+        assert inst._inverse[0] == 0.7
+        M = np.eye(6) + 0.7 * (inst.shift * np.eye(6) - inst.gram)
+        assert np.abs(other - np.linalg.solve(M, s)).max() < 1e-12
+        assert np.array_equal(inst.prox(0.3, s), first)
 
     def test_optimality_against_gradient_descent(self, rng):
         inst = DPCAInstance(rng.standard_normal((8, 3)))

@@ -28,6 +28,7 @@ from ddrs.network import Graph, metropolis_weights, mix
 from ddrs.problems import DPCAInstance
 
 from helpers import (
+    mix_per_agent,
     per_agent_baseline_step,
     per_agent_splitting_step,
     random_stiefel_mat,
@@ -162,3 +163,32 @@ def test_report_tube_is_largest_per_block_tube_distance(net, t):
     mixed = mix(W, t, stack.x) + stack.d
     expected = max(tube_distance(block) for block in mixed)
     assert abs(report.max_tube - expected) <= 1e-12
+
+
+@PROPERTY
+@given(st.integers(2, 9).flatmap(connected_graphs), st.integers(0, 12),
+       st.sampled_from([(), (7,), (7, 3)]), seeds)
+def test_mix_matches_per_agent_gossip_rounds(graph, t, trailing, seed):
+    W = metropolis_weights(graph)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((graph.n,) + trailing)
+    scale = float(np.abs(X).max())
+    out = mix(W, t, X)
+    assert out.shape == X.shape
+    assert float(np.abs(out - mix_per_agent(W, t, X)).max()) <= 1e-13 * scale
+    # Doubly stochastic rounds keep the block mean.
+    assert float(np.abs(out.mean(axis=0) - X.mean(axis=0)).max()) <= 1e-13 * scale
+    if t == 0:
+        assert np.array_equal(out, X)
+
+
+@PROPERTY
+@given(st.integers(2, 9).flatmap(connected_graphs), st.integers(0, 12), seeds)
+def test_mix_of_non_contiguous_stack_matches_contiguous_copy(graph, t, seed):
+    W = metropolis_weights(graph)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((graph.n, 3, 7)).swapaxes(1, 2)
+    assert not X.flags["C_CONTIGUOUS"]
+    out = mix(W, t, X)
+    assert out.shape == X.shape
+    assert np.array_equal(out, mix(W, t, np.ascontiguousarray(X)))

@@ -21,6 +21,7 @@ from .manifold import (
     _tangent_dir,
     project_stiefel,
 )
+from .fanout import map_agents
 from .network import mix
 
 
@@ -47,6 +48,7 @@ class AgentStack:
     d: np.ndarray
     k: int = 0
     mu_sq: np.ndarray = None
+    z_sv: np.ndarray = None
 
     @property
     def n(self):
@@ -98,9 +100,10 @@ def ddrs_init(problem, W, params, x0):
     """
     Build the initial stack from on-manifold per-agent points.
 
-    Sets ``s = y = z = x`` and a zero tracker.  The consensus quality of the
-    start is checked against the certified neighborhood and a
-    ConfigurationWarning (not an error) is emitted when it is too spread
+    Sets ``s = y = z = x`` and a zero tracker, and records the singular
+    values of ``mix(x)``, the blocks a step would project.  The consensus
+    quality of the start is checked against the certified neighborhood and
+    a ConfigurationWarning (not an error) is emitted when it is too spread
     out.
     """
     x = _stack_blocks(x0, W.n)
@@ -119,8 +122,12 @@ def ddrs_init(problem, W, params, x0):
             % (spread, _DELTA1),
             ConfigurationWarning,
         )
+    try:
+        z_sv = _polar(mix(W, params.t, x))[1]
+    except RankDeficientError:
+        z_sv = np.full((x.shape[0], x.shape[2]), math.inf)
     return AgentStack(s=x.copy(), x=x.copy(), y=x.copy(), z=x.copy(),
-                      d=np.zeros_like(x), k=0)
+                      d=np.zeros_like(x), k=0, z_sv=z_sv)
 
 
 def _advance(stack, problem, W, params, prox_blocks):
@@ -129,9 +136,9 @@ def _advance(stack, problem, W, params, prox_blocks):
     x_new, mu_sq = prox_blocks(s_new)
     y_new = 2.0 * x_new - s_new
     d_new = mix(W, params.t, stack.d) + (x_new - s_new) - (stack.x - stack.s)
-    z_new = _polar(mix(W, params.t, x_new) + d_new)[0]
+    z_new, z_sv = _polar(mix(W, params.t, x_new) + d_new)
     return AgentStack(s=s_new, x=x_new, y=y_new, z=z_new, d=d_new,
-                      k=stack.k + 1, mu_sq=mu_sq)
+                      k=stack.k + 1, mu_sq=mu_sq, z_sv=z_sv)
 
 
 def ddrs_step(stack, problem, W, params):
@@ -159,7 +166,9 @@ def iddrs_step(stack, problem, W, params, k):
     One splitting iteration with certified-inexact prox.
 
     The prox tolerance is ``epsilon_schedule(params.eps0, params.rho, k)``;
-    each agent's realized squared residual is recorded in ``mu_sq``.
+    each agent's realized squared residual is recorded in ``mu_sq``.  The
+    agents' conjugate-gradient solves run through ``map_agents``, so at
+    MNIST width they overlap on the per-agent pool.
     """
     eps_k = epsilon_schedule(params.eps0, params.rho, k)
     if k == 0 and params.eps0 >= _DELTA2:
@@ -169,14 +178,15 @@ def iddrs_step(stack, problem, W, params, k):
             ConfigurationWarning,
         )
 
+    def prox_one(inst, s):
+        x, mu = inst.prox_inexact(params.alpha, s, eps_k)
+        # The same vdot prox_inexact certified against eps_k.
+        return x, float(np.vdot(mu, mu))
+
     def prox_blocks(s_new):
-        xs, mus = [], []
-        for inst, s in zip(problem, s_new, strict=True):
-            x, mu = inst.prox_inexact(params.alpha, s, eps_k)
-            xs.append(x)
-            # The same vdot prox_inexact certified against eps_k.
-            mus.append(float(np.vdot(mu, mu)))
-        return np.stack(xs), np.asarray(mus)
+        pairs = map_agents(prox_one, problem, s_new, dim=s_new.shape[1])
+        return (np.stack([x for x, _ in pairs]),
+                np.asarray([mu_sq for _, mu_sq in pairs]))
 
     return _advance(stack, problem, W, params, prox_blocks)
 

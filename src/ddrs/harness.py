@@ -30,6 +30,7 @@ from .manifold import (
 )
 from .metrics import (
     RECORD_FIELDS,
+    VIOLATION_KINDS,
     IterationRecord,
     consensus_and_stationarity,
     dre_value,
@@ -230,9 +231,24 @@ def _validate(values):
     xi = _get(values, "problem.xi")
     if not (0.0 < xi < 1.0):
         raise ConfigTypeError("problem.xi must lie in (0, 1), got %r" % (xi,))
-    for key in ("t", "max_iters", "log_every", "problem.n", "problem.r"):
+    for key in ("t", "max_iters", "log_every", "problem.r"):
         if _get(values, key) < 1:
             raise ConfigTypeError("%s must be >= 1" % key)
+    n = _get(values, "problem.n")
+    if n < 2:
+        raise ConfigTypeError("problem.n must be >= 2 (a network needs two "
+                              "agents), got %d" % n)
+    if pk == "synthetic":
+        # An IDX file fixes d for mnist runs; only synthetic data is checked.
+        d, r = _get(values, "problem.d"), _get(values, "problem.r")
+        m_per = _get(values, "problem.m_per")
+        if r > d:
+            raise ConfigTypeError("problem.r = %d exceeds problem.d = %d"
+                                  % (r, d))
+        if n * m_per < d:
+            raise ConfigTypeError(
+                "problem.n * problem.m_per = %d is below problem.d = %d"
+                % (n * m_per, d))
     rho = _get(values, "algorithm.rho")
     if not (0.0 < rho < 1.0):
         raise ConfigTypeError("algorithm.rho must lie in (0, 1), got %r" % (rho,))
@@ -392,6 +408,13 @@ def run_experiment(config):
     unless explicit seeds are given.  Records are emitted for the initial
     state, every ``log_every``-th iteration, and the final one.  Module
     errors during stepping mark the run ``diverged`` instead of raising.
+
+    For the splitting engines the summary counts the iterations with any
+    certified-regime violation (``neighborhood_violations``), the
+    violations of each kind (``violations_by_kind``), the iteration at
+    which each kind first occurred (``first_violation_iter``) and the
+    smallest singular value any step projected (``sigma_min``).  The
+    baseline reports None for all four.
     """
     setup = build_run(config)
     dataset, problem, W, params = (setup.dataset, setup.problem, setup.W,
@@ -423,7 +446,11 @@ def run_experiment(config):
     records = []
     status = "ok"
     error = None
+    splitting = algo != "baseline_gt"
     violations = 0
+    by_kind = dict.fromkeys(VIOLATION_KINDS, 0)
+    first_violation = dict.fromkeys(VIOLATION_KINDS)
+    sigma_min = None
     try:
         records.append(make_record(0))
         for k in range(config.max_iters):
@@ -433,10 +460,17 @@ def run_experiment(config):
                 stack = iddrs_step(stack, problem, W, params, k)
             else:
                 stack = baseline_gt_step(stack, problem, W, params)
-            if algo != "baseline_gt":
+            if splitting:
                 report = neighborhood_report(stack, consts, W, params.t)
                 if not report.ok:
                     violations += 1
+                for kind in report.violations:
+                    by_kind[kind] += 1
+                    if first_violation[kind] is None:
+                        first_violation[kind] = stack.k
+                step_min = float(stack.z_sv.min())
+                sigma_min = (step_min if sigma_min is None
+                             else min(sigma_min, step_min))
             if (k + 1) % config.log_every == 0 or (k + 1) == config.max_iters:
                 records.append(make_record(k + 1))
     except (RankDeficientError, SolverStallError, NonFiniteInputError) as exc:
@@ -459,7 +493,10 @@ def run_experiment(config):
         "iterations": stack.k,
         "final": _record_to_dict(final) if final else None,
         "rate_slope": slope,
-        "neighborhood_violations": violations if algo != "baseline_gt" else None,
+        "neighborhood_violations": violations if splitting else None,
+        "violations_by_kind": by_kind if splitting else None,
+        "first_violation_iter": first_violation if splitting else None,
+        "sigma_min": sigma_min,
         "advice": asdict(advice),
         "resolved_alpha": alpha,
         "resolved_seeds": resolved_seeds(config),

@@ -125,14 +125,19 @@ class NeighborhoodReport:
         return not self.violations
 
 
+VIOLATION_KINDS = ("x-neighborhood", "z-neighborhood", "projection-tube")
+
+
 def neighborhood_report(stack, constants, W, t):
     """
     Check the three certified-regime conditions on the current stack.
 
     Reports the mean-spread of x against ``delta1``, the mean-spread of z
     against ``10 * delta2``, and the largest tube distance of the mixed
-    iterates plus tracker against ``gamma``.  Violations are named, never
-    raised.
+    iterates plus tracker against ``gamma``.  The tube distance of a block
+    is ``||sv - 1||`` over the singular values ``stack.z_sv`` the step kept
+    from its projection; only a stack without them is mixed over ``W`` and
+    ``t`` rounds and decomposed here.  Violations are named, never raised.
     """
     delta1 = constants.gamma / 4.0
     delta2 = delta1 / 12.0
@@ -152,11 +157,13 @@ def neighborhood_report(stack, constants, W, t):
     z_dev = mean_spread(stack.z)
     if z_dev > 10.0 * delta2:
         violations.append("z-neighborhood")
-    try:
-        sv = _polar(mix(W, t, stack.x) + stack.d)[1]
-        max_tube = float(np.linalg.norm(sv - 1.0, axis=-1).max())
-    except RankDeficientError:
-        max_tube = math.inf
+    sv = stack.z_sv
+    if sv is None:
+        try:
+            sv = _polar(mix(W, t, stack.x) + stack.d)[1]
+        except RankDeficientError:
+            sv = np.array([math.inf])
+    max_tube = float(np.linalg.norm(sv - 1.0, axis=-1).max())
     if max_tube > constants.gamma:
         violations.append("projection-tube")
     return NeighborhoodReport(

@@ -6,6 +6,7 @@ import pytest
 
 import ddrs.cli as cli
 import ddrs.harness as harness
+from ddrs.algorithms import ddrs_step
 from ddrs.harness import (
     ConfigError,
     ConfigTypeError,
@@ -20,7 +21,13 @@ from ddrs.harness import (
     write_records,
 )
 from ddrs.manifold import RankDeficientError
-from ddrs.metrics import RECORD_FIELDS, IterationRecord
+from ddrs.metrics import (
+    RECORD_FIELDS,
+    VIOLATION_KINDS,
+    IterationRecord,
+    neighborhood_report,
+)
+from ddrs.network import mix
 
 
 MINIMAL = """
@@ -95,6 +102,11 @@ class TestParseConfig:
     def test_comments_and_overrides(self):
         cfg = parse_config(MINIMAL + "# comment line\nt = 4\nt = 7\n")
         assert cfg.t == 7
+
+    def test_idx_data_fixes_the_width(self):
+        # problem.d does not apply to an IDX file, so r and m_per pass here.
+        cfg = preset("mnist-er06", "problem.r = 20\nproblem.m_per = 1\n")
+        assert cfg.problem.r == 20 and cfg.problem.m_per == 1
 
     def test_bad_kind_value(self):
         with pytest.raises(ConfigTypeError):
@@ -235,7 +247,40 @@ class TestRunExperiment:
         records, summary = run_experiment(cfg)
         assert summary["status"] == "ok"
         assert all(r.dre is None for r in records)
-        assert summary["neighborhood_violations"] is None
+        for key in ("neighborhood_violations", "violations_by_kind",
+                    "first_violation_iter", "sigma_min"):
+            assert summary[key] is None
+
+    def test_summary_counts_violations_by_kind_and_the_smallest_sigma(self):
+        cfg = parse_config(TINY)
+        _, summary = run_experiment(cfg)
+        setup = harness.build_run(cfg)
+        stack, _ = harness.start_run(cfg, setup)
+        counts = dict.fromkeys(VIOLATION_KINDS, 0)
+        first = {}
+        smallest = []
+        for _ in range(cfg.max_iters):
+            stack = ddrs_step(stack, setup.problem, setup.W, setup.params)
+            mixed = mix(setup.W, cfg.t, stack.x) + stack.d
+            smallest.append(np.linalg.svd(mixed, compute_uv=False).min())
+            report = neighborhood_report(stack, setup.constants, setup.W, cfg.t)
+            for kind in report.violations:
+                counts[kind] += 1
+                first.setdefault(kind, stack.k)
+        assert summary["violations_by_kind"] == counts
+        assert summary["first_violation_iter"] == {
+            kind: first.get(kind) for kind in VIOLATION_KINDS}
+        assert summary["sigma_min"] == pytest.approx(min(smallest), rel=1e-12)
+
+    def test_tuned_preset_summary_names_the_violated_conditions(self):
+        _, summary = run_experiment(preset("synthetic-er06",
+                                           "max_iters = 40\nlog_every = 40\n"))
+        assert summary["neighborhood_violations"] == 40
+        assert summary["violations_by_kind"] == {
+            "x-neighborhood": 2, "z-neighborhood": 0, "projection-tube": 40}
+        assert summary["first_violation_iter"] == {
+            "x-neighborhood": 1, "z-neighborhood": None, "projection-tube": 1}
+        assert 0 < summary["sigma_min"] < 1
 
     def test_beta_hat_resolution(self):
         cfg = parse_config(TINY.replace("alpha = 2.0", "beta_hat = 100.0"))
@@ -324,6 +369,22 @@ class TestCli:
         cfg = self._write(tmp_path, MINIMAL + "beta_hat = 2\n")
         assert cli.main(["run", "--config", cfg]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, message", [
+        ("problem.r = 20", "problem.r = 20 exceeds problem.d = 10"),
+        ("problem.m_per = 1",
+         r"problem.n \* problem.m_per = 8 is below problem.d = 10"),
+        ("problem.n = 1", "problem.n must be >= 2"),
+    ])
+    def test_unbuildable_problem_is_a_config_error(self, tmp_path, capsys,
+                                                   override, message):
+        with pytest.raises(ConfigTypeError, match=message):
+            preset("synthetic-er06", override)
+        cfg = self._write(tmp_path, override + "\n")
+        out = str(tmp_path / "r.csv")
+        assert cli.main(["run", "--preset", "synthetic-er06", "--config", cfg,
+                         "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_preset_exit_code(self, capsys):
         assert cli.main(["run", "--preset", "nope"]) == 1

@@ -1,7 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ddrs.algorithms import SolverParams, ddrs_init, ddrs_step
+import ddrs.metrics as metrics
+from ddrs.algorithms import (
+    ConfigurationWarning,
+    SolverParams,
+    ddrs_init,
+    ddrs_step,
+)
 from ddrs.manifold import RankDeficientError, StiefelPoint, manifold_constants
 from ddrs.metrics import (
     IterationRecord,
@@ -176,6 +184,37 @@ class TestNeighborhoodReport:
         for _ in range(100):
             st = ddrs_step(st, problem, W, params)
             assert neighborhood_report(st, consts, W, params.t).ok
+
+    def test_reads_the_kept_singular_values_without_mixing(
+            self, rng, small_dataset, monkeypatch):
+        problem = small_dataset.instances()
+        W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
+        consts = manifold_constants(6, 2)
+        st, params = _consensus_stack(problem, W, rng, 6, 2, alpha=3.0)
+
+        def unused(*args):
+            raise AssertionError("the report mixed or decomposed again")
+
+        for _ in range(5):
+            st = ddrs_step(st, problem, W, params)
+            recomputed = neighborhood_report(
+                dataclasses.replace(st, z_sv=None), consts, W, params.t)
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "mix", unused)
+                patch.setattr(metrics, "_polar", unused)
+                kept = neighborhood_report(st, consts, W, params.t)
+            assert kept == recomputed
+
+    def test_start_whose_mix_collapses_has_infinite_tube(self, rng):
+        problem = [DPCAInstance(rng.standard_normal((8, 3))) for _ in range(2)]
+        W = metropolis_weights(Graph(2, frozenset([(0, 1)])))
+        params = SolverParams(alpha=1.0, t=1)
+        x = random_stiefel_mat(rng, 3, 1)
+        with pytest.warns(ConfigurationWarning):
+            st = ddrs_init(problem, W, params, [StiefelPoint(x), StiefelPoint(-x)])
+        assert st.z_sv.shape == (2, 1) and np.all(st.z_sv == np.inf)
+        rep = neighborhood_report(st, manifold_constants(3, 1), W, params.t)
+        assert rep.max_tube == np.inf and "projection-tube" in rep.violations
 
 
 class TestObjectiveAtMean:

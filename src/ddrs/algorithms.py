@@ -38,7 +38,11 @@ class AgentStack:
     ``z`` the mixed-and-projected consensus estimate (always on the
     manifold), and ``d`` the tracker whose block mean equals
     ``mean(x) - mean(s)`` exactly.  ``mu_sq`` holds the realized squared
-    prox residuals of the last inexact step, when there was one.
+    prox residuals of the last inexact step, when there was one.  ``z_sv``,
+    shape (n, r), holds the singular values of each block of
+    ``mix(x) + d`` that produced ``z`` (inf where that projection was not
+    unique); it is recorded when the stack is built and not updated if
+    ``x`` or ``d`` is edited later.
     """
 
     s: np.ndarray

@@ -34,33 +34,33 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
-def _blas_threads():
-    """Threads one BLAS call uses: the first valid variable, else every CPU."""
-    for var in _BLAS_THREAD_VARS:
-        try:
-            return max(1, int(os.environ[var]))
-        except (KeyError, ValueError):
-            continue
-    return usable_cpus()
-
-
+@functools.cache
 def pool_size():
     """
     Worker threads of the per-agent pool: usable CPUs per BLAS thread.
 
-    With single-threaded BLAS that is every usable CPU.  A BLAS that already
-    spreads each product over all CPUs gets 1, so the agents run serially:
-    two agents' products competing for two CPUs were slower than one agent
-    at a time (d=784, 2 BLAS threads, 2 vCPUs: one iDDRS step took 18.7 ms
-    serially and 19.9 ms pooled).
+    BLAS threads are the first valid variable of ``_BLAS_THREAD_VARS``, or
+    every usable CPU when none is set.  Like BLAS, this reads them once per
+    process; a limit set later at run time is not seen.  With
+    single-threaded BLAS the pool has every usable CPU.  A BLAS that already
+    spreads each product over every CPU gets 1, so the agents run serially:
+    with 2 BLAS threads on 2 vCPUs, one d=784 iDDRS step of 8 agents took a
+    median 18.0 ms (IQR 2.4) serially and 22.2 ms (IQR 2.7) pooled over 12
+    alternating pairs, and the pool was faster in none of them.
     """
-    return usable_cpus() // _blas_threads()
+    cpus = usable_cpus()
+    for var in _BLAS_THREAD_VARS:
+        try:
+            return max(1, cpus // max(1, int(os.environ[var])))
+        except (KeyError, ValueError):
+            continue
+    return 1
 
 
 @functools.cache
 def _executor(pid, workers):
-    # One pool per process and size: a forked child has none of its parent's
-    # worker threads.
+    # One pool per process: a forked child has none of its parent's worker
+    # threads.
     return ThreadPoolExecutor(max_workers=workers,
                               thread_name_prefix="ddrs-agent")
 
@@ -70,15 +70,17 @@ def map_agents(fn, *per_agent, dim):
     ``[fn(*args) for args in zip(*per_agent)]``, the list in agent order.
 
     With ``dim >= FANOUT_MIN_DIM`` and ``min(n, pool_size()) > 1`` the calls
-    run on one shared pool of ``pool_size()`` threads; otherwise they run
-    serially on the calling thread.  The pool waits for every call before
-    returning, and an exception is re-raised from the lowest agent that
-    raised, as the serial loop would raise it.
+    run on one shared pool of ``pool_size()`` threads, so at most that many
+    agents run at once; otherwise they run serially on the calling thread.
+    The pool waits for every call before returning, and an exception is
+    re-raised from the lowest agent that raised, as the serial loop would
+    raise it.
     """
     calls = list(zip(*per_agent, strict=True))
-    if dim < FANOUT_MIN_DIM or min(len(calls), pool_size()) <= 1:
+    workers = pool_size()
+    if dim < FANOUT_MIN_DIM or min(len(calls), workers) <= 1:
         return [fn(*args) for args in calls]
-    pool = _executor(os.getpid(), pool_size())
+    pool = _executor(os.getpid(), workers)
     futures = [pool.submit(fn, *args) for args in calls]
     wait(futures)
     return [future.result() for future in futures]

@@ -14,11 +14,9 @@ import numpy as np
 
 from .manifold import (
     RankDeficientError,
-    _polar,
     _tangent_dir,
     project_stiefel,
 )
-from .network import mix
 
 RECORD_FIELDS = (
     "k",
@@ -135,9 +133,11 @@ def neighborhood_report(stack, constants, W, t):
     Reports the mean-spread of x against ``delta1``, the mean-spread of z
     against ``10 * delta2``, and the largest tube distance of the mixed
     iterates plus tracker against ``gamma``.  The tube distance of a block
-    is ``||sv - 1||`` over the singular values ``stack.z_sv`` the step kept
-    from its projection; only a stack without them is mixed over ``W`` and
-    ``t`` rounds and decomposed here.  Violations are named, never raised.
+    is ``||sv - 1||`` over the singular values ``stack.z_sv`` that the last
+    step (or ``ddrs_init``) kept from its projection of ``mix(x) + d``; it
+    is not recomputed, so it is stale on a stack whose ``x`` or ``d`` was
+    edited afterwards.  ``W`` and ``t`` are unused.  Violations are named,
+    never raised.
     """
     delta1 = constants.gamma / 4.0
     delta2 = delta1 / 12.0
@@ -157,13 +157,7 @@ def neighborhood_report(stack, constants, W, t):
     z_dev = mean_spread(stack.z)
     if z_dev > 10.0 * delta2:
         violations.append("z-neighborhood")
-    sv = stack.z_sv
-    if sv is None:
-        try:
-            sv = _polar(mix(W, t, stack.x) + stack.d)[1]
-        except RankDeficientError:
-            sv = np.array([math.inf])
-    max_tube = float(np.linalg.norm(sv - 1.0, axis=-1).max())
+    max_tube = float(np.linalg.norm(stack.z_sv - 1.0, axis=-1).max())
     if max_tube > constants.gamma:
         violations.append("projection-tube")
     return NeighborhoodReport(

@@ -4,6 +4,7 @@ workers end runs as serial errors do, and the pool stays within the CPUs.
 """
 
 import dataclasses
+import os
 import threading
 
 import numpy as np
@@ -39,25 +40,52 @@ def _strip_wall(records):
              r.mu_sq_max) for r in records]
 
 
-def test_pool_size_never_exceeds_usable_cpus(monkeypatch):
-    cpus = fanout.usable_cpus()
-    for var in fanout._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    assert fanout.pool_size() == 1  # BLAS left on every CPU: serial
-    for value in ("1", "2", "0", "-3", "many", str(4 * cpus)):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
-        assert 0 <= fanout.pool_size() <= cpus
-
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    assert fanout.pool_size() == cpus
+def _threads_used(n):
     ran_on = set()
 
     def task(i):
         ran_on.add(threading.current_thread().name)
         return i
 
-    assert fanout.map_agents(task, range(32), dim=D) == list(range(32))
-    assert 1 <= len(ran_on) <= cpus
+    assert fanout.map_agents(task, range(n), dim=D) == list(range(n))
+    return ran_on
+
+
+@pytest.fixture
+def fresh_pool_size(monkeypatch):
+    """``pool_size`` read again from the environment this test sets."""
+    for var in fanout._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    fanout.pool_size.cache_clear()
+    yield fanout.pool_size
+    fanout.pool_size.cache_clear()
+
+
+def test_pool_size_never_exceeds_usable_cpus(fresh_pool_size, monkeypatch):
+    cpus = fanout.usable_cpus()
+    assert fresh_pool_size() == 1  # BLAS left on every CPU: serial
+    for value in ("1", "2", "0", "-3", "many", str(4 * cpus)):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        fresh_pool_size.cache_clear()
+        assert 1 <= fresh_pool_size() <= cpus
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    fresh_pool_size.cache_clear()
+    assert fresh_pool_size() == cpus
+    assert 1 <= len(_threads_used(32)) <= cpus
+
+
+def test_pool_size_is_read_once_per_process(fresh_pool_size, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    first = fresh_pool_size()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1000")
+    assert fresh_pool_size() == first
+
+
+def test_pool_workers_follow_the_pool_size(pooled):
+    assert 1 <= len(_threads_used(32)) <= 2
+    assert fanout._executor(os.getpid(), 2)._max_workers == 2
+    # One agent never leaves the calling thread.
+    assert _threads_used(1) == {threading.current_thread().name}
 
 
 def test_below_the_threshold_agents_run_on_the_calling_thread(pooled):

@@ -1,9 +1,6 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
-import ddrs.metrics as metrics
 from ddrs.algorithms import (
     ConfigurationWarning,
     SolverParams,
@@ -21,7 +18,7 @@ from ddrs.metrics import (
     rate_fit,
     tracking_residual,
 )
-from ddrs.network import Graph, gen_erdos_renyi, metropolis_weights
+from ddrs.network import Graph, gen_erdos_renyi, metropolis_weights, mix
 from ddrs.problems import DPCAInstance
 
 from helpers import analytic_dpca_optimum, random_stiefel_mat
@@ -185,25 +182,21 @@ class TestNeighborhoodReport:
             st = ddrs_step(st, problem, W, params)
             assert neighborhood_report(st, consts, W, params.t).ok
 
-    def test_reads_the_kept_singular_values_without_mixing(
-            self, rng, small_dataset, monkeypatch):
+    def test_tube_is_read_from_the_kept_singular_values(
+            self, rng, small_dataset):
         problem = small_dataset.instances()
         W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
         consts = manifold_constants(6, 2)
         st, params = _consensus_stack(problem, W, rng, 6, 2, alpha=3.0)
-
-        def unused(*args):
-            raise AssertionError("the report mixed or decomposed again")
-
         for _ in range(5):
             st = ddrs_step(st, problem, W, params)
-            recomputed = neighborhood_report(
-                dataclasses.replace(st, z_sv=None), consts, W, params.t)
-            with monkeypatch.context() as patch:
-                patch.setattr(metrics, "mix", unused)
-                patch.setattr(metrics, "_polar", unused)
-                kept = neighborhood_report(st, consts, W, params.t)
-            assert kept == recomputed
+            sv = np.linalg.svd(mix(W, params.t, st.x) + st.d, compute_uv=False)
+            np.testing.assert_allclose(st.z_sv, sv, rtol=1e-12)
+            tube = np.linalg.norm(sv - 1.0, axis=-1).max()
+            rep = neighborhood_report(st, consts, W, params.t)
+            assert rep.max_tube == pytest.approx(tube, rel=1e-12)
+            assert ("projection-tube" in rep.violations) == (
+                rep.max_tube > consts.gamma)
 
     def test_start_whose_mix_collapses_has_infinite_tube(self, rng):
         problem = [DPCAInstance(rng.standard_normal((8, 3))) for _ in range(2)]

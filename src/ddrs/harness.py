@@ -373,8 +373,8 @@ def build_run(config):
 
     L = max(inst.smoothness() for inst in problem)
     zero = np.zeros((d, r))
-    grad0 = float(np.sqrt(sum(
-        np.vdot(inst.egrad(zero), inst.egrad(zero)) for inst in problem)))
+    grads0 = [inst.egrad(zero) for inst in problem]
+    grad0 = float(np.sqrt(sum(np.vdot(g, g) for g in grads0)))
     return RunSetup(dataset=dataset, problem=problem, W=W, params=params,
                     x0=x0, constants=consts, L=L, grad0_norm=grad0)
 
@@ -430,7 +430,10 @@ def run_experiment(config):
         obj = objective_at_mean(stack, problem)
         dre = None
         if algo != "baseline_gt":
-            dre = dre_value(stack.s, problem, alpha)
+            # An exact step leaves x = prox(alpha, s) bitwise; the start,
+            # where x = s, and an inexact step do not.
+            exact_x = stack.x if algo == "ddrs" and stack.k >= 1 else None
+            dre = dre_value(stack.s, problem, alpha, exact_x)
         ds = None
         if dataset.ground_truth is not None:
             ds = subspace_distance(induced_mean(stack.x), dataset.ground_truth)

@@ -78,7 +78,7 @@ def objective_at_mean(stack, problem):
     return float(sum(inst.value(xbar) for inst in problem))
 
 
-def dre_value(s_blocks, problem, alpha):
+def dre_value(s_blocks, problem, alpha, x_blocks=None):
     """
     Splitting envelope at the stacked splitting variable.
 
@@ -87,11 +87,16 @@ def dre_value(s_blocks, problem, alpha):
     value is ``sum_i f_i(x_i) + <egrad_i(x_i), ybar - x_i>
     + ||ybar - x_i||^2 / (2 alpha)``.  It is bounded below by the optimal
     consensus value and monitors progress; it needs global information and
-    is never available to agents.
+    is never available to agents.  A caller that already holds the exact
+    proxes of ``s_blocks`` at ``alpha`` (an exact step's ``x``) passes them
+    as ``x_blocks``; otherwise they are computed here.
     """
-    s_blocks = np.asarray(s_blocks, dtype=float)
-    xs = np.stack([inst.prox(alpha, s)
-                   for inst, s in zip(problem, s_blocks, strict=True)])
+    if x_blocks is None:
+        s_blocks = np.asarray(s_blocks, dtype=float)
+        xs = np.stack([inst.prox(alpha, s)
+                       for inst, s in zip(problem, s_blocks, strict=True)])
+    else:
+        xs = np.asarray(x_blocks, dtype=float)
     grads = np.stack([inst.egrad(x) for inst, x in zip(problem, xs, strict=True)])
     ybar = project_stiefel((xs - alpha * grads).mean(axis=0)).mat
     gap = ybar - xs

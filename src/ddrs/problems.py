@@ -252,14 +252,38 @@ class Dataset:
         return [DPCAInstance(b) for b in self.blocks]
 
 
+# Relative singular value below which a direction is not formed: the square
+# of the double-precision epsilon, some fifty bits below the last stored bit
+# of an entry at the scale of the leading direction.
+_SV_CUTOFF = 2.0 ** -104
+
+
+def _representable_rank(d, r, xi):
+    """
+    Number of directions ``gen_synthetic`` forms: every j <= d with
+    ``xi**(j-1) >= 2**-104``, and at least r.
+    """
+    return max(r, int(np.count_nonzero(xi ** np.arange(d) >= _SV_CUTOFF)))
+
+
 def gen_synthetic(n, m_per, d, r, xi, seed):
     """
     Spectrum-controlled synthetic PCA data.
 
-    A tall matrix with orthonormal factors and singular values
-    ``xi, xi^2, ..., xi^d`` is assembled, its rows are shuffled and split
-    into n equal agent blocks, and the first r right singular vectors are
-    recorded as the known optimum.
+    The data are a tall matrix with orthonormal factors and singular values
+    ``xi, xi^2, ..., xi^d``, its rows shuffled and split into n equal agent
+    blocks; the first r right singular vectors are recorded as the known
+    optimum.  Directions whose singular value lies below ``xi * 2**-104``
+    are not formed: each factor is the reduced QR of the first k columns of
+    its Gaussian draw (``_representable_rank``), which in Householder QR
+    gives the same k columns as the full factorization, and each block is
+    built directly from its rows of the scaled left factor.  The streams are
+    drawn in the same order as when the full data matrix was formed and
+    split.  The stored blocks and optimum are bitwise unchanged at the
+    preset, golden and MNIST-width shapes checked in
+    ``tests/test_problems.py``; at other shapes a block may differ by a few
+    ulps of the largest entry, since a product per block can round some
+    rows differently from one product over all rows.
 
     Parameters
     ----------
@@ -279,15 +303,16 @@ def gen_synthetic(n, m_per, d, r, xi, seed):
         raise ValueError("need n*m_per >= d, got %d < %d" % (total, d))
     if not (1 <= r <= d):
         raise ValueError("need 1 <= r <= d")
+    k = _representable_rank(d, r, xi)
     rng = np.random.default_rng(seed)
-    U, _ = np.linalg.qr(rng.standard_normal((total, d)))
-    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    sv = xi ** np.arange(1, d + 1)
-    A = (U * sv) @ V.T
-    A = A[rng.permutation(total)]
-    blocks = [A[i * m_per:(i + 1) * m_per].copy() for i in range(n)]
+    # The copy lets the full draw go before the factorization starts.
+    U = np.linalg.qr(rng.standard_normal((total, d))[:, :k].copy())[0]
+    V = np.linalg.qr(rng.standard_normal((d, d))[:, :k])[0]
+    U *= xi ** np.arange(1, k + 1)
+    perm = rng.permutation(total)
+    blocks = [U[perm[i * m_per:(i + 1) * m_per]] @ V.T for i in range(n)]
     meta = dict(n=n, m_per=m_per, d=d, r=r, xi=xi, seed=seed, source="synthetic")
-    return Dataset(blocks, StiefelPoint(V[:, :r]), meta)
+    return Dataset(blocks, StiefelPoint(V[:, :r].copy()), meta)
 
 
 _IDX_IMAGE_MAGIC = 0x00000803

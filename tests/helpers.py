@@ -3,8 +3,9 @@
 import numpy as np
 
 from ddrs.algorithms import AgentStack, BaselineStack, epsilon_schedule
-from ddrs.manifold import project_stiefel
+from ddrs.manifold import StiefelPoint, project_stiefel
 from ddrs.network import mix
+from ddrs.problems import Dataset
 
 
 def random_stiefel_mat(rng, d, r):
@@ -147,6 +148,31 @@ def analytic_dpca_optimum(dataset):
     fstar = -0.5 * float(np.sum(top)) + 0.5 * r * float(np.sum(shifts))
     vstar = evecs[:, ::-1][:, :r]
     return fstar, vstar
+
+
+def gen_synthetic_full(n, m_per, d, r, xi, seed):
+    """
+    The synthetic generator that forms every direction: reduced QR of the
+    whole ``(n*m_per, d)`` and ``(d, d)`` draws, the full data matrix, its
+    shuffled copy and one copy per block.  Same streams and argument checks
+    as ``ddrs.problems.gen_synthetic``.
+    """
+    if not (0.0 < xi < 1.0):
+        raise ValueError("xi must lie in (0, 1), got %r" % (xi,))
+    total = n * m_per
+    if total < d:
+        raise ValueError("need n*m_per >= d, got %d < %d" % (total, d))
+    if not (1 <= r <= d):
+        raise ValueError("need 1 <= r <= d")
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((total, d)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    sv = xi ** np.arange(1, d + 1)
+    A = (U * sv) @ V.T
+    A = A[rng.permutation(total)]
+    blocks = [A[i * m_per:(i + 1) * m_per].copy() for i in range(n)]
+    meta = dict(n=n, m_per=m_per, d=d, r=r, xi=xi, seed=seed, source="synthetic")
+    return Dataset(blocks, StiefelPoint(V[:, :r]), meta)
 
 
 def prox_with_injected_residual(inst, alpha, s, mu):

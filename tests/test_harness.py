@@ -25,6 +25,7 @@ from ddrs.metrics import (
     RECORD_FIELDS,
     VIOLATION_KINDS,
     IterationRecord,
+    dre_value,
     neighborhood_report,
 )
 from ddrs.network import mix
@@ -239,6 +240,30 @@ class TestRunExperiment:
         records, summary = run_experiment(cfg)
         assert summary["status"] == "ok"
         assert all(r.mu_sq_max is not None for r in records if r.k > 0)
+
+    @pytest.mark.parametrize("algo", ["ddrs", "iddrs"])
+    def test_dre_reuses_only_an_exact_step_prox(self, monkeypatch, algo):
+        # Exact steps pass their x, which must equal a recomputed prox
+        # bitwise; the start (x = s) and inexact steps recompute.
+        calls = []
+
+        def spy(s_blocks, problem, alpha, x_blocks=None):
+            value = dre_value(s_blocks, problem, alpha, x_blocks)
+            calls.append((x_blocks is not None, value,
+                          dre_value(s_blocks, problem, alpha)))
+            return value
+
+        monkeypatch.setattr(harness, "dre_value", spy)
+        cfg = parse_config(TINY.replace("algorithm.kind = ddrs",
+                                        "algorithm.kind = %s" % algo)
+                           + "log_every = 5\n")
+        records, summary = run_experiment(cfg)
+        assert summary["status"] == "ok"
+        reused = [algo == "ddrs" and rec.k >= 1 for rec in records]
+        assert [passed for passed, _, _ in calls] == reused
+        assert [rec.dre for rec in records] == [value for _, value, _ in calls]
+        for _, value, recomputed in calls:
+            assert value == recomputed
 
     def test_baseline_runs(self):
         cfg = parse_config(TINY.replace("algorithm.kind = ddrs",

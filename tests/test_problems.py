@@ -1,7 +1,9 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddrs.manifold import StiefelPoint
 from ddrs.problems import (
@@ -11,6 +13,7 @@ from ddrs.problems import (
     NonFiniteInputError,
     SolverStallError,
     TruncatedFileError,
+    _representable_rank,
     gen_synthetic,
     load_idx,
     normalize_and_split,
@@ -18,6 +21,7 @@ from ddrs.problems import (
 
 from helpers import (
     finite_difference_egrad,
+    gen_synthetic_full,
     load_matrix,
     prox_by_gradient_descent,
     prox_with_injected_residual,
@@ -346,6 +350,77 @@ class TestSynthetic:
     def test_rejects_infeasible_dims(self):
         with pytest.raises(ValueError):
             gen_synthetic(2, 1, 40, 2, 0.8, seed=0)
+
+
+# The preset shape, the golden d = 64 shape and MNIST width, where only 324
+# of the 784 directions are formed.
+PRESET_SEED = 214748364
+EQUIVALENT_SHAPES = [
+    (8, 1000, 10, 5, 0.8, PRESET_SEED),
+    (8, 1000, 64, 5, 0.8, PRESET_SEED),
+    (8, 1000, 784, 5, 0.8, PRESET_SEED),
+]
+
+
+class TestSyntheticTruncation:
+    @pytest.mark.parametrize("shape", EQUIVALENT_SHAPES)
+    def test_bitwise_equal_to_full_factorization(self, shape):
+        ref = gen_synthetic_full(*shape)
+        got = gen_synthetic(*shape)
+        assert got.n == ref.n
+        for a, b in zip(got.blocks, ref.blocks, strict=True):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(got.ground_truth.mat, ref.ground_truth.mat)
+        assert got.meta == ref.meta
+
+    def test_cut_applies_at_mnist_width(self):
+        assert _representable_rank(784, 5, 0.8) == 324
+        assert _representable_rank(64, 5, 0.8) == 64
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 4), st.floats(0.05, 0.29), st.integers(0, 2 ** 32 - 1),
+           st.data())
+    def test_close_to_full_factorization_where_cut(self, n, xi, seed, data):
+        # Up to xi = 0.29 a width d <= 60 can lose directions; draw one that does.
+        kept = _representable_rank(60, 1, xi)
+        d = data.draw(st.integers(kept + 1, 60))
+        r = data.draw(st.integers(1, min(5, kept)))
+        assert _representable_rank(d, r, xi) == kept
+        m_per = data.draw(st.integers(-(-d // n), -(-d // n) + 20))
+        ref = gen_synthetic_full(n, m_per, d, r, xi, seed)
+        got = gen_synthetic(n, m_per, d, r, xi, seed)
+        # One product per block rounds the rows at the GEMM kernel's edge
+        # differently from one product over all rows: up to 5 ulps of the
+        # largest entry over 3000 random shapes of this range.
+        scale = max(float(np.abs(b).max()) for b in ref.blocks)
+        for a, b in zip(got.blocks, ref.blocks, strict=True):
+            assert float(np.abs(a - b).max()) <= 8 * np.spacing(scale)
+        np.testing.assert_array_equal(got.ground_truth.mat, ref.ground_truth.mat)
+
+    @given(st.integers(1, 2000), st.integers(1, 2000), st.floats(1e-3, 0.999))
+    def test_rank_bounds(self, d, r, xi):
+        r = min(r, d)
+        k = _representable_rank(d, r, xi)
+        assert r <= k <= d
+        if xi ** (d - 1) >= 2.0 ** -104:
+            assert k == d
+        elif k > r:
+            # The first direction left out is below the cutoff.
+            assert xi ** k < 2.0 ** -104
+
+    def test_ground_truth_does_not_pin_the_factor(self):
+        truth = gen_synthetic(2, 20, 10, 3, 0.8, seed=1).ground_truth.mat
+        assert truth.base is None
+
+    def test_peak_memory_at_mnist_width(self):
+        tracemalloc.start()
+        try:
+            data = gen_synthetic(*EQUIVALENT_SHAPES[-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = sum(b.nbytes for b in data.blocks)
+        assert peak < 1.6 * block_bytes
 
 
 def _idx_bytes(magic, dims, payload):

@@ -9,7 +9,6 @@ from ddrs import (
     manifold_constants,
     project_stiefel,
     random_stiefel,
-    riemannian_grad,
     subspace_distance,
     tangent_project,
     tube_distance,
@@ -38,7 +37,7 @@ print("skew residual of tangent vector:",
 
 # Riemannian gradients are tangent projections of Euclidean ones.
 egrad = rng.standard_normal((d, r))
-print("riemannian gradient norm:", riemannian_grad(x, egrad).norm)
+print("riemannian gradient norm:", tangent_project(x, egrad).norm)
 
 # The subspace distance ignores rotations of the frame.
 q, _ = np.linalg.qr(rng.standard_normal((r, r)))

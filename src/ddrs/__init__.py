@@ -16,7 +16,6 @@ from .manifold import (
     manifold_constants,
     project_stiefel,
     random_stiefel,
-    riemannian_grad,
     subspace_distance,
     tangent_project,
     tube_distance,
@@ -40,7 +39,6 @@ from .problems import (
     DPCAInstance,
     Dataset,
     DimMismatchError,
-    LocalObjective,
     NonFiniteInputError,
     SolverStallError,
     TruncatedFileError,

@@ -91,9 +91,9 @@ _DELTA1 = _GAMMA / 4.0
 _DELTA2 = _DELTA1 / 12.0
 
 
-def _stack_blocks(x0, n_expected=None):
+def _stack_blocks(x0, n_expected):
     blocks = [StiefelPoint(_as_matrix(b)).mat for b in x0]
-    if n_expected is not None and len(blocks) != n_expected:
+    if len(blocks) != n_expected:
         raise ValueError(
             "got %d initial blocks for %d agents" % (len(blocks), n_expected)
         )

@@ -4,7 +4,8 @@ Command line driver.
 Subcommands: ``run`` executes a configured experiment and writes record and
 summary files; ``advise`` prints the certified-regime parameters for a
 configuration; ``validate-graph`` prints the mixing-matrix checks and the
-spectral gap.  Exit codes: 0 success, 1 configuration error, 2 diverged run.
+spectral gap.  Exit codes: 0 success, 1 configuration error, 2 a run whose
+status is not ``ok`` (diverged or failed).
 """
 
 import argparse
@@ -43,7 +44,7 @@ def _cmd_run(args):
     records, summary = run_experiment(config)
     out = args.out or config.out or "records.%s" % args.format
     write_records(records, out, fmt=args.format)
-    stem = out.rsplit(".", 1)[0]
+    stem = str(Path(out).with_suffix(""))
     summary_path = stem + ".summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, default=str)

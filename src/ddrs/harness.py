@@ -70,14 +70,6 @@ class ConfigTypeError(ConfigError):
     pass
 
 
-def _parse_bool(text):
-    if text.lower() in ("true", "yes", "on", "1"):
-        return True
-    if text.lower() in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(text)
-
-
 # key -> (converter name, default); None default means "unset".
 _SCHEMA = {
     "problem.kind": ("str", None),
@@ -103,7 +95,7 @@ _SCHEMA = {
     "master_seed": ("int", 0),
 }
 
-_CONVERTERS = {"str": str, "int": int, "float": float, "bool": _parse_bool}
+_CONVERTERS = {"str": str, "int": int, "float": float}
 
 _PROBLEM_KINDS = ("synthetic", "mnist")
 _GRAPH_KINDS = ("ring", "erdos_renyi", "complete")
@@ -227,6 +219,13 @@ def _validate(values):
         raise MissingRequiredError(
             "alpha and beta_hat are both set; exactly one is allowed"
         )
+    for key, value in (("alpha", alpha), ("beta_hat", beta)):
+        if value is not None and not value > 0:
+            raise ConfigTypeError("%s must be > 0, got %r" % (key, value))
+    for key in ("master_seed", "problem.seed", "graph.seed"):
+        seed = _get(values, key)
+        if seed is not None and seed < 0:
+            raise ConfigTypeError("%s must be >= 0, got %d" % (key, seed))
 
     xi = _get(values, "problem.xi")
     if not (0.0 < xi < 1.0):
@@ -426,8 +425,11 @@ def run_experiment(config):
     start_ns = time.perf_counter_ns()
 
     def make_record(k):
-        consensus_sq, stationarity_sq = consensus_and_stationarity(stack, problem)
-        obj = objective_at_mean(stack, problem)
+        # The point every record measures at, projected once.
+        xbar = induced_mean(stack.x)
+        consensus_sq, stationarity_sq = consensus_and_stationarity(
+            stack.x, xbar, problem)
+        obj = objective_at_mean(xbar, problem)
         dre = None
         if algo != "baseline_gt":
             # An exact step leaves x = prox(alpha, s) bitwise; the start,
@@ -436,7 +438,7 @@ def run_experiment(config):
             dre = dre_value(stack.s, problem, alpha, exact_x)
         ds = None
         if dataset.ground_truth is not None:
-            ds = subspace_distance(induced_mean(stack.x), dataset.ground_truth)
+            ds = subspace_distance(xbar, dataset.ground_truth)
         mu_sq_max = None
         if getattr(stack, "mu_sq", None) is not None:
             mu_sq_max = float(stack.mu_sq.max())
@@ -545,19 +547,30 @@ def write_records(records, path, fmt="csv"):
 
 
 def read_records(path, fmt=None):
-    """Read records written by ``write_records`` (format inferred by suffix)."""
+    """
+    Read records written by ``write_records`` (format inferred by suffix).
+
+    A CSV file that is empty, or has a row whose cell count differs from the
+    header's, raises ValueError naming the file and line.
+    """
     if fmt is None:
         fmt = "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     records = []
     if fmt == "csv":
-        lines = [ln for ln in text.splitlines() if ln]
-        header = lines[0].split(",")
+        rows = [(lineno, line.split(",")) for lineno, line
+                in enumerate(text.splitlines(), start=1) if line]
+        if not rows:
+            raise ValueError("%s: empty file, expected a CSV header" % (path,))
+        header = rows[0][1]
         if tuple(header) != RECORD_FIELDS:
             raise ValueError("unexpected CSV header: %r" % (header,))
-        for line in lines[1:]:
-            cells = line.split(",")
+        for lineno, cells in rows[1:]:
+            if len(cells) != len(RECORD_FIELDS):
+                raise ValueError("%s line %d: %d cells, the header has %d"
+                                 % (path, lineno, len(cells),
+                                    len(RECORD_FIELDS)))
             kwargs = {}
             for name, cell in zip(RECORD_FIELDS, cells):
                 if cell == "":

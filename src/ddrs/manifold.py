@@ -1,10 +1,10 @@
 """
 Stiefel manifold geometry.
 
-Projection onto the manifold (polar factor), tangent-space projection,
-Riemannian gradients, the tube distance used to check proximal-smoothness
-neighborhoods, and the rotation-invariant subspace distance used to compare
-orthonormal bases.
+Projection onto the manifold (polar factor), tangent-space projection
+(which gives Riemannian gradients), the tube distance used to check
+proximal-smoothness neighborhoods, and the rotation-invariant subspace
+distance used to compare orthonormal bases.
 """
 
 import numpy as np
@@ -89,7 +89,6 @@ class ManifoldConstants:
 
     gamma: float
     zeta: float
-    dims: tuple
 
 
 def manifold_constants(d, r):
@@ -102,7 +101,7 @@ def manifold_constants(d, r):
     """
     if not (1 <= r <= d):
         raise ValueError("need d >= r >= 1, got (%s, %s)" % (d, r))
-    return ManifoldConstants(gamma=0.5, zeta=float(2.0 * np.sqrt(r)), dims=(d, r))
+    return ManifoldConstants(gamma=0.5, zeta=float(2.0 * np.sqrt(r)))
 
 
 def _polar(M):
@@ -167,6 +166,8 @@ def tangent_project(x, v):
     """
     Orthogonally project an ambient direction onto the tangent space at x.
 
+    The projection of a Euclidean gradient is the Riemannian gradient.
+
     Parameters
     ----------
     x : StiefelPoint
@@ -183,11 +184,6 @@ def tangent_project(x, v):
     if v.shape != x.shape:
         raise ValueError("shape mismatch: %s vs %s" % (v.shape, x.shape))
     return TangentVector(x, _tangent_dir(x.mat, v))
-
-
-def riemannian_grad(x, egrad):
-    """Riemannian gradient at x from a Euclidean gradient (tangent projection)."""
-    return tangent_project(x, egrad)
 
 
 def tube_distance(M):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .manifold import (
     RankDeficientError,
+    _as_matrix,
     _tangent_dir,
     project_stiefel,
 )
@@ -45,24 +46,28 @@ class IterationRecord:
 
 
 def induced_mean(x_blocks):
-    """Projection of the agents' Euclidean mean onto the manifold."""
+    """
+    Projection of the agents' Euclidean mean onto the manifold.
+
+    This is the point at which a run is measured.  A RankDeficientError
+    (collapsed mean) should be reported as divergence by the caller.
+    """
     x_blocks = np.asarray(x_blocks, dtype=float)
     return project_stiefel(x_blocks.mean(axis=0))
 
 
-def consensus_and_stationarity(stack, problem):
+def consensus_and_stationarity(x_blocks, xbar, problem):
     """
     The two stationarity measures over the current iterates.
 
     Returns ``(consensus_sq, stationarity_sq)``: the squared distance of the
-    stacked iterates from their replicated induced mean, and the squared
-    norm of the Riemannian gradient of the summed objective at that mean.
-    A RankDeficientError (collapsed mean) should be reported as divergence
-    by the caller.
+    stacked iterates ``x_blocks`` from their replicated induced mean
+    ``xbar`` (``induced_mean(x_blocks)``, which the caller computes once),
+    and the squared norm of the Riemannian gradient of the summed objective
+    at that mean.
     """
-    x = np.asarray(getattr(stack, "x", stack), dtype=float)
-    xbar = induced_mean(x).mat
-    diff = x - xbar
+    xbar = _as_matrix(xbar)
+    diff = np.asarray(x_blocks, dtype=float) - xbar
     consensus_sq = float(np.vdot(diff, diff))
     g = np.zeros_like(xbar)
     for inst in problem:
@@ -71,10 +76,8 @@ def consensus_and_stationarity(stack, problem):
     return consensus_sq, float(np.vdot(rg, rg))
 
 
-def objective_at_mean(stack, problem):
-    """Summed objective value at the induced mean of the iterates."""
-    x = np.asarray(getattr(stack, "x", stack), dtype=float)
-    xbar = induced_mean(x).mat
+def objective_at_mean(xbar, problem):
+    """Summed objective value at the induced mean ``xbar`` of the iterates."""
     return float(sum(inst.value(xbar) for inst in problem))
 
 

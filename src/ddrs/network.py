@@ -73,12 +73,6 @@ class Graph:
             deg[j] += 1
         return deg
 
-    def adjacency(self):
-        A = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            A[i, j] = A[j, i] = 1.0
-        return A
-
 
 def gen_ring(n):
     """Cycle graph 0-1-...-(n-1)-0; needs n >= 3."""

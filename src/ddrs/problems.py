@@ -1,14 +1,12 @@
 """
 Local objectives and data.
 
-The per-agent objective interface (value, Euclidean gradient, exact and
-inexact proximal steps), the distributed-PCA instance whose shifted
-quadratic loss admits a closed-form prox, the synthetic spectrum-controlled
-data generator, and the IDX image-file loader.
+The distributed-PCA instance whose shifted quadratic loss admits a
+closed-form prox, the synthetic spectrum-controlled data generator, and the
+IDX image-file loader.
 """
 
 import struct
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,38 +37,7 @@ class DimMismatchError(ValueError):
     """IDX dimensions are inconsistent with the payload or the request."""
 
 
-class LocalObjective(ABC):
-    """
-    What one agent's loss must provide.
-
-    ``prox(alpha, s)`` returns the minimizer of
-    ``f(y) + ||y - s||^2 / (2 alpha)``; ``prox_inexact`` returns an
-    approximate minimizer together with the certified optimality residual
-    ``mu = x - s + alpha * egrad(x)``.
-    """
-
-    @abstractmethod
-    def value(self, x):
-        """Objective value at a d-by-r matrix."""
-
-    @abstractmethod
-    def egrad(self, x):
-        """Euclidean gradient at a d-by-r matrix."""
-
-    @abstractmethod
-    def prox(self, alpha, s):
-        """Exact proximal step from s with parameter alpha > 0."""
-
-    @abstractmethod
-    def prox_inexact(self, alpha, s, eps):
-        """Approximate prox: returns (x, mu) with ||mu||^2 <= eps."""
-
-    @abstractmethod
-    def smoothness(self):
-        """A Lipschitz constant of the Euclidean gradient."""
-
-
-class DPCAInstance(LocalObjective):
+class DPCAInstance:
     """
     Shifted PCA block loss ``-0.5 * tr(x^T (A^T A - ||A||_2^2 I) x)``.
 
@@ -81,6 +48,11 @@ class DPCAInstance(LocalObjective):
     the inverse of the prox system for the step size in use, rebuilt when
     the step size changes.  A product with the inverse streams the d-by-d
     operand once, where a Cholesky solve reads its factor twice.
+
+    It is one agent's loss as the engines use it: ``value``, ``egrad``,
+    ``smoothness``, ``prox(alpha, s)``, the minimizer of
+    ``f(y) + ||y - s||^2 / (2 alpha)``, and ``prox_inexact``, an approximate
+    minimizer with its optimality residual ``mu = x - s + alpha * egrad(x)``.
     """
 
     def __init__(self, A):
@@ -158,7 +130,7 @@ class DPCAInstance(LocalObjective):
         """Prox optimality residual ``x - s + alpha * egrad(x)``."""
         return x - _as_matrix(s) + alpha * self.egrad(x)
 
-    def prox_inexact(self, alpha, s, eps, max_iters=None):
+    def prox_inexact(self, alpha, s, eps):
         """
         Conjugate-gradient prox solve stopped at squared residual <= eps.
 
@@ -182,8 +154,6 @@ class DPCAInstance(LocalObjective):
             x = self.prox(alpha, s)
             return x, self.residual(alpha, s, x)
 
-        if max_iters is None:
-            max_iters = max(10 * self.dim, 200)
         x = s.copy()
         r = s - self._apply_system(alpha, x)
         rs = float(np.vdot(r, r))
@@ -191,7 +161,7 @@ class DPCAInstance(LocalObjective):
         target = 0.9 * eps
         if rs > target:
             p = r.copy()
-            for _ in range(max_iters):
+            for _ in range(max(10 * self.dim, 200)):
                 Mp = self._apply_system(alpha, p)
                 denom = float(np.vdot(p, Mp))
                 if denom <= 0.0:

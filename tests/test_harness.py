@@ -6,6 +6,7 @@ import pytest
 
 import ddrs.cli as cli
 import ddrs.harness as harness
+import ddrs.metrics as metrics
 from ddrs.algorithms import ddrs_step
 from ddrs.harness import (
     ConfigError,
@@ -189,6 +190,23 @@ class TestRecordIO:
         with pytest.raises(ValueError):
             write_records([], tmp_path / "x", fmt="xml")
 
+    @pytest.mark.parametrize("cells", [5, len(RECORD_FIELDS) + 1])
+    def test_row_with_the_wrong_cell_count_names_its_line(self, tmp_path,
+                                                         cells):
+        path = tmp_path / "r.csv"
+        write_records(self.RECS, path, fmt="csv")
+        header, first, second = path.read_text().splitlines()
+        row = (second.split(",") + ["7"])[:cells]
+        path.write_text("\n".join([header, first, ",".join(row)]) + "\n")
+        with pytest.raises(ValueError, match="line 3: %d cells" % cells):
+            read_records(path)
+
+    def test_empty_csv_file_is_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty file"):
+            read_records(path)
+
 
 def _strip_wall(records):
     return [(r.k, r.consensus_sq, r.stationarity_sq, r.dre, r.obj, r.ds,
@@ -264,6 +282,32 @@ class TestRunExperiment:
         assert [rec.dre for rec in records] == [value for _, value, _ in calls]
         for _, value, recomputed in calls:
             assert value == recomputed
+
+    @pytest.mark.parametrize("algo, alpha, per_iter, at_start", [
+        ("ddrs", 2.0, 4, 2),
+        ("iddrs", 2.0, 4, 2),
+        ("baseline_gt", 0.05, 1, 1),
+    ])
+    def test_each_record_projects_the_mean_once(self, monkeypatch, algo, alpha,
+                                                per_iter, at_start):
+        # A splitting iteration projects the mean once for its record, once
+        # in dre_value and twice in the neighborhood report; the initial
+        # record has no report, and the baseline has neither report nor dre.
+        calls = []
+        real = metrics.project_stiefel
+
+        def counting(M):
+            calls.append(1)
+            return real(M)
+
+        monkeypatch.setattr(metrics, "project_stiefel", counting)
+        cfg = parse_config(TINY.replace("algorithm.kind = ddrs",
+                                        "algorithm.kind = %s" % algo)
+                           .replace("alpha = 2.0", "alpha = %r" % alpha)
+                           + "max_iters = 6\n")
+        records, summary = run_experiment(cfg)
+        assert summary["status"] == "ok" and len(records) == 7
+        assert len(calls) == at_start + 6 * per_iter
 
     def test_baseline_runs(self):
         cfg = parse_config(TINY.replace("algorithm.kind = ddrs",
@@ -410,6 +454,38 @@ class TestCli:
         assert cli.main(["run", "--preset", "synthetic-er06", "--config", cfg,
                          "--out", out]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "0"), ("beta_hat", "-1"), ("master_seed", "-1"),
+        ("problem.seed", "-1"), ("graph.seed", "-1")])
+    @pytest.mark.parametrize("command", ["run", "advise"])
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys,
+                                                  command, key, value):
+        text = TINY.replace("alpha = 2.0\n", "")
+        if key not in ("alpha", "beta_hat"):
+            text += "alpha = 2.0\n"
+        text += "%s = %s\n" % (key, value)
+        with pytest.raises(ConfigTypeError, match=key):
+            parse_config(text)
+        argv = [command, "--config", self._write(tmp_path, text)]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "r.csv")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    def test_summary_and_plot_files_stay_beside_a_suffixless_out(self,
+                                                                 tmp_path):
+        cfg = self._write(tmp_path, TINY)
+        run_dir = tmp_path / "run.d"
+        run_dir.mkdir()
+        rc = cli.main(["run", "--config", cfg, "--out",
+                       str(run_dir / "records"), "--emit-plotdata"])
+        assert rc == 0
+        assert len(read_records(run_dir / "records")) == 31
+        assert (run_dir / "records.summary.json").exists()
+        assert (run_dir / "records.stationarity_sq.dat").exists()
+        assert not (tmp_path / "run.summary.json").exists()
 
     def test_unknown_preset_exit_code(self, capsys):
         assert cli.main(["run", "--preset", "nope"]) == 1

@@ -9,7 +9,6 @@ from ddrs.manifold import (
     manifold_constants,
     project_stiefel,
     random_stiefel,
-    riemannian_grad,
     subspace_distance,
     tangent_project,
     tube_distance,
@@ -135,18 +134,18 @@ class TestTangent:
 class TestRiemannianGrad:
     def test_zero_gradient(self, rng):
         x = project_stiefel(rng.standard_normal((5, 2)))
-        assert riemannian_grad(x, np.zeros((5, 2))).norm == 0.0
+        assert tangent_project(x, np.zeros((5, 2))).norm == 0.0
 
     def test_tangent_passthrough(self, rng):
         x = project_stiefel(rng.standard_normal((5, 2)))
         v = tangent_project(x, rng.standard_normal((5, 2))).dir
-        assert np.allclose(riemannian_grad(x, v).dir, v, atol=1e-12)
+        assert np.allclose(tangent_project(x, v).dir, v, atol=1e-12)
 
     def test_dpca_ground_truth_stationary(self, small_dataset):
         total = np.zeros(small_dataset.ground_truth.shape)
         for inst in small_dataset.instances():
             total += inst.egrad(small_dataset.ground_truth.mat)
-        g = riemannian_grad(small_dataset.ground_truth, total)
+        g = tangent_project(small_dataset.ground_truth, total)
         assert g.norm <= 1e-8
 
 

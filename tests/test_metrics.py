@@ -35,13 +35,13 @@ class TestConsensusAndStationarity:
         problem = small_dataset.instances()
         W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
         st, _ = _consensus_stack(problem, W, rng, 6, 2)
-        consensus_sq, _ = consensus_and_stationarity(st, problem)
+        consensus_sq, _ = consensus_and_stationarity(st.x, induced_mean(st.x), problem)
         assert consensus_sq <= 1e-28
 
     def test_ground_truth_stationary(self, small_dataset):
         problem = small_dataset.instances()
         x = np.stack([small_dataset.ground_truth.mat] * 4)
-        _, stationarity_sq = consensus_and_stationarity(x, problem)
+        _, stationarity_sq = consensus_and_stationarity(x, induced_mean(x), problem)
         assert stationarity_sq <= 1e-16
 
     def test_antipodal_mean_collapses(self, rng):
@@ -49,12 +49,13 @@ class TestConsensusAndStationarity:
         x = random_stiefel_mat(rng, 3, 1)
         stacked = np.stack([x, -x])
         with pytest.raises(RankDeficientError):
-            consensus_and_stationarity(stacked, problem)
+            consensus_and_stationarity(stacked, induced_mean(stacked),
+                                       problem)
 
     def test_accepts_raw_blocks(self, rng, small_dataset):
         problem = small_dataset.instances()
         blocks = np.stack([random_stiefel_mat(rng, 6, 2) for _ in range(4)])
-        c, g = consensus_and_stationarity(blocks, problem)
+        c, g = consensus_and_stationarity(blocks, induced_mean(blocks), problem)
         assert c >= 0.0 and g >= 0.0
 
 
@@ -215,7 +216,7 @@ class TestObjectiveAtMean:
         problem = small_dataset.instances()
         x = random_stiefel_mat(rng, 6, 2)
         stacked = np.stack([x] * 4)
-        val = objective_at_mean(stacked, problem)
+        val = objective_at_mean(induced_mean(stacked), problem)
         assert abs(val - sum(inst.value(x) for inst in problem)) < 1e-12
 
 

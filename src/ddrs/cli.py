@@ -52,6 +52,8 @@ def _cmd_run(args):
         for path in emit_plotdata(records, stem):
             print("wrote %s" % path)
     print("wrote %s and %s" % (out, summary_path))
+    for message in summary.get("warnings") or ():
+        print("warning: %s" % message, file=sys.stderr)
     final = summary["final"] or {}
     print("status=%s iterations=%s consensus_sq=%s stationarity_sq=%s" % (
         summary["status"], summary["iterations"],

@@ -8,11 +8,13 @@ substreams, the experiment driver, and CSV / JSON-lines record sinks.
 
 import json
 import time
+import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .algorithms import (
+    ConfigurationWarning,
     SolverParams,
     advise_parameters,
     baseline_gt_init,
@@ -414,7 +416,27 @@ def run_experiment(config):
     which each kind first occurred (``first_violation_iter``) and the
     smallest singular value any step projected (``sigma_min``).  The
     baseline reports None for all four.
+
+    The summary's ``warnings`` lists the message of each
+    ConfigurationWarning the run raised, once each, in the order first
+    raised; they are kept there instead of shown.  Other warnings are
+    shown as usual.
     """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConfigurationWarning)
+        records, summary = _run(config)
+    messages = []
+    for w in caught:
+        if issubclass(w.category, ConfigurationWarning):
+            messages.append(str(w.message))
+        else:
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno, source=w.source)
+    summary["warnings"] = list(dict.fromkeys(messages))
+    return records, summary
+
+
+def _run(config):
     setup = build_run(config)
     dataset, problem, W, params = (setup.dataset, setup.problem, setup.W,
                                    setup.params)
@@ -548,15 +570,22 @@ def write_records(records, path, fmt="csv"):
 
 def read_records(path, fmt=None):
     """
-    Read records written by ``write_records`` (format inferred by suffix).
+    Read records written by ``write_records``.
 
-    A CSV file that is empty, or has a row whose cell count differs from the
-    header's, raises ValueError naming the file and line.
+    Without ``fmt`` the format is read from the content: JSON lines start
+    with ``{``, a CSV file with its header.  An empty file, which has no
+    content to tell, is JSON lines if the path ends in ``.jsonl`` or
+    ``.ndjson`` and CSV otherwise.  A CSV file that is empty, or has a row
+    whose cell count differs from the header's, raises ValueError naming
+    the file and line.
     """
-    if fmt is None:
-        fmt = "jsonl" if str(path).endswith((".jsonl", ".ndjson")) else "csv"
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    if fmt is None:
+        first = text.lstrip()[:1]
+        jsonl = (first == "{" if first
+                 else str(path).endswith((".jsonl", ".ndjson")))
+        fmt = "jsonl" if jsonl else "csv"
     records = []
     if fmt == "csv":
         rows = [(lineno, line.split(",")) for lineno, line

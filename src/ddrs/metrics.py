@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import (
-    RankDeficientError,
+    RANK_TOL,
     _as_matrix,
     _tangent_dir,
     project_stiefel,
@@ -140,29 +140,27 @@ def neighborhood_report(stack, constants, W, t):
 
     Reports the mean-spread of x against ``delta1``, the mean-spread of z
     against ``10 * delta2``, and the largest tube distance of the mixed
-    iterates plus tracker against ``gamma``.  The tube distance of a block
-    is ``||sv - 1||`` over the singular values ``stack.z_sv`` that the last
-    step (or ``ddrs_init``) kept from its projection of ``mix(x) + d``; it
-    is not recomputed, so it is stale on a stack whose ``x`` or ``d`` was
-    edited afterwards.  ``W`` and ``t`` are unused.  Violations are named,
-    never raised.
+    iterates plus tracker against ``gamma``.  A spread is the distance of
+    the mean to its projection onto the manifold, ``||sv - 1||`` over the
+    mean's singular values, and ``inf`` when the smallest is at or below
+    ``RANK_TOL``.  The tube distance of a block is ``||sv - 1||`` over the
+    singular values ``stack.z_sv`` that the last step (or ``ddrs_init``)
+    kept from its projection of ``mix(x) + d``; it is not recomputed, so it
+    is stale on a stack whose ``x`` or ``d`` was edited afterwards.  ``W``
+    and ``t`` are unused.  Violations are named, never raised.
     """
     delta1 = constants.gamma / 4.0
     delta2 = delta1 / 12.0
     violations = []
 
-    def mean_spread(blocks):
-        # A collapsed mean is the worst possible violation, not an error.
-        hat = blocks.mean(axis=0)
-        try:
-            return float(np.linalg.norm(hat - project_stiefel(hat).mat))
-        except RankDeficientError:
-            return math.inf
-
-    x_dev = mean_spread(stack.x)
+    # One SVD of the two means gives both spreads.  A collapsed mean, which
+    # has no unique projection, is the worst possible violation, not an error.
+    means = np.stack([stack.x.mean(axis=0), stack.z.mean(axis=0)])
+    x_dev, z_dev = (math.inf if sv[-1] <= RANK_TOL
+                    else float(np.linalg.norm(sv - 1.0))
+                    for sv in np.linalg.svd(means, compute_uv=False))
     if x_dev > delta1:
         violations.append("x-neighborhood")
-    z_dev = mean_spread(stack.z)
     if z_dev > 10.0 * delta2:
         violations.append("z-neighborhood")
     max_tube = float(np.linalg.norm(stack.z_sv - 1.0, axis=-1).max())

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ddrs.harness import (
     write_records,
 )
 from ddrs.manifold import RankDeficientError
+from ddrs.problems import LANCZOS_MIN_DIM
 from ddrs.metrics import (
     RECORD_FIELDS,
     VIOLATION_KINDS,
@@ -207,6 +209,17 @@ class TestRecordIO:
         with pytest.raises(ValueError, match="empty file"):
             read_records(path)
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_format_is_read_from_the_content(self, tmp_path, fmt):
+        path = tmp_path / ("r.csv" if fmt == "jsonl" else "r.jsonl")
+        write_records(self.RECS, path, fmt=fmt)
+        assert read_records(path) == list(self.RECS)
+
+    def test_an_empty_file_takes_its_format_from_the_suffix(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text("")
+        assert read_records(path) == []
+
 
 def _strip_wall(records):
     return [(r.k, r.consensus_sq, r.stationarity_sq, r.dre, r.obj, r.ds,
@@ -284,15 +297,15 @@ class TestRunExperiment:
             assert value == recomputed
 
     @pytest.mark.parametrize("algo, alpha, per_iter, at_start", [
-        ("ddrs", 2.0, 4, 2),
-        ("iddrs", 2.0, 4, 2),
+        ("ddrs", 2.0, 2, 2),
+        ("iddrs", 2.0, 2, 2),
         ("baseline_gt", 0.05, 1, 1),
     ])
     def test_each_record_projects_the_mean_once(self, monkeypatch, algo, alpha,
                                                 per_iter, at_start):
-        # A splitting iteration projects the mean once for its record, once
-        # in dre_value and twice in the neighborhood report; the initial
-        # record has no report, and the baseline has neither report nor dre.
+        # A splitting iteration projects the mean once for its record and
+        # once in dre_value; the neighborhood report takes its spreads from
+        # singular values and projects nothing, and the baseline has no dre.
         calls = []
         real = metrics.project_stiefel
 
@@ -350,6 +363,34 @@ class TestRunExperiment:
         assert summary["first_violation_iter"] == {
             "x-neighborhood": 1, "z-neighborhood": None, "projection-tube": 1}
         assert 0 < summary["sigma_min"] < 1
+
+    def test_configuration_warnings_are_kept_in_the_summary(self, recwarn):
+        # eps0 at or above delta2 = 1/96 warns on the first inexact step.
+        cfg = parse_config(TINY.replace("algorithm.kind = ddrs",
+                                        "algorithm.kind = iddrs")
+                           + "algorithm.eps0 = 0.5\n")
+        _, summary = run_experiment(cfg)
+        assert summary["warnings"] == [
+            "eps0 = 5.000e-01 is not below delta2 = 1.042e-02; the "
+            "inexactness assumption is violated"]
+        assert not recwarn.list
+
+    def test_a_run_without_warnings_lists_none(self, recwarn):
+        _, summary = run_experiment(parse_config(TINY))
+        assert summary["warnings"] == []
+        assert not recwarn.list
+
+    def test_other_warnings_are_shown_not_kept(self, monkeypatch):
+        step = harness.ddrs_step
+
+        def noisy(stack, *args):
+            warnings.warn("from the step", RuntimeWarning)
+            return step(stack, *args)
+
+        monkeypatch.setattr(harness, "ddrs_step", noisy)
+        with pytest.warns(RuntimeWarning, match="from the step"):
+            _, summary = run_experiment(parse_config(TINY))
+        assert summary["warnings"] == []
 
     def test_beta_hat_resolution(self):
         cfg = parse_config(TINY.replace("alpha = 2.0", "beta_hat = 100.0"))
@@ -487,6 +528,28 @@ class TestCli:
         assert (run_dir / "records.stationarity_sq.dat").exists()
         assert not (tmp_path / "run.summary.json").exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_records_at_a_suffixless_out_read_back(self, tmp_path, fmt):
+        cfg = self._write(tmp_path, TINY)
+        out = tmp_path / "recs"
+        assert cli.main(["run", "--config", cfg, "--out", str(out),
+                         "--format", fmt]) == 0
+        records, _ = run_experiment(parse_config(TINY))
+        assert _strip_wall(read_records(out)) == _strip_wall(records)
+
+    def test_run_prints_each_configuration_warning_once(self, tmp_path,
+                                                        capsys):
+        cfg = self._write(tmp_path, TINY.replace("algorithm.kind = ddrs",
+                                                 "algorithm.kind = iddrs")
+                          + "algorithm.eps0 = 0.5\n")
+        assert cli.main(["run", "--config", cfg,
+                         "--out", str(tmp_path / "r.csv")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: ") == 1
+        assert "warning: eps0 = 5.000e-01 is not below delta2" in err
+        saved = json.loads((tmp_path / "r.summary.json").read_text())
+        assert len(saved["warnings"]) == 1
+
     def test_unknown_preset_exit_code(self, capsys):
         assert cli.main(["run", "--preset", "nope"]) == 1
 
@@ -527,6 +590,40 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "C2 = %s " % advice["c2"] in printed
         assert "alpha_max = %.10g " % advice["alpha_max"] in printed
+
+    # advise shows the run's warning as a Python warning, as before.
+    @pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
+    def test_mnist_width_setup_matches_the_dense_spectrum(self, tmp_path,
+                                                          capsys):
+        wide = "problem.d = 784\nmax_iters = 2\nlog_every = 1\n"
+        setup = harness.build_run(preset("synthetic-er06", wide))
+        assert setup.dataset.dim >= LANCZOS_MIN_DIM
+        Ls = []
+        for inst in setup.problem:
+            evals = np.linalg.eigvalsh(inst.gram)
+            assert abs(inst.shift - evals[-1]) <= 1e-14 * evals[-1]
+            L = evals[-1] - max(evals[0], 0.0)
+            assert abs(inst.smoothness() - L) <= 1e-12 * evals[-1]
+            Ls.append(L)
+        assert abs(setup.L - max(Ls)) <= 1e-12 * setup.L
+
+        cfg = self._write(tmp_path, wide)
+        out = str(tmp_path / "w.csv")
+        assert cli.main(["run", "--preset", "synthetic-er06",
+                         "--config", cfg, "--out", out]) == 0
+        saved = json.loads((tmp_path / "w.summary.json").read_text())
+        assert saved["warnings"] == ["initial consensus error 7.889e-01 "
+                                     "exceeds the certified bound 1.250e-01"]
+        capsys.readouterr()
+        assert cli.main(["advise", "--preset", "synthetic-er06",
+                         "--config", cfg]) == 0
+        printed = capsys.readouterr().out
+        advice = saved["advice"]
+        assert "L = %.6g " % setup.L in printed
+        assert "C2 = %s " % advice["c2"] in printed
+        assert "alpha_max = %.10g " % advice["alpha_max"] in printed
+        assert "delta3 = %.10g\n" % advice["delta3"] in printed
+        assert "C1 = %.6g " % advice["c1"] in printed
 
     def test_validate_graph(self, tmp_path, capsys):
         cfg = self._write(tmp_path, TINY)

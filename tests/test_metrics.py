@@ -7,7 +7,12 @@ from ddrs.algorithms import (
     ddrs_init,
     ddrs_step,
 )
-from ddrs.manifold import RankDeficientError, StiefelPoint, manifold_constants
+from ddrs.manifold import (
+    RankDeficientError,
+    StiefelPoint,
+    manifold_constants,
+    project_stiefel,
+)
 from ddrs.metrics import (
     IterationRecord,
     consensus_and_stationarity,
@@ -167,6 +172,32 @@ class TestNeighborhoodReport:
         rep = neighborhood_report(st, manifold_constants(3, 1), W, params.t)
         assert "x-neighborhood" in rep.violations
         assert rep.x_dev == np.inf
+
+    def test_rank_deficient_mean_flags_without_raising(self, rng,
+                                                      small_dataset):
+        problem = small_dataset.instances()
+        W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
+        st, params = _consensus_stack(problem, W, rng, 6, 2)
+        x = random_stiefel_mat(rng, 6, 2)
+        flipped = x * [1.0, -1.0]
+        # The mean keeps the first column and loses the second.
+        st.x = np.stack([x, flipped, x, flipped])
+        rep = neighborhood_report(st, manifold_constants(6, 2), W, params.t)
+        assert rep.x_dev == np.inf and "x-neighborhood" in rep.violations
+        assert np.isfinite(rep.z_dev)
+
+    def test_spreads_are_the_means_distances_to_the_manifold(
+            self, rng, small_dataset):
+        problem = small_dataset.instances()
+        W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
+        st, params = _consensus_stack(problem, W, rng, 6, 2)
+        st.x = np.stack([random_stiefel_mat(rng, 6, 2) for _ in range(4)])
+        st.z = np.stack([random_stiefel_mat(rng, 6, 2) for _ in range(4)])
+        rep = neighborhood_report(st, manifold_constants(6, 2), W, params.t)
+        for dev, blocks in ((rep.x_dev, st.x), (rep.z_dev, st.z)):
+            hat = blocks.mean(axis=0)
+            assert dev == pytest.approx(
+                np.linalg.norm(hat - project_stiefel(hat).mat), rel=1e-12)
 
     def test_compliant_run_stays_clean(self, rng, small_dataset):
         problem = small_dataset.instances()

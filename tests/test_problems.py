@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ddrs.problems as problems
 from ddrs.manifold import StiefelPoint
 from ddrs.problems import (
+    LANCZOS_MIN_DIM,
     BadMagicError,
     DPCAInstance,
     DimMismatchError,
     NonFiniteInputError,
     SolverStallError,
     TruncatedFileError,
+    _extreme_eigenvalues,
     _representable_rank,
     gen_synthetic,
     load_idx,
@@ -312,6 +315,75 @@ class TestSmoothness:
             y = rng.standard_normal((4, 2))
             lhs = np.linalg.norm(inst.egrad(x) - inst.egrad(y))
             assert lhs <= L * np.linalg.norm(x - y) + 1e-10
+
+
+def _assert_extremes_match_the_dense_spectrum(A):
+    inst = DPCAInstance(A)
+    evals = np.linalg.eigvalsh(inst.gram)
+    ref_shift = max(evals[-1], 0.0)
+    ref_L = ref_shift - max(evals[0], 0.0)
+    if inst.dim < LANCZOS_MIN_DIM:
+        # Below the crossover both come from the dense spectrum, bit for bit.
+        assert (inst.shift, inst.smoothness()) == (ref_shift, ref_L)
+    assert abs(inst.shift - ref_shift) <= 1e-14 * ref_shift
+    assert abs(inst.smoothness() - ref_L) <= 1e-12 * ref_shift
+
+
+class TestExtremeEigenvalues:
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.integers(1, 40),
+                     st.integers(LANCZOS_MIN_DIM - 8, LANCZOS_MIN_DIM + 64)),
+           st.sampled_from(["gaussian", "synthetic"]),
+           st.booleans(), st.integers(0, 2 ** 32 - 1), st.data())
+    def test_matches_the_dense_spectrum(self, d, kind, fewer_rows, seed, data):
+        # Fewer rows than columns, or singular values xi**j below the
+        # rounding level, make the Gram singular and its Cholesky fail.
+        if fewer_rows and d > 1:
+            m = data.draw(st.integers(1, d - 1), label="m")
+        else:
+            m = data.draw(st.integers(d, 2 * d + 5), label="m")
+        if kind == "gaussian":
+            A = np.random.default_rng(seed).standard_normal((m, d))
+        else:
+            xi = data.draw(st.floats(0.3, 0.95), label="xi")
+            A = gen_synthetic(2, max(m, (d + 1) // 2), d, 1, xi, seed).blocks[0][:m]
+        _assert_extremes_match_the_dense_spectrum(A)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, LANCZOS_MIN_DIM + 8])
+    def test_zero_block(self, d):
+        assert _extreme_eigenvalues(np.zeros((d, d))) == (0.0, 0.0)
+        inst = DPCAInstance(np.zeros((4, d)))
+        assert inst.shift == 0.0 and inst.smoothness() == 0.0
+
+    @pytest.mark.parametrize("A", [[[3.0]], [[-2.0], [0.5]], [[1.0, -1.0]],
+                                   [[1.0, 2.0], [0.5, -1.0], [2.0, 0.0]]])
+    def test_one_and_two_columns(self, A):
+        _assert_extremes_match_the_dense_spectrum(np.array(A))
+
+    def test_top_eigenvector_orthogonal_to_ones(self):
+        # The data are symmetric in columns 0 and 1 except for one row along
+        # e0 - e1, which carries the largest eigenvalue, so ones(d) has no
+        # component along the top eigenvector.
+        d = LANCZOS_MIN_DIM + 8
+        R = np.random.default_rng(5).standard_normal((50, d))
+        R[:, 1] = R[:, 0]
+        top = np.zeros(d)
+        top[:2] = 20.0, -20.0
+        A = np.vstack([top, R])
+        top_vec = np.linalg.eigh(A.T @ A)[1][:, -1]
+        assert abs(top_vec @ np.ones(d)) < 1e-12
+        _assert_extremes_match_the_dense_spectrum(A)
+
+    def test_a_solve_out_of_restarts_takes_the_dense_spectrum(self,
+                                                             monkeypatch):
+        # A full-rank Gaussian Gram's clustered top needs several restarts.
+        monkeypatch.setattr(problems, "_LANCZOS_MAX_RESTARTS", 1)
+        A = np.random.default_rng(1).standard_normal((3 * LANCZOS_MIN_DIM,
+                                                      LANCZOS_MIN_DIM))
+        gram = A.T @ A
+        evals = np.linalg.eigvalsh(gram)
+        assert _extreme_eigenvalues(gram) == (max(evals[0], 0.0),
+                                              max(evals[-1], 0.0))
 
 
 class TestSynthetic:

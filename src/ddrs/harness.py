@@ -419,11 +419,12 @@ def run_experiment(config):
 
     The summary's ``warnings`` lists the message of each
     ConfigurationWarning the run raised, once each, in the order first
-    raised; they are kept there instead of shown.  Other warnings are
-    shown as usual.
+    raised; they are kept there instead of shown, even where a filter
+    would ignore them or show them once.  One that a filter turns into an
+    error still raises.  Other warnings are shown as usual.
     """
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConfigurationWarning)
+        _record_configuration_warnings()
         records, summary = _run(config)
     messages = []
     for w in caught:
@@ -434,6 +435,27 @@ def run_experiment(config):
                                    w.lineno, source=w.source)
     summary["warnings"] = list(dict.fromkeys(messages))
     return records, summary
+
+
+def _record_configuration_warnings():
+    """
+    Make the warning filters in force pass on every ConfigurationWarning,
+    each time it is raised, except one they turn into an error.
+
+    In front of the filters goes, for each filter that can match one, in
+    the same order, a copy limited to ConfigurationWarning whose action is
+    "error" if the filter's is and "always" otherwise, and behind those an
+    "always" for the rest.  Call inside ``catch_warnings``: it edits the
+    copy of the filters that that context restores.
+    """
+    matching = [f for f in warnings.filters
+                if issubclass(ConfigurationWarning, f[2])]
+    warnings.simplefilter("always", ConfigurationWarning)
+    for action, message, _, module, lineno in reversed(matching):
+        warnings.filterwarnings(
+            "error" if action == "error" else "always",
+            message.pattern if message else "", ConfigurationWarning,
+            module.pattern if module else "", lineno)
 
 
 def _run(config):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor
 from scipy.linalg.lapack import dpotri
 
 from .manifold import StiefelPoint, _as_matrix
@@ -37,25 +37,21 @@ class DimMismatchError(ValueError):
     """IDX dimensions are inconsistent with the payload or the request."""
 
 
-# From this Gram dimension up the extreme eigenvalues come from Lanczos, below
-# it from the full dense spectrum.  Paired medians per Gram, dense / Lanczos,
-# over the 8 agents' Grams of the synthetic data (m = 1000 rows, xi = 0.8, 1
-# BLAS thread, 2-vCPU VM), with the pairs Lanczos won: d=64 0.18/1.18 ms
-# (0/120), d=128 0.50/0.54 and 0.52/0.58 (10 and 17/120), d=144 0.88/0.91
-# (45/120), d=160 1.02/0.92 and 0.80/0.69 (98 and 104/120), d=176 1.10/0.84
-# (115/120), d=192 1.13/0.71 and 1.30/0.85 (120/120 twice), d=256 3.23/1.43,
-# d=384 7.44/1.86, d=784 42.6/7.4 (every pair).  From d=96 up those Grams
-# are numerically singular, so the Cholesky factorization fails and only one
-# Lanczos solve runs.  A full-rank, well-conditioned Gram (Gaussian data,
-# m = 1000 > d) needs both Lanczos solves, on clustered spectra, and was
-# slower at every d measured: d=192 5.1 against 1.6 ms dense, d=784 56
-# against 45 ms.
+# From this Gram dimension up a numerically singular Gram takes its largest
+# eigenvalue from Lanczos, below it every Gram takes the full dense spectrum.
+# Paired medians per Gram, dense / Lanczos, over the 8 agents' Grams of the
+# synthetic data (m = 1000 rows, xi = 0.8, 1 BLAS thread, 2-vCPU VM), with
+# the pairs Lanczos won: d=64 0.18/1.18 ms (0/120), d=128 0.50/0.54 and
+# 0.52/0.58 (10 and 17/120), d=144 0.88/0.91 (45/120), d=160 1.02/0.92 and
+# 0.80/0.69 (98 and 104/120), d=176 1.10/0.84 (115/120), d=192 1.13/0.71
+# and 1.30/0.85 (120/120 twice), d=256 3.23/1.43, d=384 7.44/1.86, d=784
+# 42.6/7.4 (every pair).  From d=96 up those Grams are numerically singular.
 LANCZOS_MIN_DIM = 192
 
 # Implicit restarts after which a Lanczos solve gives up and the dense
 # spectrum is taken instead.  At d=784 the solves converged within 7 on the
-# synthetic data at xi from 0.8 to 0.999, Gaussian data and uniform [0, 1]
-# pixel-like data; the cap bounds a hard spectrum at a few dense solves.
+# synthetic data at xi from 0.8 to 0.999 and on uniform [0, 1] pixel-like
+# data; the cap bounds a hard spectrum at a few dense solves.
 _LANCZOS_MAX_RESTARTS = 30
 
 
@@ -63,41 +59,33 @@ def _extreme_eigenvalues(gram):
     """
     ``(lambda_min, lambda_max)`` of a symmetric PSD matrix, each at least 0.
 
-    Below ``LANCZOS_MIN_DIM`` both come from the dense spectrum.  From it
-    up, ``lambda_max`` comes from Lanczos on the matrix, and ``lambda_min``
-    is 0 if its Cholesky factorization fails, else the reciprocal of the
-    largest eigenvalue of the inverse, from Lanczos on Cholesky solves.
-    Lanczos for the smallest eigenvalue of a singular Gram itself does not
-    converge.  An ARPACK failure (a zero matrix, a solve out of restarts)
-    falls back to the dense spectrum.
+    From ``LANCZOS_MIN_DIM`` up, a Gram whose Cholesky factorization fails
+    is numerically singular: ``lambda_min`` is 0 and ``lambda_max`` comes
+    from Lanczos on the matrix.  Every other Gram, and one on which ARPACK
+    fails (a zero matrix, a solve out of restarts), takes both from the
+    dense spectrum.  Lanczos for the smallest eigenvalue does not converge
+    on a singular Gram, and on the inverse of a full-rank one it was slower
+    than the dense spectrum (d=784 Gaussian data: 56 against 45 ms).
     """
     d = gram.shape[0]
     if d >= LANCZOS_MIN_DIM:
-        # Imported here: the module adds about 4 MB of resident memory, which
-        # runs below the crossover would carry for nothing.
-        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-        # A fixed generic start: a constant vector is orthogonal to the top
-        # eigenvector of, for example, [[1, -1], [-1, 1]].
-        v0 = np.random.default_rng(0).standard_normal(d)
-
-        def top_eigenvalue(op):
-            return float(eigsh(op, k=1, which="LA", tol=0, v0=v0,
-                               maxiter=_LANCZOS_MAX_RESTARTS,
-                               return_eigenvectors=False)[0])
-
         try:
-            lam_max = max(top_eigenvalue(gram), 0.0)
+            cho_factor(gram, check_finite=False)
+        except LinAlgError:
+            # Imported here: the module adds about 4 MB of resident memory,
+            # which runs that never reach it would carry for nothing.
+            from scipy.sparse.linalg import ArpackError, eigsh
+
+            # A fixed generic start: a constant vector is orthogonal to the
+            # top eigenvector of, for example, [[1, -1], [-1, 1]].
+            v0 = np.random.default_rng(0).standard_normal(d)
             try:
-                factor = cho_factor(gram, check_finite=False)
-            except LinAlgError:
-                return 0.0, lam_max
-            inverse = LinearOperator(
-                (d, d), dtype=float,
-                matvec=lambda v: cho_solve(factor, v, check_finite=False))
-            return 1.0 / top_eigenvalue(inverse), lam_max
-        except ArpackError:  # ArpackNoConvergence included
-            pass
+                lam_max = eigsh(gram, k=1, which="LA", tol=0, v0=v0,
+                                maxiter=_LANCZOS_MAX_RESTARTS,
+                                return_eigenvectors=False)[0]
+                return 0.0, float(max(lam_max, 0.0))
+            except ArpackError:  # ArpackNoConvergence included
+                pass
     evals = np.linalg.eigvalsh(gram)
     return float(max(evals[0], 0.0)), float(max(evals[-1], 0.0))
 
@@ -116,12 +104,12 @@ class DPCAInstance:
 
     Of the Gram's spectrum only the two extremes are kept: the largest
     eigenvalue, the shift, and the smallest, which ``smoothness`` subtracts
-    from it (``_extreme_eigenvalues``).  Below ``LANCZOS_MIN_DIM`` both come
-    from the dense spectrum.  At MNIST width the largest comes from a
-    Lanczos solve, and a Gram whose Cholesky factorization fails is
-    numerically singular, so its smallest eigenvalue is taken as 0: the
-    dense spectrum returns a rounding-level value there (about -2e-17 for
-    the d=784 synthetic Grams, which have rank at most 324), clamped to 0.
+    from it (``_extreme_eigenvalues``).  At MNIST width a Gram whose
+    Cholesky factorization fails is numerically singular, so its smallest
+    eigenvalue is taken as 0 and its largest comes from a Lanczos solve:
+    the dense spectrum returns a rounding-level smallest value there (about
+    -2e-17 for the d=784 synthetic Grams, which have rank at most 324),
+    clamped to 0.  Every other Gram takes both from the dense spectrum.
 
     It is one agent's loss as the engines use it: ``value``, ``egrad``,
     ``smoothness``, ``prox(alpha, s)``, the minimizer of

@@ -8,7 +8,7 @@ import pytest
 import ddrs.cli as cli
 import ddrs.harness as harness
 import ddrs.metrics as metrics
-from ddrs.algorithms import ddrs_step
+from ddrs.algorithms import ConfigurationWarning, ddrs_step
 from ddrs.harness import (
     ConfigError,
     ConfigTypeError,
@@ -391,6 +391,40 @@ class TestRunExperiment:
         with pytest.warns(RuntimeWarning, match="from the step"):
             _, summary = run_experiment(parse_config(TINY))
         assert summary["warnings"] == []
+
+    @pytest.mark.parametrize("escalate", [
+        lambda: warnings.simplefilter("error", ConfigurationWarning),
+        lambda: warnings.simplefilter("error"),
+        lambda: warnings.filterwarnings("error", message="eps0 = ",
+                                        category=ConfigurationWarning),
+    ], ids=["category", "all", "message"])
+    def test_a_configuration_warning_made_an_error_still_raises(self,
+                                                                escalate):
+        cfg = parse_config(TINY.replace("algorithm.kind = ddrs",
+                                        "algorithm.kind = iddrs")
+                           + "algorithm.eps0 = 0.5\n")
+        with warnings.catch_warnings():
+            escalate()
+            with pytest.raises(ConfigurationWarning, match="eps0 = "):
+                run_experiment(cfg)
+
+    @pytest.mark.parametrize("action", ["ignore", "once", "default"])
+    def test_filters_that_do_not_make_it_an_error_keep_it(self, action):
+        cfg = parse_config(TINY.replace("algorithm.kind = ddrs",
+                                        "algorithm.kind = iddrs")
+                           + "algorithm.eps0 = 0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, ConfigurationWarning)
+            # An error filter for another message leaves this one alone.
+            warnings.filterwarnings("error", message="no such message",
+                                    category=ConfigurationWarning)
+            before = list(warnings.filters)
+            _, summary = run_experiment(cfg)
+            _, again = run_experiment(cfg)
+            assert warnings.filters == before
+        assert summary["warnings"] == again["warnings"] == [
+            "eps0 = 5.000e-01 is not below delta2 = 1.042e-02; the "
+            "inexactness assumption is violated"]
 
     def test_beta_hat_resolution(self):
         cfg = parse_config(TINY.replace("alpha = 2.0", "beta_hat = 100.0"))

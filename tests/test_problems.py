@@ -374,13 +374,34 @@ class TestExtremeEigenvalues:
         assert abs(top_vec @ np.ones(d)) < 1e-12
         _assert_extremes_match_the_dense_spectrum(A)
 
-    def test_a_solve_out_of_restarts_takes_the_dense_spectrum(self,
-                                                             monkeypatch):
-        # A full-rank Gaussian Gram's clustered top needs several restarts.
-        monkeypatch.setattr(problems, "_LANCZOS_MAX_RESTARTS", 1)
+    def test_a_full_rank_gram_takes_the_dense_spectrum(self):
         A = np.random.default_rng(1).standard_normal((3 * LANCZOS_MIN_DIM,
                                                       LANCZOS_MIN_DIM))
         gram = A.T @ A
+        evals = np.linalg.eigvalsh(gram)
+        assert evals[0] > 0
+        assert _extreme_eigenvalues(gram) == (evals[0], evals[-1])
+
+    def test_a_singular_gram_has_smallest_eigenvalue_zero(self):
+        A = np.random.default_rng(1).standard_normal((LANCZOS_MIN_DIM // 2,
+                                                      LANCZOS_MIN_DIM))
+        lam_min, lam_max = _extreme_eigenvalues(A.T @ A)
+        assert lam_min == 0.0
+        assert lam_max == pytest.approx(np.linalg.eigvalsh(A.T @ A)[-1],
+                                        rel=1e-14)
+
+    def test_a_solve_out_of_restarts_takes_the_dense_spectrum(self,
+                                                             monkeypatch):
+        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+        # A singular Gaussian Gram's clustered top needs several restarts.
+        monkeypatch.setattr(problems, "_LANCZOS_MAX_RESTARTS", 1)
+        A = np.random.default_rng(1).standard_normal((LANCZOS_MIN_DIM // 2,
+                                                      LANCZOS_MIN_DIM))
+        gram = A.T @ A
+        v0 = np.random.default_rng(0).standard_normal(LANCZOS_MIN_DIM)
+        with pytest.raises(ArpackNoConvergence):
+            eigsh(gram, k=1, which="LA", tol=0, v0=v0, maxiter=1)
         evals = np.linalg.eigvalsh(gram)
         assert _extreme_eigenvalues(gram) == (max(evals[0], 0.0),
                                               max(evals[-1], 0.0))

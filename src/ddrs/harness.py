@@ -23,6 +23,7 @@ from .algorithms import (
     ddrs_step,
     iddrs_step,
 )
+from .fanout import map_agents
 from .manifold import (
     RankDeficientError,
     manifold_constants,
@@ -458,6 +459,37 @@ def _record_configuration_warnings():
             module.pattern if module else "", lineno)
 
 
+# An iDDRS record's envelope takes each agent's prox from the agent's own
+# conjugate-gradient solver, certified to ||mu_i||^2 <= this * (1 + ||s_i||^2).
+# Against the exact prox, every recorded envelope value stayed within 3.8e-14
+# relative on the preset, 4.0e-14 at d=64 and 1.6e-13 at d=784.
+_ENVELOPE_PROX_TOL = 1e-24
+
+
+def _envelope_proxes(stack, problem, alpha):
+    """
+    Proxes of ``stack.s`` for an iDDRS record's envelope, none exact.
+
+    An agent whose step residual ``mu_sq`` already meets the tolerance keeps
+    its ``x``; every other agent runs ``prox_inexact`` warm-started at it.
+    The solves run through ``map_agents``, like the step's, so at MNIST
+    width they run on the per-agent pool, and no agent builds the inverse
+    of its prox system unless its solve stalls.
+    """
+    # The start has no step residual, and x = s there.
+    mu_sq = (stack.mu_sq if stack.mu_sq is not None
+             else np.full(len(stack.s), np.inf))
+
+    def prox_one(inst, s, x, step_mu_sq):
+        eps = _ENVELOPE_PROX_TOL * (1.0 + float(np.vdot(s, s)))
+        if step_mu_sq <= eps:
+            return x
+        return inst.prox_inexact(alpha, s, eps, x0=x)[0]
+
+    return np.stack(map_agents(prox_one, problem, stack.s, stack.x, mu_sq,
+                               dim=stack.s.shape[1]))
+
+
 def _run(config):
     setup = build_run(config)
     dataset, problem, W, params = (setup.dataset, setup.problem, setup.W,
@@ -475,11 +507,14 @@ def _run(config):
             stack.x, xbar, problem)
         obj = objective_at_mean(xbar, problem)
         dre = None
-        if algo != "baseline_gt":
+        if algo == "iddrs":
+            dre = dre_value(stack.s, problem, alpha,
+                            _envelope_proxes(stack, problem, alpha))
+        elif algo == "ddrs":
             # An exact step leaves x = prox(alpha, s) bitwise; the start,
-            # where x = s, and an inexact step do not.
-            exact_x = stack.x if algo == "ddrs" and stack.k >= 1 else None
-            dre = dre_value(stack.s, problem, alpha, exact_x)
+            # where x = s, does not.
+            dre = dre_value(stack.s, problem, alpha,
+                            stack.x if stack.k >= 1 else None)
         ds = None
         if dataset.ground_truth is not None:
             ds = subspace_distance(xbar, dataset.ground_truth)

@@ -90,9 +90,12 @@ def dre_value(s_blocks, problem, alpha, x_blocks=None):
     value is ``sum_i f_i(x_i) + <egrad_i(x_i), ybar - x_i>
     + ||ybar - x_i||^2 / (2 alpha)``.  It is bounded below by the optimal
     consensus value and monitors progress; it needs global information and
-    is never available to agents.  A caller that already holds the exact
-    proxes of ``s_blocks`` at ``alpha`` (an exact step's ``x``) passes them
-    as ``x_blocks``; otherwise they are computed here.
+    is never available to agents.  A caller that already holds the proxes
+    of ``s_blocks`` at ``alpha`` passes them as ``x_blocks``: an exact
+    step's ``x``, or solves certified to a residual near rounding, which
+    keep the value within rounding of the exact prox's without building it.
+    Otherwise they are computed here with the exact prox.  Each agent's
+    value and gradient come from one product with its Gram matrix.
     """
     if x_blocks is None:
         s_blocks = np.asarray(s_blocks, dtype=float)
@@ -100,10 +103,11 @@ def dre_value(s_blocks, problem, alpha, x_blocks=None):
                        for inst, s in zip(problem, s_blocks, strict=True)])
     else:
         xs = np.asarray(x_blocks, dtype=float)
-    grads = np.stack([inst.egrad(x) for inst, x in zip(problem, xs, strict=True)])
+    pairs = [inst.value_and_egrad(x) for inst, x in zip(problem, xs, strict=True)]
+    grads = np.stack([grad for _, grad in pairs])
     ybar = project_stiefel((xs - alpha * grads).mean(axis=0)).mat
     gap = ybar - xs
-    values = sum(inst.value(x) for inst, x in zip(problem, xs, strict=True))
+    values = sum(value for value, _ in pairs)
     return (values + float(np.vdot(grads, gap))
             + float(np.vdot(gap, gap)) / (2.0 * alpha))
 

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor
-from scipy.linalg.lapack import dpotri
 
 from .manifold import StiefelPoint, _as_matrix
 
@@ -39,20 +37,78 @@ class DimMismatchError(ValueError):
 
 # From this Gram dimension up a numerically singular Gram takes its largest
 # eigenvalue from Lanczos, below it every Gram takes the full dense spectrum.
-# Paired medians per Gram, dense / Lanczos, over the 8 agents' Grams of the
-# synthetic data (m = 1000 rows, xi = 0.8, 1 BLAS thread, 2-vCPU VM), with
-# the pairs Lanczos won: d=64 0.18/1.18 ms (0/120), d=128 0.50/0.54 and
-# 0.52/0.58 (10 and 17/120), d=144 0.88/0.91 (45/120), d=160 1.02/0.92 and
-# 0.80/0.69 (98 and 104/120), d=176 1.10/0.84 (115/120), d=192 1.13/0.71
-# and 1.30/0.85 (120/120 twice), d=256 3.23/1.43, d=384 7.44/1.86, d=784
-# 42.6/7.4 (every pair).  From d=96 up those Grams are numerically singular.
+# Paired medians per Gram, dense / Lanczos branch (the Cholesky test plus
+# Lanczos), over the 8 agents' Grams of the synthetic data (m = 1000 rows,
+# xi = 0.8, 1 BLAS thread, 2-vCPU VM, 15 alternating repeats), with the pairs
+# the branch won, in two sets: d=96 0.35/0.52 ms (2/120), d=112 0.57/0.73
+# (1/120), d=128 0.50/0.46 and 0.72/0.84 (100 and 2/120), d=144 0.93/0.90
+# (98/120), d=160 0.74/0.48 and 1.09/0.90 (115 and 120/120), d=176 0.92/0.52
+# and 1.34/0.91 (120/120 twice), d=192 1.11/0.62 and 1.66/1.07 (119 and
+# 118/120), d=224 2.05/1.08, d=256 2.81/1.55, d=384 5.87/1.97, d=784
+# 49.4/10.2 (119/120 or more each).  From d=96 up those Grams are
+# numerically singular.  The branch would win from about d=160 on them, but
+# on singular Gaussian Grams (m = d/2) it is slower there: d=128 0.68/1.84
+# ms, d=160 1.08/2.63, d=192 1.69/3.00, d=784 52.2/43.5.  So the crossover
+# stays at 192.
 LANCZOS_MIN_DIM = 192
 
-# Implicit restarts after which a Lanczos solve gives up and the dense
-# spectrum is taken instead.  At d=784 the solves converged within 7 on the
-# synthetic data at xi from 0.8 to 0.999 and on uniform [0, 1] pixel-like
-# data; the cap bounds a hard spectrum at a few dense solves.
-_LANCZOS_MAX_RESTARTS = 30
+# Lanczos steps after which a solve gives up and the dense spectrum is taken
+# instead, and the steps between two convergence tests.  Solves took 16 steps
+# on each synthetic d=784 Gram at xi = 0.8, 24, 48 and 96 at xi = 0.9, 0.99
+# and 0.999 (m = 700), 8 on uniform [0, 1] data (400 x 784), and 48 and 80 on
+# singular Gaussian Grams (96 x 192 and 400 x 784).  A solve that ran out of
+# steps (d=784, rank 392, top eigenvalues within 1e-10 relative) took 65 ms,
+# and with the Cholesky test and the dense spectrum after it the set-up of
+# that Gram 119 ms, against 43 ms for the dense spectrum alone.  A test is a
+# dense eigen-solve of the small tridiagonal matrix (15 x 15: 30 us, 50 x 50:
+# 0.31 ms, 160 x 160: 2.5 ms, against 0.25 ms for a d=784 step's product);
+# testing every step, every 4 and every 8 took 4.9/4.8/4.9 ms on a synthetic
+# d=784 Gram, 8.6/3.3/2.6 on the 96 x 192 Gaussian one and 66/38/33 at xi =
+# 0.999.
+_LANCZOS_MAX_STEPS = 160
+_LANCZOS_TEST_EVERY = 8
+
+
+def _lanczos_top(gram):
+    """
+    Largest eigenvalue of a symmetric matrix by Lanczos, or None.
+
+    Each step makes one product with the matrix and orthogonalizes the new
+    vector twice against the whole basis, so the basis stays orthonormal and
+    no spurious copies of converged Ritz values appear.  The start is a
+    fixed Gaussian vector: a constant vector is orthogonal to the top
+    eigenvector of, for example, ``[[1, -1], [-1, 1]]``.  Every
+    ``_LANCZOS_TEST_EVERY`` steps, and at the last, the top Ritz value is
+    returned if its residual ``beta * |last entry of its Ritz vector|`` is
+    at most machine epsilon times itself, which bounds its distance to an
+    eigenvalue by the same; a breakdown (``beta = 0``) meets that at once.
+    None means ``min(d, _LANCZOS_MAX_STEPS)`` steps did not.
+    """
+    d = gram.shape[0]
+    steps = min(d, _LANCZOS_MAX_STEPS)
+    basis = np.empty((steps, d))
+    diag = np.empty(steps)
+    off = np.empty(steps)
+    q = np.random.default_rng(0).standard_normal(d)
+    q /= np.linalg.norm(q)
+    for j in range(steps):
+        basis[j] = q
+        w = gram @ q
+        diag[j] = q @ w
+        done = basis[:j + 1]
+        for _ in range(2):
+            w -= (done @ w) @ done
+        beta = float(np.linalg.norm(w))
+        if ((j + 1) % _LANCZOS_TEST_EVERY == 0 or j + 1 == steps
+                or beta == 0.0):
+            tri = (np.diag(diag[:j + 1]) + np.diag(off[:j], 1)
+                   + np.diag(off[:j], -1))
+            ritz, vecs = np.linalg.eigh(tri)
+            if beta * abs(vecs[-1, -1]) <= np.finfo(float).eps * abs(ritz[-1]):
+                return float(ritz[-1])
+        off[j] = beta
+        q = w / beta
+    return None
 
 
 def _extreme_eigenvalues(gram):
@@ -61,31 +117,20 @@ def _extreme_eigenvalues(gram):
 
     From ``LANCZOS_MIN_DIM`` up, a Gram whose Cholesky factorization fails
     is numerically singular: ``lambda_min`` is 0 and ``lambda_max`` comes
-    from Lanczos on the matrix.  Every other Gram, and one on which ARPACK
-    fails (a zero matrix, a solve out of restarts), takes both from the
-    dense spectrum.  Lanczos for the smallest eigenvalue does not converge
-    on a singular Gram, and on the inverse of a full-rank one it was slower
-    than the dense spectrum (d=784 Gaussian data: 56 against 45 ms).
+    from Lanczos on the matrix (``_lanczos_top``).  Every other Gram, and
+    one whose Lanczos solve runs out of steps, takes both from the dense
+    spectrum.  Lanczos for the smallest eigenvalue does not converge on a
+    singular Gram, and on the inverse of a full-rank one it was slower than
+    the dense spectrum (d=784 Gaussian data: 56 against 45 ms).
     """
     d = gram.shape[0]
     if d >= LANCZOS_MIN_DIM:
         try:
-            cho_factor(gram, check_finite=False)
-        except LinAlgError:
-            # Imported here: the module adds about 4 MB of resident memory,
-            # which runs that never reach it would carry for nothing.
-            from scipy.sparse.linalg import ArpackError, eigsh
-
-            # A fixed generic start: a constant vector is orthogonal to the
-            # top eigenvector of, for example, [[1, -1], [-1, 1]].
-            v0 = np.random.default_rng(0).standard_normal(d)
-            try:
-                lam_max = eigsh(gram, k=1, which="LA", tol=0, v0=v0,
-                                maxiter=_LANCZOS_MAX_RESTARTS,
-                                return_eigenvectors=False)[0]
-                return 0.0, float(max(lam_max, 0.0))
-            except ArpackError:  # ArpackNoConvergence included
-                pass
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            lam_max = _lanczos_top(gram)
+            if lam_max is not None:
+                return 0.0, max(lam_max, 0.0)
     evals = np.linalg.eigvalsh(gram)
     return float(max(evals[0], 0.0)), float(max(evals[-1], 0.0))
 
@@ -98,9 +143,11 @@ class DPCAInstance:
     the prox system ``I + alpha (||A||_2^2 I - A^T A)`` is symmetric positive
     definite with spectrum in ``[1, 1 + alpha L]``, and the prox is an exact
     linear solve.  The instance keeps the Gram matrix of its data block and
-    the inverse of the prox system for the step size in use, rebuilt when
-    the step size changes.  A product with the inverse streams the d-by-d
-    operand once, where a Cholesky solve reads its factor twice.
+    the inverse of the prox system for the step size in use, built by the
+    first exact prox and rebuilt when the step size changes; an instance
+    whose proxes are all conjugate-gradient solves never builds it.  A
+    product with the inverse streams the d-by-d operand once, where a
+    Cholesky solve reads its factor twice.
 
     Of the Gram's spectrum only the two extremes are kept: the largest
     eigenvalue, the shift, and the smallest, which ``smoothness`` subtracts
@@ -111,10 +158,11 @@ class DPCAInstance:
     -2e-17 for the d=784 synthetic Grams, which have rank at most 324),
     clamped to 0.  Every other Gram takes both from the dense spectrum.
 
-    It is one agent's loss as the engines use it: ``value``, ``egrad``,
-    ``smoothness``, ``prox(alpha, s)``, the minimizer of
-    ``f(y) + ||y - s||^2 / (2 alpha)``, and ``prox_inexact``, an approximate
-    minimizer with its optimality residual ``mu = x - s + alpha * egrad(x)``.
+    It is one agent's loss as the engines use it: ``value`` and ``egrad``,
+    or both from one Gram product (``value_and_egrad``), ``smoothness``,
+    ``prox(alpha, s)``, the minimizer of ``f(y) + ||y - s||^2 / (2 alpha)``,
+    and ``prox_inexact``, an approximate minimizer with its optimality
+    residual ``mu = x - s + alpha * egrad(x)``.
     """
 
     def __init__(self, A):
@@ -137,14 +185,22 @@ class DPCAInstance:
         # product.  F-ordered operands such as G.T @ x are slower still.
         return (x.T @ self.gram).T
 
+    def _value(self, x, gx):
+        return -0.5 * (float(np.vdot(x, gx)) - self.shift * float(np.vdot(x, x)))
+
     def value(self, x):
         x = _as_matrix(x)
-        gx = self._gram_apply(x)
-        return -0.5 * (float(np.vdot(x, gx)) - self.shift * float(np.vdot(x, x)))
+        return self._value(x, self._gram_apply(x))
 
     def egrad(self, x):
         x = _as_matrix(x)
         return self.shift * x - self._gram_apply(x)
+
+    def value_and_egrad(self, x):
+        """``(value(x), egrad(x))`` from one product with the Gram matrix."""
+        x = _as_matrix(x)
+        gx = self._gram_apply(x)
+        return self._value(x, gx), self.shift * x - gx
 
     def smoothness(self):
         # ||shift*I - A^T A||_2 for a PSD shift equals shift - lambda_min.
@@ -163,6 +219,11 @@ class DPCAInstance:
         # the pair it read, so concurrent callers need no lock.
         slot = self._inverse
         if slot is None or slot[0] != alpha:
+            # Imported here, so that a run whose proxes are all
+            # conjugate-gradient solves never loads scipy.linalg.
+            from scipy.linalg import cho_factor
+            from scipy.linalg.lapack import dpotri
+
             eye = np.eye(self.dim)
             factor, _ = cho_factor(eye + alpha * (self.shift * eye - self.gram))
             inv, info = dpotri(factor)
@@ -190,16 +251,19 @@ class DPCAInstance:
         """Prox optimality residual ``x - s + alpha * egrad(x)``."""
         return x - _as_matrix(s) + alpha * self.egrad(x)
 
-    def prox_inexact(self, alpha, s, eps):
+    def prox_inexact(self, alpha, s, eps, x0=None):
         """
         Conjugate-gradient prox solve stopped at squared residual <= eps.
 
-        Warm-started from s.  Each CG iteration makes one product with the
-        Gram matrix.  ``eps == 0`` takes the exact path, ``prox``.  When CG
-        cannot certify the tolerance (eps near the floating point floor),
-        ``prox`` plus iterative refinement with the kept inverse is used; if
-        even that misses eps, SolverStallError is raised.  A non-finite s
-        reaches ``prox`` either way and raises NonFiniteInputError.
+        Warm-started from ``x0``, or from s when it is None: an iDDRS
+        record starts its envelope's solves from the step's x.  Each CG
+        iteration makes one product with the Gram matrix.  ``eps == 0``
+        takes the exact path, ``prox``.  When CG cannot certify the
+        tolerance (eps near the floating point floor), ``prox`` plus
+        iterative refinement with the kept inverse is used; if even that
+        misses eps, SolverStallError is raised.  Only those two paths build
+        the inverse of the prox system.  A non-finite s reaches ``prox``
+        either way and raises NonFiniteInputError.
 
         Returns
         -------
@@ -214,7 +278,7 @@ class DPCAInstance:
             x = self.prox(alpha, s)
             return x, self.residual(alpha, s, x)
 
-        x = s.copy()
+        x = (s if x0 is None else _as_matrix(x0)).copy()
         r = s - self._apply_system(alpha, x)
         rs = float(np.vdot(r, r))
         # Stop slightly inside the target so the recomputed residual holds.

@@ -135,7 +135,7 @@ def _poison_at_k2(stack, *args):
 def test_worker_errors_end_the_run_as_serial_errors_do(monkeypatch, inject, error):
     raised_on = set()
 
-    def stall(self, alpha, s, eps):
+    def stall(self, alpha, s, eps, x0=None):
         raised_on.add(threading.current_thread().name)
         raise SolverStallError("stalled on the agent with shift %.17g"
                                % self.shift)

@@ -1,6 +1,11 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ import pytest
 import ddrs.cli as cli
 import ddrs.harness as harness
 import ddrs.metrics as metrics
-from ddrs.algorithms import ConfigurationWarning, ddrs_step
+from ddrs.algorithms import AgentStack, ConfigurationWarning, ddrs_step
 from ddrs.harness import (
     ConfigError,
     ConfigTypeError,
@@ -275,7 +280,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("algo", ["ddrs", "iddrs"])
     def test_dre_reuses_only_an_exact_step_prox(self, monkeypatch, algo):
         # Exact steps pass their x, which must equal a recomputed prox
-        # bitwise; the start (x = s) and inexact steps recompute.
+        # bitwise, and their start (x = s) recomputes.  iDDRS passes proxes
+        # from its certified CG solves at every record, start included,
+        # whose value is within 1e-10 relative of the exact recompute.
         calls = []
 
         def spy(s_blocks, problem, alpha, x_blocks=None):
@@ -290,11 +297,14 @@ class TestRunExperiment:
                            + "log_every = 5\n")
         records, summary = run_experiment(cfg)
         assert summary["status"] == "ok"
-        reused = [algo == "ddrs" and rec.k >= 1 for rec in records]
+        reused = [algo == "iddrs" or rec.k >= 1 for rec in records]
         assert [passed for passed, _, _ in calls] == reused
         assert [rec.dre for rec in records] == [value for _, value, _ in calls]
         for _, value, recomputed in calls:
-            assert value == recomputed
+            if algo == "ddrs":
+                assert value == recomputed
+            else:
+                assert abs(value - recomputed) <= 1e-10 * abs(recomputed)
 
     @pytest.mark.parametrize("algo, alpha, per_iter, at_start", [
         ("ddrs", 2.0, 2, 2),
@@ -667,3 +677,89 @@ class TestCli:
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.txt")]) == 1
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter on the library sources."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()
+
+
+def test_importing_the_package_loads_no_scipy_linalg():
+    assert _run_python("""
+        import sys
+        import ddrs
+        print("scipy.linalg" in sys.modules)
+    """) == ["False"]
+
+
+def test_a_wide_iddrs_run_builds_no_inverse_and_loads_no_scipy_linalg():
+    # From LANCZOS_MIN_DIM up the set-up runs Lanczos on each Gram, and the
+    # records' envelope takes CG proxes: only an exact prox needs scipy.
+    out = _run_python("""
+        import sys
+        import ddrs.problems as problems
+        from ddrs.harness import preset, run_experiment
+
+        made = []
+        real = problems.Dataset.instances
+
+        def instances(self):
+            made.extend(real(self))
+            return made
+
+        problems.Dataset.instances = instances
+        records, summary = run_experiment(preset("synthetic-er06", %r))
+        print(summary["status"], len(records), len(made),
+              sum(inst._inverse is not None for inst in made),
+              "scipy.linalg" in sys.modules)
+    """ % ("problem.d = %d\nalgorithm.kind = iddrs\nmax_iters = 6\n"
+           "log_every = 3\n" % (LANCZOS_MIN_DIM + 8)))
+    assert out == ["ok", "3", "8", "0", "False"]
+
+
+def test_the_envelope_keeps_a_step_prox_only_if_it_meets_the_tolerance(
+        small_dataset):
+    problem = small_dataset.instances()
+    rng = np.random.default_rng(3)
+    s = rng.standard_normal((4, 6, 2))
+    x = s + 1e-3 * rng.standard_normal(s.shape)
+    alpha = 2.0
+    for mu_sq, kept in ((np.array([0.0, np.inf, 0.0, np.inf]), [0, 2]),
+                        (None, [])):
+        stack = AgentStack(s=s, x=x, y=x, z=x, d=np.zeros_like(x),
+                           mu_sq=mu_sq)
+        out = harness._envelope_proxes(stack, problem, alpha)
+        for i, inst in enumerate(problem):
+            if i in kept:
+                assert np.array_equal(out[i], x[i])
+            else:
+                mu = inst.residual(alpha, s[i], out[i])
+                assert float(np.vdot(mu, mu)) <= 1e-24 * (1 + np.vdot(s[i], s[i]))
+
+
+@pytest.mark.parametrize("overrides", [
+    "",
+    "problem.d = 64\nmax_iters = 60\n",
+], ids=["preset", "d64"])
+def test_iddrs_envelope_matches_the_exact_prox_at_every_record(monkeypatch,
+                                                               overrides):
+    exact = []
+
+    def spy(s_blocks, problem, alpha, x_blocks=None):
+        exact.append(dre_value(s_blocks, problem, alpha))
+        return dre_value(s_blocks, problem, alpha, x_blocks)
+
+    monkeypatch.setattr(harness, "dre_value", spy)
+    config = preset("synthetic-er06", "algorithm.kind = iddrs\n" + overrides)
+    records, summary = run_experiment(config)
+    assert summary["status"] == "ok"
+    assert len(records) == len(exact) == config.max_iters + 1
+    for rec, value in zip(records, exact):
+        assert abs(rec.dre - value) <= 1e-10 * abs(value)

@@ -78,6 +78,21 @@ class TestGradient:
         assert np.abs(g - fd).max() <= 1e-5 * (1.0 + np.abs(g).max())
 
 
+class TestValueAndGradient:
+    @pytest.mark.parametrize("m, d, r", [(6, 4, 2), (1000, 10, 5),
+                                         (50, LANCZOS_MIN_DIM + 8, 3)])
+    def test_equal_to_value_and_egrad_bitwise(self, rng, m, d, r):
+        inst = DPCAInstance(rng.standard_normal((m, d)))
+        for x in (random_stiefel_mat(rng, d, r), rng.standard_normal((d, r))):
+            value, grad = inst.value_and_egrad(x)
+            assert value == inst.value(x)
+            assert np.array_equal(grad, inst.egrad(x))
+            # The expression value had before it shared the product.
+            gx = inst._gram_apply(x)
+            assert value == -0.5 * (float(np.vdot(x, gx))
+                                    - inst.shift * float(np.vdot(x, x)))
+
+
 class TestProx:
     def test_zero_data_identity(self, rng):
         inst = DPCAInstance(np.zeros((3, 3)))
@@ -266,6 +281,22 @@ class TestProxInexact:
         x, mu = inst.prox_inexact(0.6, s, 1e-28)
         assert float(np.vdot(mu, mu)) <= 1e-28
 
+    def test_warm_start(self, rng):
+        inst = DPCAInstance(rng.standard_normal((40, 6)))
+        s = rng.standard_normal((6, 3))
+        # None starts from s, bit for bit as without x0.
+        x, mu = inst.prox_inexact(0.8, s, 1e-8, x0=None)
+        assert np.array_equal(x, inst.prox_inexact(0.8, s, 1e-8)[0])
+        # A start that already meets the tolerance is returned unchanged,
+        # as a copy.
+        x0 = inst.prox(0.8, s)
+        x, mu = inst.prox_inexact(0.8, s, 1e-20, x0=x0)
+        assert np.array_equal(x, x0) and x is not x0
+        # A nearby start certifies a tight tolerance.
+        x, mu = inst.prox_inexact(0.8, s, 1e-26, x0=x0 + 1e-6)
+        recomputed = inst.residual(0.8, s, x)
+        assert float(np.vdot(recomputed, recomputed)) <= 1e-26
+
     def test_injected_residual_is_exact(self, rng):
         inst = DPCAInstance(rng.standard_normal((10, 4)))
         s = rng.standard_normal((4, 2))
@@ -390,21 +421,30 @@ class TestExtremeEigenvalues:
         assert lam_max == pytest.approx(np.linalg.eigvalsh(A.T @ A)[-1],
                                         rel=1e-14)
 
-    def test_a_solve_out_of_restarts_takes_the_dense_spectrum(self,
-                                                             monkeypatch):
-        from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
-        # A singular Gaussian Gram's clustered top needs several restarts.
-        monkeypatch.setattr(problems, "_LANCZOS_MAX_RESTARTS", 1)
+    def test_a_solve_out_of_steps_takes_the_dense_spectrum(self,
+                                                          monkeypatch):
+        # A singular Gaussian Gram's clustered top needs dozens of steps.
         A = np.random.default_rng(1).standard_normal((LANCZOS_MIN_DIM // 2,
                                                       LANCZOS_MIN_DIM))
         gram = A.T @ A
-        v0 = np.random.default_rng(0).standard_normal(LANCZOS_MIN_DIM)
-        with pytest.raises(ArpackNoConvergence):
-            eigsh(gram, k=1, which="LA", tol=0, v0=v0, maxiter=1)
         evals = np.linalg.eigvalsh(gram)
+        assert problems._lanczos_top(gram) == pytest.approx(evals[-1],
+                                                            rel=1e-14)
+        monkeypatch.setattr(problems, "_LANCZOS_MAX_STEPS", 8)
+        assert problems._lanczos_top(gram) is None
         assert _extreme_eigenvalues(gram) == (max(evals[0], 0.0),
                                               max(evals[-1], 0.0))
+
+    @pytest.mark.parametrize("rank", [1, 2, 5])
+    def test_a_low_rank_gram_ends_lanczos_early(self, rank):
+        # The Krylov space holds the whole range after rank + 1 steps; the
+        # next basis vector is rounding, and the top Ritz value is exact.
+        d = LANCZOS_MIN_DIM + 8
+        A = np.random.default_rng(rank).standard_normal((rank, d))
+        gram = A.T @ A
+        top = np.linalg.eigvalsh(gram)[-1]
+        assert problems._lanczos_top(gram) == pytest.approx(top, rel=1e-14)
+        assert _extreme_eigenvalues(gram) == (0.0, problems._lanczos_top(gram))
 
 
 class TestSynthetic:

@@ -134,8 +134,13 @@ def _poison_at_k2(stack, *args):
 ])
 def test_worker_errors_end_the_run_as_serial_errors_do(monkeypatch, inject, error):
     raised_on = set()
+    solve = DPCAInstance.prox_inexact
 
     def stall(self, alpha, s, eps, x0=None):
+        # Only the step's solves (started from s) stall; the records'
+        # envelope solves, warm-started at the step's x, still run.
+        if x0 is not None:
+            return solve(self, alpha, s, eps, x0=x0)
         raised_on.add(threading.current_thread().name)
         raise SolverStallError("stalled on the agent with shift %.17g"
                                % self.shift)
@@ -160,3 +165,36 @@ def test_worker_errors_end_the_run_as_serial_errors_do(monkeypatch, inject, erro
     assert pooled_run["iterations"] == serial_run["iterations"]
     if inject == "stall":
         assert any(name.startswith("ddrs-agent") for name in raised_on)
+
+
+def test_a_stalled_envelope_solve_takes_the_exact_prox_pooled_and_serial(
+        monkeypatch):
+    # The envelope only monitors a run: its stalled solves fall back to the
+    # exact prox, on the pool as serially, and the run goes on.
+    raised_on = set()
+    solve = DPCAInstance.prox_inexact
+
+    def stall(self, alpha, s, eps, x0=None):
+        if x0 is None:
+            return solve(self, alpha, s, eps)
+        raised_on.add(threading.current_thread().name)
+        raise SolverStallError("stalled")
+
+    cfg = preset("synthetic-er06", WIDE)
+    reference = run_experiment(cfg)[0]
+    monkeypatch.setattr(DPCAInstance, "prox_inexact", stall)
+    runs = {}
+    for mode in ("pooled", "serial"):
+        with monkeypatch.context() as patch:
+            if mode == "pooled":
+                patch.setattr(fanout, "pool_size", lambda: 2)
+            else:
+                patch.setattr(fanout, "FANOUT_MIN_DIM", D + 1)
+            runs[mode] = run_experiment(cfg)
+    (pooled_records, pooled_run), (serial_records, serial_run) = (
+        runs["pooled"], runs["serial"])
+    assert pooled_run["status"] == serial_run["status"] == "ok"
+    assert _strip_wall(pooled_records) == _strip_wall(serial_records)
+    assert any(name.startswith("ddrs-agent") for name in raised_on)
+    for got, want in zip(pooled_records, reference, strict=True):
+        assert abs(got.dre - want.dre) <= 1e-10 * abs(want.dre)

@@ -28,7 +28,7 @@ from ddrs.harness import (
     write_records,
 )
 from ddrs.manifold import RankDeficientError
-from ddrs.problems import LANCZOS_MIN_DIM
+from ddrs.problems import LANCZOS_MIN_DIM, DPCAInstance, SolverStallError
 from ddrs.metrics import (
     RECORD_FIELDS,
     VIOLATION_KINDS,
@@ -741,7 +741,28 @@ def test_the_envelope_keeps_a_step_prox_only_if_it_meets_the_tolerance(
                 assert np.array_equal(out[i], x[i])
             else:
                 mu = inst.residual(alpha, s[i], out[i])
-                assert float(np.vdot(mu, mu)) <= 1e-24 * (1 + np.vdot(s[i], s[i]))
+                assert float(np.vdot(mu, mu)) <= harness._envelope_prox_tolerance(
+                    inst, alpha, s[i])
+
+
+@pytest.mark.parametrize("alpha_shift", [1.0, 1e2, 1e4, 1e6, 1e7])
+def test_the_envelope_tolerance_clears_the_residual_rounding_floor(
+        small_dataset, alpha_shift):
+    # The refined exact prox leaves only the rounding floor of the computed
+    # residual, which grows with alpha * shift; the tolerance stays an order
+    # of magnitude above it, and within 2% of 1e-24 relative up to 1e2.
+    rng = np.random.default_rng(5)
+    for inst in small_dataset.instances():
+        alpha = alpha_shift / inst.shift
+        s = rng.standard_normal((inst.dim, 2))
+        x = inst.prox(alpha, s)
+        for _ in range(3):
+            x = x - inst._solve(alpha, inst.residual(alpha, s, x))
+        mu = inst.residual(alpha, s, x)
+        eps = harness._envelope_prox_tolerance(inst, alpha, s)
+        assert float(np.vdot(mu, mu)) <= 0.1 * eps
+        if alpha_shift <= 1e2:
+            assert eps <= 1.02e-24 * (1 + float(np.vdot(s, s)))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -760,6 +781,49 @@ def test_iddrs_envelope_matches_the_exact_prox_at_every_record(monkeypatch,
     config = preset("synthetic-er06", "algorithm.kind = iddrs\n" + overrides)
     records, summary = run_experiment(config)
     assert summary["status"] == "ok"
+    assert len(records) == len(exact) == config.max_iters + 1
+    for rec, value in zip(records, exact):
+        assert abs(rec.dre - value) <= 1e-10 * abs(value)
+
+
+def test_iddrs_at_a_large_alpha_shift_certifies_every_envelope_prox(
+        monkeypatch):
+    # beta_hat = 1e9 puts the preset's alpha * shift near 8e4, where a fixed
+    # 1e-24 residual bound lies below the rounding floor even of the refined
+    # exact prox.  The run must end ok, no envelope solve may fall back to
+    # the exact prox, and the envelope keeps the exact prox's value.
+    exact, fallbacks, inside = [], [], []
+    solve, prox = DPCAInstance.prox_inexact, DPCAInstance.prox
+
+    def solve_spy(self, alpha, s, eps, x0=None):
+        inside.append(x0 is not None)
+        try:
+            return solve(self, alpha, s, eps, x0=x0)
+        except SolverStallError:
+            fallbacks.append("stall")
+            raise
+        finally:
+            inside.pop()
+
+    def prox_spy(self, alpha, s):
+        if any(inside):
+            fallbacks.append("refined")
+        return prox(self, alpha, s)
+
+    def spy(s_blocks, problem, alpha, x_blocks=None):
+        exact.append(dre_value(s_blocks, problem, alpha))
+        return dre_value(s_blocks, problem, alpha, x_blocks)
+
+    monkeypatch.setattr(DPCAInstance, "prox_inexact", solve_spy)
+    monkeypatch.setattr(DPCAInstance, "prox", prox_spy)
+    monkeypatch.setattr(harness, "dre_value", spy)
+    config = preset("synthetic-er06", "algorithm.kind = iddrs\n"
+                    "beta_hat = 1e9\nmax_iters = 20\n")
+    records, summary = run_experiment(config)
+    setup = harness.build_run(config)
+    assert setup.params.alpha * max(i.shift for i in setup.problem) > 5e4
+    assert summary["status"] == "ok", summary.get("error")
+    assert fallbacks == []
     assert len(records) == len(exact) == config.max_iters + 1
     for rec, value in zip(records, exact):
         assert abs(rec.dre - value) <= 1e-10 * abs(value)

@@ -33,11 +33,11 @@ print("constants:", consts)
 v = rng.standard_normal((d, r))
 tv = tangent_project(x, v)
 print("skew residual of tangent vector:",
-      np.linalg.norm(x.mat.T @ tv.dir + tv.dir.T @ x.mat))
+      np.linalg.norm(x.mat.T @ tv + tv.T @ x.mat))
 
 # Riemannian gradients are tangent projections of Euclidean ones.
 egrad = rng.standard_normal((d, r))
-print("riemannian gradient norm:", tangent_project(x, egrad).norm)
+print("riemannian gradient norm:", np.linalg.norm(tangent_project(x, egrad)))
 
 # The subspace distance ignores rotations of the frame.
 q, _ = np.linalg.qr(rng.standard_normal((r, r)))

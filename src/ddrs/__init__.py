@@ -12,7 +12,6 @@ from .manifold import (
     ManifoldConstants,
     RankDeficientError,
     StiefelPoint,
-    TangentVector,
     manifold_constants,
     project_stiefel,
     random_stiefel,
@@ -28,10 +27,8 @@ from .network import (
     gen_complete,
     gen_erdos_renyi,
     gen_ring,
-    load_edgelist,
     metropolis_weights,
     mix,
-    save_edgelist,
     second_singular,
 )
 from .problems import (

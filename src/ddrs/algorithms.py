@@ -14,12 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifold import (
+    ManifoldConstants,
     RankDeficientError,
     StiefelPoint,
     _as_matrix,
     _polar,
     _tangent_dir,
+    manifold_constants,
     project_stiefel,
+    tube_distance,
 )
 from .fanout import map_agents
 from .network import mix
@@ -84,13 +87,6 @@ def epsilon_schedule(eps0, rho, k):
     return eps0 * rho ** k
 
 
-# Tube radius of the Stiefel manifold; fixes delta1 = gamma/4 and
-# delta2 = delta1/12 used in the certified-regime checks.
-_GAMMA = 0.5
-_DELTA1 = _GAMMA / 4.0
-_DELTA2 = _DELTA1 / 12.0
-
-
 def _stack_blocks(x0, n_expected):
     blocks = [StiefelPoint(_as_matrix(b)).mat for b in x0]
     if len(blocks) != n_expected:
@@ -116,14 +112,14 @@ def ddrs_init(problem, W, params, x0):
             "got %d local objectives for %d agents" % (len(problem), W.n)
         )
     try:
-        xbar = project_stiefel(x.mean(axis=0)).mat
-        spread = float(np.linalg.norm(x.mean(axis=0) - xbar))
+        spread = tube_distance(x.mean(axis=0))
     except RankDeficientError:
         spread = math.inf
-    if spread > _DELTA1:
+    delta1 = manifold_constants(*x.shape[1:]).delta1
+    if spread > delta1:
         warnings.warn(
             "initial consensus error %.3e exceeds the certified bound %.3e"
-            % (spread, _DELTA1),
+            % (spread, delta1),
             ConfigurationWarning,
         )
     try:
@@ -175,12 +171,14 @@ def iddrs_step(stack, problem, W, params, k):
     MNIST width they overlap on the per-agent pool.
     """
     eps_k = epsilon_schedule(params.eps0, params.rho, k)
-    if k == 0 and params.eps0 >= _DELTA2:
-        warnings.warn(
-            "eps0 = %.3e is not below delta2 = %.3e; the inexactness "
-            "assumption is violated" % (params.eps0, _DELTA2),
-            ConfigurationWarning,
-        )
+    if k == 0:
+        delta2 = manifold_constants(*stack.s.shape[1:]).delta2
+        if params.eps0 >= delta2:
+            warnings.warn(
+                "eps0 = %.3e is not below delta2 = %.3e; the inexactness "
+                "assumption is violated" % (params.eps0, delta2),
+                ConfigurationWarning,
+            )
 
     def prox_one(inst, s):
         x, mu = inst.prox_inexact(params.alpha, s, eps_k)
@@ -300,8 +298,8 @@ def advise_parameters(L, gamma, zeta, sigma2, n, grad0_norm,
         raise ValueError("sigma2 must lie in [0, 1), got %r" % (sigma2,))
     if not L > 0:
         raise ValueError("L must be positive, got %r" % (L,))
-    delta1 = gamma / 4.0
-    delta2 = delta1 / 12.0
+    radii = ManifoldConstants(gamma, zeta)
+    delta1, delta2 = radii.delta1, radii.delta2
     delta3 = 2.0 * delta2 + zeta
     notes = []
 

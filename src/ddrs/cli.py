@@ -16,7 +16,7 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     parse_config,
-    preset_text,
+    preset,
     run_experiment,
     write_records,
     emit_plotdata,
@@ -29,14 +29,13 @@ from .problems import BadMagicError, DimMismatchError, TruncatedFileError
 
 
 def _load_config(args):
-    chunks = []
-    if getattr(args, "preset", None):
-        chunks.append(preset_text(args.preset))
-    if getattr(args, "config", None):
-        chunks.append(Path(args.config).read_text(encoding="utf-8"))
-    if not chunks:
+    text = (Path(args.config).read_text(encoding="utf-8") if args.config
+            else None)
+    if args.preset:
+        return preset(args.preset, text or "")
+    if text is None:
         raise ConfigError("provide --config and/or --preset")
-    return parse_config("\n".join(chunks))
+    return parse_config(text)
 
 
 def _cmd_run(args):

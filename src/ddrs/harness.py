@@ -9,7 +9,7 @@ substreams, the experiment driver, and CSV / JSON-lines record sinks.
 import json
 import time
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields, is_dataclass
 
 import numpy as np
 
@@ -241,7 +241,7 @@ def _validate(values):
         raise ConfigTypeError("problem.n must be >= 2 (a network needs two "
                               "agents), got %d" % n)
     if pk == "synthetic":
-        # An IDX file fixes d for mnist runs; only synthetic data is checked.
+        # An IDX file fixes d for mnist runs; build_run checks r against it.
         d, r = _get(values, "problem.d"), _get(values, "problem.r")
         m_per = _get(values, "problem.m_per")
         if r > d:
@@ -257,29 +257,15 @@ def _validate(values):
     if _get(values, "algorithm.eps0") < 0:
         raise ConfigTypeError("algorithm.eps0 must be >= 0")
 
-    return ExperimentConfig(
-        problem=ProblemConfig(
-            kind=pk,
-            n=_get(values, "problem.n"),
-            m_per=_get(values, "problem.m_per"),
-            d=_get(values, "problem.d"),
-            r=_get(values, "problem.r"),
-            xi=xi,
-            seed=_get(values, "problem.seed"),
-            path=_get(values, "problem.path"),
-        ),
-        graph=GraphConfig(kind=gk, p=_get(values, "graph.p"),
-                          seed=_get(values, "graph.seed")),
-        algorithm=AlgorithmConfig(kind=ak, eps0=_get(values, "algorithm.eps0"),
-                                  rho=_get(values, "algorithm.rho")),
-        alpha=alpha,
-        beta_hat=beta,
-        t=_get(values, "t"),
-        max_iters=_get(values, "max_iters"),
-        log_every=_get(values, "log_every"),
-        out=_get(values, "out"),
-        master_seed=_get(values, "master_seed"),
-    )
+    return _from_keys(ExperimentConfig, values)
+
+
+def _from_keys(cls, values, prefix=""):
+    """A config dataclass whose fields read the keys ``prefix + name``."""
+    return cls(**{
+        f.name: (_from_keys(f.type, values, f.name + ".") if is_dataclass(f.type)
+                 else _get(values, prefix + f.name))
+        for f in fields(cls)})
 
 
 def _substream_seed(master_seed, index):
@@ -356,13 +342,16 @@ def build_run(config):
     the iterates begin inside the certified neighborhood.
     """
     dataset = _build_dataset(config)
+    d, r = dataset.dim, config.problem.r
+    if r > d:
+        raise ConfigTypeError("problem.r = %d exceeds the data's width %d"
+                              % (r, d))
     problem = dataset.instances()
     graph = _build_graph(config)
     W = metropolis_weights(graph)
     alpha = resolve_alpha(config, dataset)
     params = SolverParams(alpha=alpha, t=config.t, eps0=config.algorithm.eps0,
                           rho=config.algorithm.rho)
-    d, r = dataset.dim, config.problem.r
     consts = manifold_constants(d, r)
 
     init_rng = np.random.default_rng(

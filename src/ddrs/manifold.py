@@ -57,38 +57,24 @@ class StiefelPoint:
 
 
 @dataclass(frozen=True)
-class TangentVector:
-    """A direction attached to a base point, lying in its tangent space."""
-
-    base: StiefelPoint
-    dir: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.dir, dtype=float)
-        if v.shape != self.base.shape:
-            raise ValueError(
-                "direction shape %s does not match base %s"
-                % (v.shape, self.base.shape)
-            )
-        x = self.base.mat
-        skew = np.linalg.norm(x.T @ v + v.T @ x)
-        if skew > ORTHO_TOL:
-            raise ValueError(
-                "not tangent: ||X^T V + V^T X|| = %.3e > %.1e" % (skew, ORTHO_TOL)
-            )
-        object.__setattr__(self, "dir", v)
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.dir))
-
-
-@dataclass(frozen=True)
 class ManifoldConstants:
-    """Proximal-smoothness tube radius and diameter for St(d, r)."""
+    """
+    Proximal-smoothness tube radius and diameter for St(d, r).
+
+    The radius fixes the certified-regime radii ``delta1 = gamma / 4`` and
+    ``delta2 = delta1 / 12``.
+    """
 
     gamma: float
     zeta: float
+
+    @property
+    def delta1(self):
+        return self.gamma / 4.0
+
+    @property
+    def delta2(self):
+        return self.delta1 / 12.0
 
 
 def manifold_constants(d, r):
@@ -176,25 +162,27 @@ def tangent_project(x, v):
 
     Returns
     -------
-    TangentVector
+    ndarray
+        The d-by-r tangent direction.
     """
     if not isinstance(x, StiefelPoint):
         x = StiefelPoint(x)
     v = np.asarray(v, dtype=float)
     if v.shape != x.shape:
         raise ValueError("shape mismatch: %s vs %s" % (v.shape, x.shape))
-    return TangentVector(x, _tangent_dir(x.mat, v))
+    return _tangent_dir(x.mat, v)
 
 
 def tube_distance(M):
     """
-    Frobenius distance from M to the manifold.
+    Frobenius distance from a d-by-r M to the manifold, ``||sv - 1||`` over
+    the singular values of M.
 
     Compare against ``gamma`` to decide membership of the closed tube in
-    which the projection is single-valued and 2-Lipschitz.
+    which the projection is single-valued and 2-Lipschitz.  Raises
+    RankDeficientError where ``project_stiefel`` would.
     """
-    M = _as_matrix(M)
-    return float(np.linalg.norm(M - project_stiefel(M).mat))
+    return float(np.linalg.norm(_polar(_as_matrix(M))[1] - 1.0))
 
 
 def subspace_distance(x, xstar):

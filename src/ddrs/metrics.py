@@ -8,7 +8,7 @@ diagnostics, and a log-log rate fit.  Nothing here is fed back to agents.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,18 +18,6 @@ from .manifold import (
     _tangent_dir,
     project_stiefel,
 )
-
-RECORD_FIELDS = (
-    "k",
-    "consensus_sq",
-    "stationarity_sq",
-    "dre",
-    "obj",
-    "ds",
-    "mu_sq_max",
-    "wall_ns",
-)
-
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -43,6 +31,9 @@ class IterationRecord:
     ds: float = None
     mu_sq_max: float = None
     wall_ns: int = 0
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(IterationRecord))
 
 
 def induced_mean(x_blocks):
@@ -153,28 +144,23 @@ def neighborhood_report(stack, constants, W, t):
     is stale on a stack whose ``x`` or ``d`` was edited afterwards.  ``W``
     and ``t`` are unused.  Violations are named, never raised.
     """
-    delta1 = constants.gamma / 4.0
-    delta2 = delta1 / 12.0
-    violations = []
-
     # One SVD of the two means gives both spreads.  A collapsed mean, which
     # has no unique projection, is the worst possible violation, not an error.
     means = np.stack([stack.x.mean(axis=0), stack.z.mean(axis=0)])
     x_dev, z_dev = (math.inf if sv[-1] <= RANK_TOL
                     else float(np.linalg.norm(sv - 1.0))
                     for sv in np.linalg.svd(means, compute_uv=False))
-    if x_dev > delta1:
-        violations.append("x-neighborhood")
-    if z_dev > 10.0 * delta2:
-        violations.append("z-neighborhood")
     max_tube = float(np.linalg.norm(stack.z_sv - 1.0, axis=-1).max())
-    if max_tube > constants.gamma:
-        violations.append("projection-tube")
+    bounds = (constants.delta1, 10.0 * constants.delta2, constants.gamma)
+    violations = tuple(
+        kind for kind, value, bound
+        in zip(VIOLATION_KINDS, (x_dev, z_dev, max_tube), bounds, strict=True)
+        if value > bound)
     return NeighborhoodReport(
-        x_dev=x_dev, x_bound=delta1,
-        z_dev=z_dev, z_bound=10.0 * delta2,
-        max_tube=max_tube, tube_bound=constants.gamma,
-        violations=tuple(violations),
+        x_dev=x_dev, x_bound=bounds[0],
+        z_dev=z_dev, z_bound=bounds[1],
+        max_tube=max_tube, tube_bound=bounds[2],
+        violations=violations,
     )
 
 

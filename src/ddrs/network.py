@@ -231,24 +231,3 @@ def mix(W, t, X):
         out = W.W @ out
     return out.reshape(X.shape)
 
-
-def save_edgelist(graph, path):
-    """Write a graph as text: first line ``n``, then one ``i j`` edge per line."""
-    lines = [str(graph.n)]
-    lines += ["%d %d" % e for e in sorted(graph.edges)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_edgelist(path):
-    """Read a graph written by ``save_edgelist``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError("empty edge-list file: %s" % path)
-    n = int(tokens[0])
-    rest = tokens[1:]
-    if len(rest) % 2 != 0:
-        raise ValueError("odd number of endpoints in %s" % path)
-    edges = [(int(rest[2 * k]), int(rest[2 * k + 1])) for k in range(len(rest) // 2)]
-    return Graph(n, frozenset(edges))

@@ -449,14 +449,14 @@ def normalize_and_split(matrix, n, seed):
     """
     Scale pixel rows into [0, 1], shuffle them, split into n equal blocks.
 
-    Rows beyond the largest multiple of n are dropped.
+    Rows beyond the largest multiple of n are dropped.  Each block is
+    scaled from its own rows, so a float matrix is not copied whole.
     """
-    X = np.asarray(matrix, dtype=float) / 255.0
+    X = np.asarray(matrix, dtype=float)
     m = X.shape[0] // n
     if m == 0:
         raise DimMismatchError("cannot split %d rows into %d blocks" % (X.shape[0], n))
-    rng = np.random.default_rng(seed)
-    X = X[rng.permutation(X.shape[0])]
-    blocks = [X[i * m:(i + 1) * m].copy() for i in range(n)]
+    perm = np.random.default_rng(seed).permutation(X.shape[0])
+    blocks = [X[perm[i * m:(i + 1) * m]] / 255.0 for i in range(n)]
     meta = dict(n=n, m_per=m, d=X.shape[1], seed=seed, source="idx")
     return Dataset(blocks, None, meta)

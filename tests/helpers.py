@@ -1,5 +1,7 @@
 """Shared test oracles: independent implementations that tests check against."""
 
+import struct
+
 import numpy as np
 
 from ddrs.algorithms import AgentStack, BaselineStack, epsilon_schedule
@@ -55,7 +57,7 @@ def projected_gradient_descent(problem, x0, alpha, iters):
     x = x0.copy()
     traj = []
     for _ in range(iters):
-        g = tangent_project(StiefelPoint(x), problem.egrad(x)).dir
+        g = tangent_project(StiefelPoint(x), problem.egrad(x))
         x = project_stiefel(x - alpha * g).mat
         traj.append(x.copy())
     return traj
@@ -263,3 +265,35 @@ def mix_per_agent(W, t, X):
         blocks = [sum(W.W[i, j] * blocks[j] for j in range(n))
                   for i in range(n)]
     return np.stack(blocks)
+
+
+def idx_bytes(magic, dims, payload):
+    """An IDX file: big-endian magic and int32 sizes, then the payload bytes."""
+    header = struct.pack(">I", magic) + b"".join(struct.pack(">i", d) for d in dims)
+    return header + bytes(payload)
+
+
+def pixel_like_images(count, rows, cols, seed, border=4):
+    """
+    Deterministic ``uint8`` images shaped like scanned digits.
+
+    Inside a zero border of ``border`` pixels, each image is one of ten
+    smooth strokes (sums of four Gaussian bumps), scaled by a random
+    factor, plus Gaussian noise, rounded and clipped to 0..255.  The images
+    exercise the IDX path offline; they say nothing about MNIST.
+    """
+    rng = np.random.default_rng(seed)
+    h, w = rows - 2 * border, cols - 2 * border
+    yy, xx = np.mgrid[0:h, 0:w]
+    cy = rng.uniform(0, h, size=(10, 4, 1, 1))
+    cx = rng.uniform(0, w, size=(10, 4, 1, 1))
+    spread = 2.0 * (0.15 * max(h, w)) ** 2
+    strokes = np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / spread).sum(axis=1)
+    strokes *= 255.0 / strokes.max(axis=(1, 2), keepdims=True)
+    labels = rng.integers(10, size=count)
+    inner = (strokes[labels] * rng.uniform(0.5, 1.0, size=(count, 1, 1))
+             + rng.normal(0.0, 20.0, size=(count, h, w)))
+    images = np.zeros((count, rows, cols), dtype=np.uint8)
+    images[:, border:rows - border, border:cols - border] = np.clip(
+        np.rint(inner), 0, 255)
+    return images

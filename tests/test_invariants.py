@@ -1,7 +1,8 @@
 """
-Core invariants of the splitting engines over random shapes, data, step
-sizes, round counts and graph kinds: the tracking identity, exact-prox
-optimality and the certified inexact-prox tolerance.
+Core invariants over random shapes, data, step sizes, round counts and
+graph kinds: the splitting engines' tracking identity, exact-prox
+optimality and certified inexact-prox tolerance, the mean-preserving mix,
+and the tube distance as the distance to the projection.
 """
 
 import numpy as np
@@ -9,25 +10,40 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ddrs.algorithms import (
+    AgentStack,
     SolverParams,
     ddrs_init,
     ddrs_step,
     epsilon_schedule,
     iddrs_step,
 )
-from ddrs.manifold import project_stiefel
-from ddrs.metrics import tracking_residual
+from ddrs.manifold import manifold_constants, project_stiefel, tube_distance
+from ddrs.metrics import neighborhood_report, tracking_residual
 from ddrs.network import (
     gen_complete,
     gen_erdos_renyi,
     gen_ring,
     metropolis_weights,
+    mix,
 )
 from ddrs.problems import gen_synthetic
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
 STEPS = 4
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def graphs(draw, n, seed):
+    """A ring, Erdos-Renyi or complete graph on n nodes."""
+    kind = draw(st.sampled_from(["ring", "erdos_renyi", "complete"]))
+    if kind == "ring":
+        return gen_ring(n)
+    if kind == "complete":
+        return gen_complete(n)
+    return gen_erdos_renyi(n, draw(st.floats(0.4, 1.0)), seed)
 
 
 @st.composite
@@ -36,14 +52,8 @@ def runs(draw):
     n = draw(st.integers(3, 8))
     r = draw(st.integers(1, 4))
     d = draw(st.integers(r, 12))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    kind = draw(st.sampled_from(["ring", "erdos_renyi", "complete"]))
-    if kind == "ring":
-        graph = gen_ring(n)
-    elif kind == "complete":
-        graph = gen_complete(n)
-    else:
-        graph = gen_erdos_renyi(n, draw(st.floats(0.4, 1.0)), seed)
+    seed = draw(seeds)
+    graph = draw(graphs(n, seed))
     data = gen_synthetic(n, draw(st.integers(d, 3 * d)), d, r,
                          draw(st.floats(0.3, 0.9)), seed)
     params = SolverParams(alpha=draw(st.floats(0.1, 10.0)),
@@ -81,3 +91,31 @@ def test_inexact_steps_track_the_mean_within_their_tolerances(run):
         eps_k = epsilon_schedule(params.eps0, params.rho, k)
         assert stack.mu_sq.shape == (W.n,)
         assert np.all(stack.mu_sq <= eps_k)
+
+
+@PROPERTY
+@given(st.integers(3, 9), seeds, st.integers(0, 6),
+       st.sampled_from([(), (5,), (6, 3), (2, 3, 4)]), st.data())
+def test_mix_preserves_the_block_mean(n, seed, t, trailing, data):
+    W = metropolis_weights(data.draw(graphs(n, seed)))
+    X = np.random.default_rng(seed).standard_normal((n,) + trailing)
+    gap = mix(W, t, X).mean(axis=0) - X.mean(axis=0)
+    assert np.abs(gap).max() <= 1e-12 * (1.0 + np.abs(X).max())
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(0, 6), st.floats(1e-3, 1e3), seeds)
+def test_tube_distance_is_the_distance_to_the_projection(r, extra, scale,
+                                                         seed):
+    d = r + extra
+    M = scale * np.random.default_rng(seed).standard_normal((d, r))
+    tube = tube_distance(M)
+    tol = 1e-12 * (1.0 + np.linalg.norm(M))
+    x = project_stiefel(M).mat
+    assert abs(tube - np.linalg.norm(M - x)) <= tol
+    # A one-agent stack whose step kept the singular values of M = x + d.
+    x = x[None]
+    stack = AgentStack(s=x, x=x, y=x, z=x, d=M - x,
+                       z_sv=np.linalg.svd(M, compute_uv=False)[None])
+    report = neighborhood_report(stack, manifold_constants(d, r), None, 1)
+    assert abs(report.max_tube - tube) <= tol

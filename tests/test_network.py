@@ -9,10 +9,8 @@ from ddrs.network import (
     gen_complete,
     gen_erdos_renyi,
     gen_ring,
-    load_edgelist,
     metropolis_weights,
     mix,
-    save_edgelist,
     second_singular,
 )
 
@@ -57,20 +55,6 @@ class TestGraphs:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             Graph(3, frozenset([(0, 0), (0, 1), (1, 2)]))
-
-    def test_edgelist_round_trip(self, tmp_path):
-        g = gen_erdos_renyi(7, 0.5, seed=11)
-        path = tmp_path / "graph.txt"
-        save_edgelist(g, path)
-        h = load_edgelist(path)
-        assert h.n == g.n and h.edges == g.edges
-
-    def test_edgelist_format(self, tmp_path):
-        path = tmp_path / "ring.txt"
-        save_edgelist(gen_ring(3), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "3"
-        assert lines[1:] == ["0 1", "0 2", "1 2"]
 
 
 def _assumption_holds(W, graph, tol=1e-12):

@@ -25,7 +25,9 @@ from ddrs.problems import (
 from helpers import (
     finite_difference_egrad,
     gen_synthetic_full,
+    idx_bytes,
     load_matrix,
+    pixel_like_images,
     prox_by_gradient_descent,
     prox_with_injected_residual,
     random_stiefel_mat,
@@ -556,13 +558,8 @@ class TestSyntheticTruncation:
         assert peak < 1.6 * block_bytes
 
 
-def _idx_bytes(magic, dims, payload):
-    header = struct.pack(">I", magic) + b"".join(struct.pack(">i", d) for d in dims)
-    return header + bytes(payload)
-
-
 class TestIdxLoader:
-    FIXTURE = _idx_bytes(0x00000803, (2, 2, 2), [0, 255, 0, 255, 255, 0, 255, 0])
+    FIXTURE = idx_bytes(0x00000803, (2, 2, 2), [0, 255, 0, 255, 255, 0, 255, 0])
 
     def test_fixture_decodes_bit_exactly(self, tmp_path):
         path = tmp_path / "images.idx"
@@ -580,13 +577,13 @@ class TestIdxLoader:
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "labels.idx"
-        path.write_bytes(_idx_bytes(0x00000801, (2, 2, 2), [0] * 8))
+        path.write_bytes(idx_bytes(0x00000801, (2, 2, 2), [0] * 8))
         with pytest.raises(BadMagicError):
             load_idx(path)
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.idx"
-        path.write_bytes(_idx_bytes(0x00000803, (3, 2, 2), [0] * 8))
+        path.write_bytes(idx_bytes(0x00000803, (3, 2, 2), [0] * 8))
         with pytest.raises(TruncatedFileError):
             load_idx(path)
 
@@ -598,13 +595,13 @@ class TestIdxLoader:
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "long.idx"
-        path.write_bytes(_idx_bytes(0x00000803, (1, 2, 2), [0] * 6))
+        path.write_bytes(idx_bytes(0x00000803, (1, 2, 2), [0] * 6))
         with pytest.raises(DimMismatchError):
             load_idx(path)
 
     def test_nonpositive_dims(self, tmp_path):
         path = tmp_path / "bad.idx"
-        path.write_bytes(_idx_bytes(0x00000803, (0, 2, 2), []))
+        path.write_bytes(idx_bytes(0x00000803, (0, 2, 2), []))
         with pytest.raises(DimMismatchError):
             load_idx(path)
 
@@ -632,6 +629,28 @@ class TestNormalizeAndSplit:
         b = normalize_and_split(raw, 3, seed=9)
         for x, y in zip(a.blocks, b.blocks):
             assert np.array_equal(x, y)
+
+    def test_blocks_match_the_full_copy_split_within_the_input_size(
+            self, tmp_path):
+        images = pixel_like_images(6000, 28, 28, seed=5)
+        path = tmp_path / "images.idx"
+        path.write_bytes(idx_bytes(0x00000803, images.shape, images.ravel()))
+        matrix = load_idx(path)
+        assert matrix.dtype == np.float64
+        tracemalloc.start()
+        try:
+            ds = normalize_and_split(matrix, 8, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The split as one full-size scaled copy, shuffled into another.
+        X = matrix / 255.0
+        X = X[np.random.default_rng(3).permutation(X.shape[0])]
+        m = X.shape[0] // 8
+        for i, block in enumerate(ds.blocks):
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, X[i * m:(i + 1) * m])
+        assert peak < 1.2 * matrix.nbytes
 
 
 class TestMatrixIO:

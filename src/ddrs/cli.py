@@ -108,24 +108,24 @@ def build_parser():
                     "on the Stiefel manifold.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--config", help="path to a key=value config file")
+    source.add_argument("--preset", help="named preset (overridden by --config keys)")
 
-    run_p = sub.add_parser("run", help="execute a configured experiment")
-    run_p.add_argument("--config", help="path to a key=value config file")
-    run_p.add_argument("--preset", help="named preset (overridden by --config keys)")
+    run_p = sub.add_parser("run", parents=[source],
+                           help="execute a configured experiment")
     run_p.add_argument("--out", help="records output path")
     run_p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     run_p.add_argument("--emit-plotdata", action="store_true",
                        help="also write per-metric two-column files")
     run_p.set_defaults(func=_cmd_run)
 
-    advise_p = sub.add_parser("advise", help="print certified parameters")
-    advise_p.add_argument("--config", help="path to a key=value config file")
-    advise_p.add_argument("--preset", help="named preset")
+    advise_p = sub.add_parser("advise", parents=[source],
+                              help="print certified parameters")
     advise_p.set_defaults(func=_cmd_advise)
 
-    vg_p = sub.add_parser("validate-graph", help="print mixing-matrix checks")
-    vg_p.add_argument("--config", help="path to a key=value config file")
-    vg_p.add_argument("--preset", help="named preset")
+    vg_p = sub.add_parser("validate-graph", parents=[source],
+                          help="print mixing-matrix checks")
     vg_p.set_defaults(func=_cmd_validate_graph)
     return parser
 

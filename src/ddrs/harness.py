@@ -39,7 +39,6 @@ from .metrics import (
     dre_value,
     induced_mean,
     neighborhood_report,
-    objective_at_mean,
     rate_fit,
 )
 from .network import (
@@ -73,62 +72,37 @@ class ConfigTypeError(ConfigError):
     pass
 
 
-# key -> (converter name, default); None default means "unset".
-_SCHEMA = {
-    "problem.kind": ("str", None),
-    "problem.n": ("int", 8),
-    "problem.m_per": ("int", 1000),
-    "problem.d": ("int", 10),
-    "problem.r": ("int", 5),
-    "problem.xi": ("float", 0.8),
-    "problem.seed": ("int", None),
-    "problem.path": ("str", None),
-    "graph.kind": ("str", None),
-    "graph.p": ("float", None),
-    "graph.seed": ("int", None),
-    "algorithm.kind": ("str", None),
-    "algorithm.eps0": ("float", 1e-6),
-    "algorithm.rho": ("float", 0.9),
-    "alpha": ("float", None),
-    "beta_hat": ("float", None),
-    "t": ("int", 1),
-    "max_iters": ("int", 500),
-    "log_every": ("int", 1),
-    "out": ("str", None),
-    "master_seed": ("int", 0),
-}
-
-_CONVERTERS = {"str": str, "int": int, "float": float}
-
 _PROBLEM_KINDS = ("synthetic", "mnist")
 _GRAPH_KINDS = ("ring", "erdos_renyi", "complete")
 _ALGO_KINDS = ("ddrs", "iddrs", "baseline_gt")
 
 
+# The config dataclasses are the schema: each leaf field is the key named by
+# its dotted path, converted with its type; a None default means "unset".
 @dataclass(frozen=True)
 class ProblemConfig:
-    kind: str
-    n: int
-    m_per: int
-    d: int
-    r: int
-    xi: float
-    seed: int
-    path: str
+    kind: str = None
+    n: int = 8
+    m_per: int = 1000
+    d: int = 10
+    r: int = 5
+    xi: float = 0.8
+    seed: int = None
+    path: str = None
 
 
 @dataclass(frozen=True)
 class GraphConfig:
-    kind: str
-    p: float
-    seed: int
+    kind: str = None
+    p: float = None
+    seed: int = None
 
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
-    kind: str
-    eps0: float
-    rho: float
+    kind: str = None
+    eps0: float = 1e-6
+    rho: float = 0.9
 
 
 @dataclass(frozen=True)
@@ -138,16 +112,29 @@ class ExperimentConfig:
     problem: ProblemConfig
     graph: GraphConfig
     algorithm: AlgorithmConfig
-    alpha: float
-    beta_hat: float
-    t: int
-    max_iters: int
-    log_every: int
-    out: str
-    master_seed: int
+    alpha: float = None
+    beta_hat: float = None
+    t: int = 1
+    max_iters: int = 500
+    log_every: int = 1
+    out: str = None
+    master_seed: int = 0
 
     def to_dict(self):
         return asdict(self)
+
+
+def _leaf_fields(cls, prefix=""):
+    """``(dotted key, field)`` for every leaf field of a config dataclass."""
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            yield from _leaf_fields(f.type, f.name + ".")
+        else:
+            yield prefix + f.name, f
+
+
+# dotted key -> the leaf field that declares its type and default.
+_KEYS = dict(_leaf_fields(ExperimentConfig))
 
 
 def parse_config(text):
@@ -169,103 +156,89 @@ def parse_config(text):
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise UnknownKeyError("line %d: unknown key %r" % (lineno, key))
-        conv_name, _ = _SCHEMA[key]
+        convert = _KEYS[key].type
         try:
-            values[key] = _CONVERTERS[conv_name](val)
+            values[key] = convert(val)
         except ValueError:
-            raise ConfigTypeError(
-                "line %d: key %r expects %s, got %r" % (lineno, key, conv_name, val)
-            ) from None
-    return _validate(values)
-
-
-def _get(values, key):
-    got = values.get(key)
-    if got is None:
-        return _SCHEMA[key][1]
-    return got
-
-
-def _validate(values):
-    pk = _get(values, "problem.kind")
-    if pk is None:
-        raise MissingRequiredError("problem.kind is required")
-    if pk not in _PROBLEM_KINDS:
-        raise ConfigTypeError("problem.kind must be one of %s" % (_PROBLEM_KINDS,))
-    gk = _get(values, "graph.kind")
-    if gk is None:
-        raise MissingRequiredError("graph.kind is required")
-    if gk not in _GRAPH_KINDS:
-        raise ConfigTypeError("graph.kind must be one of %s" % (_GRAPH_KINDS,))
-    ak = _get(values, "algorithm.kind")
-    if ak is None:
-        raise MissingRequiredError("algorithm.kind is required")
-    if ak not in _ALGO_KINDS:
-        raise ConfigTypeError("algorithm.kind must be one of %s" % (_ALGO_KINDS,))
-
-    if pk == "mnist" and _get(values, "problem.path") is None:
-        raise MissingRequiredError("problem.path is required for mnist")
-    if gk == "erdos_renyi":
-        p = _get(values, "graph.p")
-        if p is None:
-            raise MissingRequiredError("graph.p is required for erdos_renyi")
-        if not (0.0 < p <= 1.0):
-            raise ConfigTypeError("graph.p must lie in (0, 1], got %r" % (p,))
-
-    alpha = _get(values, "alpha")
-    beta = _get(values, "beta_hat")
-    if alpha is None and beta is None:
-        raise MissingRequiredError("exactly one of alpha / beta_hat is required")
-    if alpha is not None and beta is not None:
-        raise MissingRequiredError(
-            "alpha and beta_hat are both set; exactly one is allowed"
-        )
-    for key, value in (("alpha", alpha), ("beta_hat", beta)):
-        if value is not None and not value > 0:
-            raise ConfigTypeError("%s must be > 0, got %r" % (key, value))
-    for key in ("master_seed", "problem.seed", "graph.seed"):
-        seed = _get(values, key)
-        if seed is not None and seed < 0:
-            raise ConfigTypeError("%s must be >= 0, got %d" % (key, seed))
-
-    xi = _get(values, "problem.xi")
-    if not (0.0 < xi < 1.0):
-        raise ConfigTypeError("problem.xi must lie in (0, 1), got %r" % (xi,))
-    for key in ("t", "max_iters", "log_every", "problem.r"):
-        if _get(values, key) < 1:
-            raise ConfigTypeError("%s must be >= 1" % key)
-    n = _get(values, "problem.n")
-    if n < 2:
-        raise ConfigTypeError("problem.n must be >= 2 (a network needs two "
-                              "agents), got %d" % n)
-    if pk == "synthetic":
-        # An IDX file fixes d for mnist runs; build_run checks r against it.
-        d, r = _get(values, "problem.d"), _get(values, "problem.r")
-        m_per = _get(values, "problem.m_per")
-        if r > d:
-            raise ConfigTypeError("problem.r = %d exceeds problem.d = %d"
-                                  % (r, d))
-        if n * m_per < d:
-            raise ConfigTypeError(
-                "problem.n * problem.m_per = %d is below problem.d = %d"
-                % (n * m_per, d))
-    rho = _get(values, "algorithm.rho")
-    if not (0.0 < rho < 1.0):
-        raise ConfigTypeError("algorithm.rho must lie in (0, 1), got %r" % (rho,))
-    if _get(values, "algorithm.eps0") < 0:
-        raise ConfigTypeError("algorithm.eps0 must be >= 0")
-
-    return _from_keys(ExperimentConfig, values)
+            raise ConfigTypeError("line %d: key %r expects %s, got %r"
+                                  % (lineno, key, convert.__name__, val)) from None
+    config = _from_keys(ExperimentConfig, values)
+    _validate(config)
+    return config
 
 
 def _from_keys(cls, values, prefix=""):
     """A config dataclass whose fields read the keys ``prefix + name``."""
     return cls(**{
         f.name: (_from_keys(f.type, values, f.name + ".") if is_dataclass(f.type)
-                 else _get(values, prefix + f.name))
+                 else values.get(prefix + f.name, f.default))
         for f in fields(cls)})
+
+
+def _at(config, key):
+    """The value of a dotted key in a built config."""
+    for name in key.split("."):
+        config = getattr(config, name)
+    return config
+
+
+def _validate(config):
+    p, g, a = config.problem, config.graph, config.algorithm
+    for key, kinds in (("problem.kind", _PROBLEM_KINDS),
+                       ("graph.kind", _GRAPH_KINDS),
+                       ("algorithm.kind", _ALGO_KINDS)):
+        kind = _at(config, key)
+        if kind is None:
+            raise MissingRequiredError("%s is required" % key)
+        if kind not in kinds:
+            raise ConfigTypeError("%s must be one of %s" % (key, kinds))
+
+    if p.kind == "mnist" and p.path is None:
+        raise MissingRequiredError("problem.path is required for mnist")
+    if g.kind == "erdos_renyi":
+        if g.p is None:
+            raise MissingRequiredError("graph.p is required for erdos_renyi")
+        if not (0.0 < g.p <= 1.0):
+            raise ConfigTypeError("graph.p must lie in (0, 1], got %r" % (g.p,))
+
+    if config.alpha is None and config.beta_hat is None:
+        raise MissingRequiredError("exactly one of alpha / beta_hat is required")
+    if config.alpha is not None and config.beta_hat is not None:
+        raise MissingRequiredError(
+            "alpha and beta_hat are both set; exactly one is allowed"
+        )
+    for key in ("alpha", "beta_hat"):
+        value = _at(config, key)
+        if value is not None and not value > 0:
+            raise ConfigTypeError("%s must be > 0, got %r" % (key, value))
+    for key in ("master_seed", "problem.seed", "graph.seed"):
+        seed = _at(config, key)
+        if seed is not None and seed < 0:
+            raise ConfigTypeError("%s must be >= 0, got %d" % (key, seed))
+
+    if not (0.0 < p.xi < 1.0):
+        raise ConfigTypeError("problem.xi must lie in (0, 1), got %r" % (p.xi,))
+    for key in ("t", "max_iters", "log_every", "problem.r"):
+        if _at(config, key) < 1:
+            raise ConfigTypeError("%s must be >= 1" % key)
+    if p.n < 2:
+        raise ConfigTypeError("problem.n must be >= 2 (a network needs two "
+                              "agents), got %d" % p.n)
+    if p.kind == "synthetic":
+        # An IDX file fixes d for mnist runs; build_run checks r against it.
+        if p.r > p.d:
+            raise ConfigTypeError("problem.r = %d exceeds problem.d = %d"
+                                  % (p.r, p.d))
+        if p.n * p.m_per < p.d:
+            raise ConfigTypeError(
+                "problem.n * problem.m_per = %d is below problem.d = %d"
+                % (p.n * p.m_per, p.d))
+    if not (0.0 < a.rho < 1.0):
+        raise ConfigTypeError("algorithm.rho must lie in (0, 1), got %r" % (a.rho,))
+    if a.eps0 < 0:
+        raise ConfigTypeError("algorithm.eps0 must be >= 0")
 
 
 def _substream_seed(master_seed, index):
@@ -515,9 +488,8 @@ def _run(config):
     def make_record(k):
         # The point every record measures at, projected once.
         xbar = induced_mean(stack.x)
-        consensus_sq, stationarity_sq = consensus_and_stationarity(
+        consensus_sq, stationarity_sq, obj = consensus_and_stationarity(
             stack.x, xbar, problem)
-        obj = objective_at_mean(xbar, problem)
         dre = None
         if algo == "iddrs":
             dre = dre_value(stack.s, problem, alpha,

@@ -49,27 +49,27 @@ def induced_mean(x_blocks):
 
 def consensus_and_stationarity(x_blocks, xbar, problem):
     """
-    The two stationarity measures over the current iterates.
+    The two stationarity measures over the current iterates, and the
+    objective at their induced mean.
 
-    Returns ``(consensus_sq, stationarity_sq)``: the squared distance of the
-    stacked iterates ``x_blocks`` from their replicated induced mean
+    Returns ``(consensus_sq, stationarity_sq, obj)``: the squared distance
+    of the stacked iterates ``x_blocks`` from their replicated induced mean
     ``xbar`` (``induced_mean(x_blocks)``, which the caller computes once),
-    and the squared norm of the Riemannian gradient of the summed objective
-    at that mean.
+    the squared norm of the Riemannian gradient of the summed objective at
+    that mean, and the summed objective value there.  Each agent's value
+    and gradient at ``xbar`` come from one product with its Gram matrix.
     """
     xbar = _as_matrix(xbar)
     diff = np.asarray(x_blocks, dtype=float) - xbar
     consensus_sq = float(np.vdot(diff, diff))
     g = np.zeros_like(xbar)
+    obj = 0
     for inst in problem:
-        g += inst.egrad(xbar)
+        value, grad = inst.value_and_egrad(xbar)
+        g += grad
+        obj += value
     rg = _tangent_dir(xbar, g)
-    return consensus_sq, float(np.vdot(rg, rg))
-
-
-def objective_at_mean(xbar, problem):
-    """Summed objective value at the induced mean ``xbar`` of the iterates."""
-    return float(sum(inst.value(xbar) for inst in problem))
+    return consensus_sq, float(np.vdot(rg, rg)), float(obj)
 
 
 def dre_value(s_blocks, problem, alpha, x_blocks=None):

@@ -35,23 +35,6 @@ class DimMismatchError(ValueError):
     """IDX dimensions are inconsistent with the payload or the request."""
 
 
-# From this Gram dimension up a numerically singular Gram takes its largest
-# eigenvalue from Lanczos, below it every Gram takes the full dense spectrum.
-# Paired medians per Gram, dense / Lanczos branch (the Cholesky test plus
-# Lanczos), over the 8 agents' Grams of the synthetic data (m = 1000 rows,
-# xi = 0.8, 1 BLAS thread, 2-vCPU VM, 15 alternating repeats), with the pairs
-# the branch won, in two sets: d=96 0.35/0.52 ms (2/120), d=112 0.57/0.73
-# (1/120), d=128 0.50/0.46 and 0.72/0.84 (100 and 2/120), d=144 0.93/0.90
-# (98/120), d=160 0.74/0.48 and 1.09/0.90 (115 and 120/120), d=176 0.92/0.52
-# and 1.34/0.91 (120/120 twice), d=192 1.11/0.62 and 1.66/1.07 (119 and
-# 118/120), d=224 2.05/1.08, d=256 2.81/1.55, d=384 5.87/1.97, d=784
-# 49.4/10.2 (119/120 or more each).  From d=96 up those Grams are
-# numerically singular.  The branch would win from about d=160 on them, but
-# on singular Gaussian Grams (m = d/2) it is slower there: d=128 0.68/1.84
-# ms, d=160 1.08/2.63, d=192 1.69/3.00, d=784 52.2/43.5.  So the crossover
-# stays at 192.
-LANCZOS_MIN_DIM = 192
-
 # Lanczos steps after which a solve gives up and the dense spectrum is taken
 # instead, and the steps between two convergence tests.  Solves took 16 steps
 # on each synthetic d=784 Gram at xi = 0.8, 24, 48 and 96 at xi = 0.9, 0.99
@@ -115,22 +98,23 @@ def _extreme_eigenvalues(gram):
     """
     ``(lambda_min, lambda_max)`` of a symmetric PSD matrix, each at least 0.
 
-    From ``LANCZOS_MIN_DIM`` up, a Gram whose Cholesky factorization fails
-    is numerically singular: ``lambda_min`` is 0 and ``lambda_max`` comes
-    from Lanczos on the matrix (``_lanczos_top``).  Every other Gram, and
-    one whose Lanczos solve runs out of steps, takes both from the dense
-    spectrum.  Lanczos for the smallest eigenvalue does not converge on a
-    singular Gram, and on the inverse of a full-rank one it was slower than
-    the dense spectrum (d=784 Gaussian data: 56 against 45 ms).
+    A Gram whose Cholesky factorization fails is numerically singular:
+    ``lambda_min`` is 0 and ``lambda_max`` comes from Lanczos on the matrix
+    (``_lanczos_top``).  Every other Gram, and one whose Lanczos solve runs
+    out of steps, takes both from the dense spectrum.  Lanczos for the
+    smallest eigenvalue does not converge on a singular Gram, and on the
+    inverse of a full-rank one it was slower than the dense spectrum (d=784
+    Gaussian data: 56 against 45 ms).  The rule is the same at every width,
+    though below about d = 192 the dense spectrum alone is often the faster
+    on a singular Gram (singular Gaussian Grams at d=128: 1.84 against
+    0.68 ms); such a set-up takes a few milliseconds either way.
     """
-    d = gram.shape[0]
-    if d >= LANCZOS_MIN_DIM:
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
-            lam_max = _lanczos_top(gram)
-            if lam_max is not None:
-                return 0.0, max(lam_max, 0.0)
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        lam_max = _lanczos_top(gram)
+        if lam_max is not None:
+            return 0.0, max(lam_max, 0.0)
     evals = np.linalg.eigvalsh(gram)
     return float(max(evals[0], 0.0)), float(max(evals[-1], 0.0))
 
@@ -151,8 +135,8 @@ class DPCAInstance:
 
     Of the Gram's spectrum only the two extremes are kept: the largest
     eigenvalue, the shift, and the smallest, which ``smoothness`` subtracts
-    from it (``_extreme_eigenvalues``).  At MNIST width a Gram whose
-    Cholesky factorization fails is numerically singular, so its smallest
+    from it (``_extreme_eigenvalues``).  A Gram whose Cholesky
+    factorization fails is numerically singular, so its smallest
     eigenvalue is taken as 0 and its largest comes from a Lanczos solve:
     the dense spectrum returns a rounding-level smallest value there (about
     -2e-17 for the d=784 synthetic Grams, which have rank at most 324),
@@ -262,8 +246,8 @@ class DPCAInstance:
         tolerance (eps near the floating point floor), ``prox`` plus
         iterative refinement with the kept inverse is used; if even that
         misses eps, SolverStallError is raised.  Only those two paths build
-        the inverse of the prox system.  A non-finite s reaches ``prox``
-        either way and raises NonFiniteInputError.
+        the inverse of the prox system.  A non-finite s raises
+        NonFiniteInputError before any arithmetic, as in ``prox``.
 
         Returns
         -------
@@ -274,6 +258,8 @@ class DPCAInstance:
         if eps < 0:
             raise ValueError("tolerance must be >= 0, got %r" % (eps,))
         s = _as_matrix(s)
+        if not np.all(np.isfinite(s)):
+            raise NonFiniteInputError("prox input contains non-finite entries")
         if eps == 0.0:
             x = self.prox(alpha, s)
             return x, self.residual(alpha, s, x)
@@ -414,11 +400,12 @@ _IDX_IMAGE_MAGIC = 0x00000803
 
 def load_idx(path):
     """
-    Decode an IDX image file into a (count, rows*cols) float matrix.
+    Decode an IDX image file into a (count, rows*cols) ``uint8`` matrix.
 
     Layout: big-endian magic 0x00000803, then three big-endian int32 sizes
     (count, rows, cols), then unsigned bytes row-major.  Each image becomes
-    one flattened row; pixel values stay in 0..255.
+    one flattened row; pixel values stay in 0..255.  The matrix is a
+    read-only view of the file's bytes, so loading makes no float copy.
     """
     data = Path(path).read_bytes()
     if len(data) < 4:
@@ -442,7 +429,7 @@ def load_idx(path):
     if have > need:
         raise DimMismatchError("%d trailing bytes after declared payload" % (have - need))
     arr = np.frombuffer(data, dtype=np.uint8, count=need, offset=16)
-    return arr.reshape(count, rows * cols).astype(float)
+    return arr.reshape(count, rows * cols)
 
 
 def normalize_and_split(matrix, n, seed):
@@ -450,9 +437,10 @@ def normalize_and_split(matrix, n, seed):
     Scale pixel rows into [0, 1], shuffle them, split into n equal blocks.
 
     Rows beyond the largest multiple of n are dropped.  Each block is
-    scaled from its own rows, so a float matrix is not copied whole.
+    scaled from its own rows into a new float array, so the input, which
+    may be ``load_idx``'s ``uint8`` matrix, is never copied whole.
     """
-    X = np.asarray(matrix, dtype=float)
+    X = np.asarray(matrix)
     m = X.shape[0] // n
     if m == 0:
         raise DimMismatchError("cannot split %d rows into %d blocks" % (X.shape[0], n))

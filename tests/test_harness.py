@@ -28,7 +28,7 @@ from ddrs.harness import (
     write_records,
 )
 from ddrs.manifold import RankDeficientError
-from ddrs.problems import LANCZOS_MIN_DIM, DPCAInstance, SolverStallError
+from ddrs.problems import DPCAInstance, SolverStallError
 from ddrs.metrics import (
     RECORD_FIELDS,
     VIOLATION_KINDS,
@@ -64,6 +64,84 @@ t = 2
 max_iters = 30
 master_seed = 3
 """
+
+
+# Every config key with its type and default (None: unset), as the schema
+# table listed them before the config dataclasses became the only schema.
+CONFIG_TABLE = {
+    "problem.kind": (str, None),
+    "problem.n": (int, 8),
+    "problem.m_per": (int, 1000),
+    "problem.d": (int, 10),
+    "problem.r": (int, 5),
+    "problem.xi": (float, 0.8),
+    "problem.seed": (int, None),
+    "problem.path": (str, None),
+    "graph.kind": (str, None),
+    "graph.p": (float, None),
+    "graph.seed": (int, None),
+    "algorithm.kind": (str, None),
+    "algorithm.eps0": (float, 1e-6),
+    "algorithm.rho": (float, 0.9),
+    "alpha": (float, None),
+    "beta_hat": (float, None),
+    "t": (int, 1),
+    "max_iters": (int, 500),
+    "log_every": (int, 1),
+    "out": (str, None),
+    "master_seed": (int, 0),
+}
+
+# key -> (text of a valid value, the value it parses to)
+ROUND_TRIPS = {
+    "problem.kind": ("synthetic", "synthetic"),
+    "problem.n": ("3", 3),
+    "problem.m_per": ("7", 7),
+    "problem.d": ("12", 12),
+    "problem.r": ("4", 4),
+    "problem.xi": ("0.25", 0.25),
+    "problem.seed": ("11", 11),
+    "problem.path": ("images.idx", "images.idx"),
+    "graph.kind": ("complete", "complete"),
+    "graph.p": ("0.5", 0.5),
+    "graph.seed": ("13", 13),
+    "algorithm.kind": ("iddrs", "iddrs"),
+    "algorithm.eps0": ("1e-3", 1e-3),
+    "algorithm.rho": ("0.5", 0.5),
+    "alpha": ("2.5", 2.5),
+    "beta_hat": ("6500", 6500.0),
+    "t": ("3", 3),
+    "max_iters": ("9", 9),
+    "log_every": ("2", 2),
+    "out": ("runs/x.csv", "runs/x.csv"),
+    "master_seed": ("21", 21),
+}
+
+
+class TestConfigTable:
+    def test_the_dataclasses_declare_each_key_type_and_default(self):
+        derived = {key: (f.type, f.default) for key, f in harness._KEYS.items()}
+        assert derived == CONFIG_TABLE
+
+    def test_unset_keys_take_their_defaults(self):
+        cfg = parse_config(MINIMAL)
+        set_keys = {"problem.kind", "graph.kind", "algorithm.kind", "alpha"}
+        for key, (_, default) in CONFIG_TABLE.items():
+            if key not in set_keys:
+                assert harness._at(cfg, key) == default, key
+
+    @pytest.mark.parametrize("key", sorted(ROUND_TRIPS))
+    def test_round_trip(self, key):
+        text, value = ROUND_TRIPS[key]
+        base = MINIMAL.replace("alpha = 1.0", "") if key == "beta_hat" else MINIMAL
+        got = harness._at(parse_config(base + "%s = %s\n" % (key, text)), key)
+        assert got == value and type(got) is CONFIG_TABLE[key][0]
+        if CONFIG_TABLE[key][0] is not str:
+            name = CONFIG_TABLE[key][0].__name__
+            with pytest.raises(ConfigTypeError) as exc:
+                parse_config(MINIMAL + "%s = many\n" % key)
+            assert str(exc.value) == ("line 6: key %r expects %s, got 'many'"
+                                      % (key, name))
 
 
 class TestParseConfig:
@@ -655,9 +733,11 @@ class TestCli:
                                                           capsys):
         wide = "problem.d = 784\nmax_iters = 2\nlog_every = 1\n"
         setup = harness.build_run(preset("synthetic-er06", wide))
-        assert setup.dataset.dim >= LANCZOS_MIN_DIM
         Ls = []
         for inst in setup.problem:
+            # Singular, so the set-up took its extremes from Lanczos.
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(inst.gram)
             evals = np.linalg.eigvalsh(inst.gram)
             assert abs(inst.shift - evals[-1]) <= 1e-14 * evals[-1]
             L = evals[-1] - max(evals[0], 0.0)
@@ -719,8 +799,8 @@ def test_importing_the_package_loads_no_scipy_linalg():
 
 
 def test_a_wide_iddrs_run_builds_no_inverse_and_loads_no_scipy_linalg():
-    # From LANCZOS_MIN_DIM up the set-up runs Lanczos on each Gram, and the
-    # records' envelope takes CG proxes: only an exact prox needs scipy.
+    # The set-up runs Lanczos on each singular Gram, and the records'
+    # envelope takes CG proxes: only an exact prox needs scipy.
     out = _run_python("""
         import sys
         import ddrs.problems as problems
@@ -739,7 +819,7 @@ def test_a_wide_iddrs_run_builds_no_inverse_and_loads_no_scipy_linalg():
               sum(inst._inverse is not None for inst in made),
               %s)
     """ % ("problem.d = %d\nalgorithm.kind = iddrs\nmax_iters = 6\n"
-           "log_every = 3\n" % (LANCZOS_MIN_DIM + 8), _SCIPY_LOADED))
+           "log_every = 3\n" % 200, _SCIPY_LOADED))
     assert out == ["ok", "3", "8", "0", "False"]
 
 

@@ -12,6 +12,7 @@ from ddrs.manifold import (
     StiefelPoint,
     manifold_constants,
     project_stiefel,
+    tangent_project,
 )
 from ddrs.metrics import (
     IterationRecord,
@@ -19,7 +20,6 @@ from ddrs.metrics import (
     dre_value,
     induced_mean,
     neighborhood_report,
-    objective_at_mean,
     rate_fit,
     tracking_residual,
 )
@@ -40,13 +40,15 @@ class TestConsensusAndStationarity:
         problem = small_dataset.instances()
         W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
         st, _ = _consensus_stack(problem, W, rng, 6, 2)
-        consensus_sq, _ = consensus_and_stationarity(st.x, induced_mean(st.x), problem)
+        consensus_sq, _, _ = consensus_and_stationarity(st.x, induced_mean(st.x),
+                                                     problem)
         assert consensus_sq <= 1e-28
 
     def test_ground_truth_stationary(self, small_dataset):
         problem = small_dataset.instances()
         x = np.stack([small_dataset.ground_truth.mat] * 4)
-        _, stationarity_sq = consensus_and_stationarity(x, induced_mean(x), problem)
+        _, stationarity_sq, _ = consensus_and_stationarity(x, induced_mean(x),
+                                                         problem)
         assert stationarity_sq <= 1e-16
 
     def test_antipodal_mean_collapses(self, rng):
@@ -60,7 +62,8 @@ class TestConsensusAndStationarity:
     def test_accepts_raw_blocks(self, rng, small_dataset):
         problem = small_dataset.instances()
         blocks = np.stack([random_stiefel_mat(rng, 6, 2) for _ in range(4)])
-        c, g = consensus_and_stationarity(blocks, induced_mean(blocks), problem)
+        c, g, _ = consensus_and_stationarity(blocks, induced_mean(blocks),
+                                            problem)
         assert c >= 0.0 and g >= 0.0
 
 
@@ -247,8 +250,25 @@ class TestObjectiveAtMean:
         problem = small_dataset.instances()
         x = random_stiefel_mat(rng, 6, 2)
         stacked = np.stack([x] * 4)
-        val = objective_at_mean(induced_mean(stacked), problem)
+        _, _, val = consensus_and_stationarity(stacked, induced_mean(stacked),
+                                               problem)
         assert abs(val - sum(inst.value(x) for inst in problem)) < 1e-12
+
+    def test_bitwise_equal_to_separate_value_and_egrad_sums(self, rng,
+                                                            small_dataset):
+        # One value_and_egrad per agent gives the same floats, in the same
+        # summation order, as summing egrad and value separately.
+        problem = small_dataset.instances()
+        blocks = np.stack([random_stiefel_mat(rng, 6, 2) for _ in range(4)])
+        xbar = induced_mean(blocks)
+        _, stationarity_sq, obj = consensus_and_stationarity(blocks, xbar,
+                                                             problem)
+        g = np.zeros_like(xbar.mat)
+        for inst in problem:
+            g += inst.egrad(xbar)
+        rg = tangent_project(xbar, g)
+        assert stationarity_sq == float(np.vdot(rg, rg))
+        assert obj == float(sum(inst.value(xbar) for inst in problem))
 
 
 class TestRateFit:

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 import ddrs.problems as problems
 from ddrs.manifold import StiefelPoint
 from ddrs.problems import (
-    LANCZOS_MIN_DIM,
     BadMagicError,
     DPCAInstance,
     DimMismatchError,
@@ -82,7 +82,7 @@ class TestGradient:
 
 class TestValueAndGradient:
     @pytest.mark.parametrize("m, d, r", [(6, 4, 2), (1000, 10, 5),
-                                         (50, LANCZOS_MIN_DIM + 8, 3)])
+                                         (50, 200, 3)])
     def test_equal_to_value_and_egrad_bitwise(self, rng, m, d, r):
         inst = DPCAInstance(rng.standard_normal((m, d)))
         for x in (random_stiefel_mat(rng, d, r), rng.standard_normal((d, r))):
@@ -213,8 +213,16 @@ class TestProx:
         s = np.array([[1.0], [np.inf], [0.0]])
         with pytest.raises(NonFiniteInputError, match="non-finite"):
             inst.prox(0.5, s)
-        with pytest.raises(NonFiniteInputError, match="non-finite"):
-            inst.prox_inexact(0.5, s, 1e-8)
+        with warnings.catch_warnings():
+            # Rejected before any arithmetic: the NaN or inf never meets a
+            # product that would warn.
+            warnings.simplefilter("error", RuntimeWarning)
+            for nonfinite in (np.inf, np.nan):
+                s[1, 0] = nonfinite
+                with pytest.raises(NonFiniteInputError, match="non-finite"):
+                    inst.prox_inexact(0.5, s, 1e-8)
+                with pytest.raises(NonFiniteInputError, match="non-finite"):
+                    inst.prox_inexact(0.5, s, 1e-8, x0=np.zeros((3, 1)))
         assert issubclass(NonFiniteInputError, ValueError)
 
     @pytest.mark.parametrize("alpha_L", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
@@ -355,8 +363,12 @@ def _assert_extremes_match_the_dense_spectrum(A):
     evals = np.linalg.eigvalsh(inst.gram)
     ref_shift = max(evals[-1], 0.0)
     ref_L = ref_shift - max(evals[0], 0.0)
-    if inst.dim < LANCZOS_MIN_DIM:
-        # Below the crossover both come from the dense spectrum, bit for bit.
+    try:
+        np.linalg.cholesky(inst.gram)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        # A Gram that factors takes both from the dense spectrum, bit for bit.
         assert (inst.shift, inst.smoothness()) == (ref_shift, ref_L)
     assert abs(inst.shift - ref_shift) <= 1e-14 * ref_shift
     assert abs(inst.smoothness() - ref_L) <= 1e-12 * ref_shift
@@ -365,7 +377,7 @@ def _assert_extremes_match_the_dense_spectrum(A):
 class TestExtremeEigenvalues:
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(st.integers(1, 40),
-                     st.integers(LANCZOS_MIN_DIM - 8, LANCZOS_MIN_DIM + 64)),
+                     st.integers(184, 256)),
            st.sampled_from(["gaussian", "synthetic"]),
            st.booleans(), st.integers(0, 2 ** 32 - 1), st.data())
     def test_matches_the_dense_spectrum(self, d, kind, fewer_rows, seed, data):
@@ -382,7 +394,7 @@ class TestExtremeEigenvalues:
             A = gen_synthetic(2, max(m, (d + 1) // 2), d, 1, xi, seed).blocks[0][:m]
         _assert_extremes_match_the_dense_spectrum(A)
 
-    @pytest.mark.parametrize("d", [1, 2, 3, LANCZOS_MIN_DIM + 8])
+    @pytest.mark.parametrize("d", [1, 2, 3, 200])
     def test_zero_block(self, d):
         assert _extreme_eigenvalues(np.zeros((d, d))) == (0.0, 0.0)
         inst = DPCAInstance(np.zeros((4, d)))
@@ -397,7 +409,7 @@ class TestExtremeEigenvalues:
         # The data are symmetric in columns 0 and 1 except for one row along
         # e0 - e1, which carries the largest eigenvalue, so ones(d) has no
         # component along the top eigenvector.
-        d = LANCZOS_MIN_DIM + 8
+        d = 200
         R = np.random.default_rng(5).standard_normal((50, d))
         R[:, 1] = R[:, 0]
         top = np.zeros(d)
@@ -408,26 +420,33 @@ class TestExtremeEigenvalues:
         _assert_extremes_match_the_dense_spectrum(A)
 
     def test_a_full_rank_gram_takes_the_dense_spectrum(self):
-        A = np.random.default_rng(1).standard_normal((3 * LANCZOS_MIN_DIM,
-                                                      LANCZOS_MIN_DIM))
+        A = np.random.default_rng(1).standard_normal((576, 192))
         gram = A.T @ A
         evals = np.linalg.eigvalsh(gram)
         assert evals[0] > 0
         assert _extreme_eigenvalues(gram) == (evals[0], evals[-1])
 
     def test_a_singular_gram_has_smallest_eigenvalue_zero(self):
-        A = np.random.default_rng(1).standard_normal((LANCZOS_MIN_DIM // 2,
-                                                      LANCZOS_MIN_DIM))
+        A = np.random.default_rng(1).standard_normal((96, 192))
         lam_min, lam_max = _extreme_eigenvalues(A.T @ A)
         assert lam_min == 0.0
         assert lam_max == pytest.approx(np.linalg.eigvalsh(A.T @ A)[-1],
                                         rel=1e-14)
 
+    @pytest.mark.parametrize("m, d", [(1, 2), (3, 10), (20, 64)])
+    def test_a_singular_gram_takes_lanczos_at_any_width(self, m, d):
+        # Every Gram takes the Cholesky test; one that fails gets its largest
+        # eigenvalue from Lanczos and its smallest as exactly 0.
+        gram = np.random.default_rng(d).standard_normal((m, d))
+        gram = gram.T @ gram
+        top = problems._lanczos_top(gram)
+        assert top == pytest.approx(np.linalg.eigvalsh(gram)[-1], rel=1e-14)
+        assert _extreme_eigenvalues(gram) == (0.0, top)
+
     def test_a_solve_out_of_steps_takes_the_dense_spectrum(self,
                                                           monkeypatch):
         # A singular Gaussian Gram's clustered top needs dozens of steps.
-        A = np.random.default_rng(1).standard_normal((LANCZOS_MIN_DIM // 2,
-                                                      LANCZOS_MIN_DIM))
+        A = np.random.default_rng(1).standard_normal((96, 192))
         gram = A.T @ A
         evals = np.linalg.eigvalsh(gram)
         assert problems._lanczos_top(gram) == pytest.approx(evals[-1],
@@ -441,7 +460,7 @@ class TestExtremeEigenvalues:
     def test_a_low_rank_gram_ends_lanczos_early(self, rank):
         # The Krylov space holds the whole range after rank + 1 steps; the
         # next basis vector is rounding, and the top Ritz value is exact.
-        d = LANCZOS_MIN_DIM + 8
+        d = 200
         A = np.random.default_rng(rank).standard_normal((rank, d))
         gram = A.T @ A
         top = np.linalg.eigvalsh(gram)[-1]
@@ -635,22 +654,23 @@ class TestNormalizeAndSplit:
         images = pixel_like_images(6000, 28, 28, seed=5)
         path = tmp_path / "images.idx"
         path.write_bytes(idx_bytes(0x00000803, images.shape, images.ravel()))
-        matrix = load_idx(path)
-        assert matrix.dtype == np.float64
         tracemalloc.start()
         try:
+            matrix = load_idx(path)
             ds = normalize_and_split(matrix, 8, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert matrix.dtype == np.uint8
         # The split as one full-size scaled copy, shuffled into another.
-        X = matrix / 255.0
+        X = matrix.astype(float) / 255.0
         X = X[np.random.default_rng(3).permutation(X.shape[0])]
         m = X.shape[0] // 8
         for i, block in enumerate(ds.blocks):
             assert block.flags.c_contiguous
             assert np.array_equal(block, X[i * m:(i + 1) * m])
-        assert peak < 1.2 * matrix.nbytes
+        # Loading keeps the file's bytes, not a float copy of them.
+        assert peak < 1.2 * sum(block.nbytes for block in ds.blocks)
 
 
 class TestMatrixIO:

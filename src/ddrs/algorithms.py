@@ -166,9 +166,13 @@ def iddrs_step(stack, problem, W, params, k):
     One splitting iteration with certified-inexact prox.
 
     The prox tolerance is ``epsilon_schedule(params.eps0, params.rho, k)``;
-    each agent's realized squared residual is recorded in ``mu_sq``.  The
-    agents' conjugate-gradient solves run through ``map_agents``, so at
-    MNIST width they overlap on the per-agent pool.
+    each agent's realized squared residual is recorded in ``mu_sq``.  Each
+    agent's conjugate-gradient solve starts from its previous prox output
+    ``stack.x[i]``: the paper's certificate ``||mu_i||^2 <= eps_k`` leaves
+    the start free, and the last prox is far closer to the next than
+    ``s`` is.  At the start ``x = s``, so the first step is the same as
+    a solve started from ``s``.  The solves run through ``map_agents``, so
+    at MNIST width they overlap on the per-agent pool.
     """
     eps_k = epsilon_schedule(params.eps0, params.rho, k)
     if k == 0:
@@ -180,13 +184,14 @@ def iddrs_step(stack, problem, W, params, k):
                 ConfigurationWarning,
             )
 
-    def prox_one(inst, s):
-        x, mu = inst.prox_inexact(params.alpha, s, eps_k)
+    def prox_one(inst, s, x_prev):
+        x, mu = inst.prox_inexact(params.alpha, s, eps_k, x0=x_prev)
         # The same vdot prox_inexact certified against eps_k.
         return x, float(np.vdot(mu, mu))
 
     def prox_blocks(s_new):
-        pairs = map_agents(prox_one, problem, s_new, dim=s_new.shape[1])
+        pairs = map_agents(prox_one, problem, s_new, stack.x,
+                           dim=s_new.shape[1])
         return (np.stack([x for x, _ in pairs]),
                 np.asarray([mu_sq for _, mu_sq in pairs]))
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .manifold import StiefelPoint, _as_matrix
 
@@ -240,7 +241,8 @@ class DPCAInstance:
         Conjugate-gradient prox solve stopped at squared residual <= eps.
 
         Warm-started from ``x0``, or from s when it is None: an iDDRS
-        record starts its envelope's solves from the step's x.  Each CG
+        step starts each agent's solve from that agent's previous x, and
+        its record's envelope starts from the step's x.  Each CG
         iteration makes one product with the Gram matrix.  ``eps == 0``
         takes the exact path, ``prox``.  When CG cannot certify the
         tolerance (eps near the floating point floor), ``prox`` plus
@@ -346,6 +348,31 @@ def _representable_rank(d, r, xi):
     return max(r, int(np.count_nonzero(xi ** np.arange(d) >= _SV_CUTOFF)))
 
 
+def _orthonormal_factor(at):
+    """
+    ``np.linalg.qr(at.T)[0]``, computed in the memory of ``at``.
+
+    ``at`` is a C-ordered (k, m) array with k <= m, which is the m-by-k
+    matrix ``at.T`` in column-major layout.  LAPACK's ``dgeqrf`` and then
+    ``dorgqr`` overwrite it with the reduced factor Q, and the returned
+    (m, k) array is a column-major view of it.  These are the routines
+    ``np.linalg.qr`` calls, each with the workspace its query returns, so
+    Q is bitwise the same; but no copy of the matrix is made.
+    """
+    k, m = at.shape
+    tau = np.empty(k)
+    for routine, args in ((lapack_lite.dgeqrf, (m, k)),
+                          (lapack_lite.dorgqr, (m, k, k))):
+        query = np.empty(1)
+        routine(*args, at, m, tau, query, -1, 0)
+        work = np.empty(max(1, k, int(query[0])))
+        info = routine(*args, at, m, tau, work, work.size, 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError("%s failed with info=%d"
+                                        % (routine.__name__, info))
+    return at.T
+
+
 def gen_synthetic(n, m_per, d, r, xi, seed):
     """
     Spectrum-controlled synthetic PCA data.
@@ -357,9 +384,13 @@ def gen_synthetic(n, m_per, d, r, xi, seed):
     are not formed: each factor is the reduced QR of the first k columns of
     its Gaussian draw (``_representable_rank``), which in Householder QR
     gives the same k columns as the full factorization, and each block is
-    built directly from its rows of the scaled left factor.  The streams are
-    drawn in the same order as when the full data matrix was formed and
-    split.  The stored blocks and optimum are bitwise unchanged at the
+    built directly from its rows of the scaled left factor.  The left draw
+    is taken m_per rows at a time, the same stream as one draw, and its
+    first k columns go straight into the buffer that ``_orthonormal_factor``
+    turns into the left factor in place, so neither the full draw nor a
+    copy of the factored matrix is ever held.  The streams are drawn in the
+    same order as when the full data matrix was formed and split.  The
+    stored blocks and optimum are bitwise unchanged at the
     preset, golden and MNIST-width shapes checked in
     ``tests/test_problems.py``; at other shapes a block may differ by a few
     ulps of the largest entry, since a product per block can round some
@@ -385,8 +416,10 @@ def gen_synthetic(n, m_per, d, r, xi, seed):
         raise ValueError("need 1 <= r <= d")
     k = _representable_rank(d, r, xi)
     rng = np.random.default_rng(seed)
-    # The copy lets the full draw go before the factorization starts.
-    U = np.linalg.qr(rng.standard_normal((total, d))[:, :k].copy())[0]
+    ut = np.empty((k, total))
+    for i in range(n):
+        ut[:, i * m_per:(i + 1) * m_per] = rng.standard_normal((m_per, d))[:, :k].T
+    U = _orthonormal_factor(ut)
     V = np.linalg.qr(rng.standard_normal((d, d))[:, :k])[0]
     U *= xi ** np.arange(1, k + 1)
     perm = rng.permutation(total)

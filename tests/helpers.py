@@ -223,7 +223,8 @@ def tangent_dir_per_block(x, v):
 def per_agent_splitting_step(stack, problem, W, params, k=None):
     """
     The splitting step written agent by agent: the exact step when ``k`` is
-    None, otherwise the inexact step at tolerance ``eps0 * rho**k``.
+    None, otherwise the inexact step at tolerance ``eps0 * rho**k``, each
+    agent's solve started from its previous x.
     """
     n = stack.n
     s = stack.s + stack.z - stack.x
@@ -232,7 +233,8 @@ def per_agent_splitting_step(stack, problem, W, params, k=None):
         mu_sq = None
     else:
         eps = epsilon_schedule(params.eps0, params.rho, k)
-        pairs = [problem[i].prox_inexact(params.alpha, s[i], eps)
+        pairs = [problem[i].prox_inexact(params.alpha, s[i], eps,
+                                         x0=stack.x[i])
                  for i in range(n)]
         x = np.stack([xi for xi, _ in pairs])
         mu_sq = np.array([float(np.vdot(mu, mu)) for _, mu in pairs])

@@ -5,6 +5,7 @@ workers end runs as serial errors do, and the pool stays within the CPUs.
 
 import dataclasses
 import os
+import sys
 import threading
 
 import numpy as np
@@ -120,6 +121,11 @@ def test_pooled_runs_repeat_and_match_the_serial_run(pooled, monkeypatch):
     assert _strip_wall(first) == _strip_wall(serial_records)
 
 
+def _called_from_the_step():
+    """Whether the patched prox's caller is ``iddrs_step``, not the envelope."""
+    return sys._getframe(2).f_globals["__name__"] == "ddrs.algorithms"
+
+
 def _poison_at_k2(stack, *args):
     if stack.k == 2:
         s = stack.s.copy()
@@ -137,9 +143,9 @@ def test_worker_errors_end_the_run_as_serial_errors_do(monkeypatch, inject, erro
     solve = DPCAInstance.prox_inexact
 
     def stall(self, alpha, s, eps, x0=None):
-        # Only the step's solves (started from s) stall; the records'
-        # envelope solves, warm-started at the step's x, still run.
-        if x0 is not None:
+        # Only the step's solves stall; the records' envelope solves still
+        # run.  Both are warm-started, so the caller's module tells them apart.
+        if not _called_from_the_step():
             return solve(self, alpha, s, eps, x0=x0)
         raised_on.add(threading.current_thread().name)
         raise SolverStallError("stalled on the agent with shift %.17g"
@@ -175,8 +181,8 @@ def test_a_stalled_envelope_solve_takes_the_exact_prox_pooled_and_serial(
     solve = DPCAInstance.prox_inexact
 
     def stall(self, alpha, s, eps, x0=None):
-        if x0 is None:
-            return solve(self, alpha, s, eps)
+        if _called_from_the_step():
+            return solve(self, alpha, s, eps, x0=x0)
         raised_on.add(threading.current_thread().name)
         raise SolverStallError("stalled")
 

@@ -6,11 +6,15 @@ A refactor or a speed-up must reproduce the trajectories to 1e-10.  Each
 case runs the solver loop of ``ddrs run`` without monitoring and compares
 the final ``x`` stack with ``tests/data/golden_<case>.npy``.
 
-Regenerate the arrays only when a change of trajectory is intended::
+Regenerate the arrays only when a change of trajectory is intended, and
+only those of the cases it changes::
 
-    PYTHONPATH=src python tests/test_golden_trajectories.py
+    PYTHONPATH=src python tests/test_golden_trajectories.py er06_iddrs
+
+With no case names every array is rewritten.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +59,11 @@ def test_final_iterate_matches_golden(case):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit("unknown case(s): %s; known: %s"
+                 % (", ".join(unknown), ", ".join(sorted(CASES))))
     DATA.mkdir(exist_ok=True)
-    for name, overrides in CASES.items():
-        np.save(DATA / ("golden_%s.npy" % name), final_x(overrides))
+    for name in names:
+        np.save(DATA / ("golden_%s.npy" % name), final_x(CASES[name]))

@@ -1,8 +1,9 @@
 """
 Core invariants over random shapes, data, step sizes, round counts and
 graph kinds: the splitting engines' tracking identity, exact-prox
-optimality and certified inexact-prox tolerance, the mean-preserving mix,
-and the tube distance as the distance to the projection.
+optimality, certified inexact-prox tolerance and warm start, the
+mean-preserving mix, and the tube distance as the distance to the
+projection.
 """
 
 import numpy as np
@@ -91,6 +92,37 @@ def test_inexact_steps_track_the_mean_within_their_tolerances(run):
         eps_k = epsilon_schedule(params.eps0, params.rho, k)
         assert stack.mu_sq.shape == (W.n,)
         assert np.all(stack.mu_sq <= eps_k)
+        # Recomputed from the iterates, not taken from the step's record.
+        for inst, s, x in zip(problem, stack.s, stack.x, strict=True):
+            mu = inst.residual(params.alpha, s, x)
+            assert float(np.vdot(mu, mu)) <= eps_k
+
+
+@pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
+@PROPERTY
+@given(runs())
+def test_inexact_steps_start_each_solve_at_the_agents_last_prox(run):
+    problem, W, params, x0 = run
+    stack = ddrs_init(problem, W, params, x0)
+    for k in range(STEPS):
+        starts = {}
+        for i, inst in enumerate(problem):
+            solve = inst.prox_inexact
+
+            def spy(alpha, s, eps, x0=None, i=i, solve=solve):
+                starts[i] = x0
+                return solve(alpha, s, eps, x0=x0)
+
+            inst.prox_inexact = spy
+        try:
+            previous = stack.x
+            stack = iddrs_step(stack, problem, W, params, k)
+        finally:
+            for inst in problem:
+                del inst.prox_inexact
+        assert sorted(starts) == list(range(W.n))
+        for i, start in starts.items():
+            np.testing.assert_array_equal(start, previous[i])
 
 
 @PROPERTY

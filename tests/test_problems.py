@@ -16,6 +16,7 @@ from ddrs.problems import (
     SolverStallError,
     TruncatedFileError,
     _extreme_eigenvalues,
+    _orthonormal_factor,
     _representable_rank,
     gen_synthetic,
     load_idx,
@@ -526,6 +527,16 @@ class TestSyntheticTruncation:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(got.ground_truth.mat, ref.ground_truth.mat)
         assert got.meta == ref.meta
+
+    @pytest.mark.parametrize("shape", [(8000, 324), (240, 6), (50, 50),
+                                       (7, 1), (1, 1)])
+    def test_in_place_factor_equals_numpy_qr(self, shape):
+        a = np.random.default_rng(sum(shape)).standard_normal(shape)
+        want = np.linalg.qr(a)[0]
+        at = np.ascontiguousarray(a.T)
+        got = _orthonormal_factor(at)
+        np.testing.assert_array_equal(got, want)
+        assert np.shares_memory(got, at)
 
     def test_cut_applies_at_mnist_width(self):
         assert _representable_rank(784, 5, 0.8) == 324

@@ -72,12 +72,12 @@ class SolverParams:
     rho: float = 0.9
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("step size must be positive, got %r" % (self.alpha,))
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("step size must be finite and > 0, got %r" % (self.alpha,))
         if self.t < 1:
             raise ValueError("communication rounds must be >= 1, got %d" % self.t)
-        if self.eps0 < 0:
-            raise ValueError("eps0 must be >= 0, got %r" % (self.eps0,))
+        if not 0 <= self.eps0 < math.inf:
+            raise ValueError("eps0 must be finite and >= 0, got %r" % (self.eps0,))
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie in (0, 1), got %r" % (self.rho,))
 
@@ -166,8 +166,10 @@ def iddrs_step(stack, problem, W, params, k):
     One splitting iteration with certified-inexact prox.
 
     The prox tolerance is ``epsilon_schedule(params.eps0, params.rho, k)``;
-    each agent's realized squared residual is recorded in ``mu_sq``.  Each
-    agent's conjugate-gradient solve starts from its previous prox output
+    each agent's realized squared residual is recorded in ``mu_sq``, and
+    one above it marks a tolerance below the residual's rounding floor,
+    which ``prox_inexact`` certifies instead.  Each agent's
+    conjugate-gradient solve starts from its previous prox output
     ``stack.x[i]``: the paper's certificate ``||mu_i||^2 <= eps_k`` leaves
     the start free, and the last prox is far closer to the next than
     ``s`` is.  At the start ``x = s``, so the first step is the same as

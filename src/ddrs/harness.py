@@ -211,8 +211,8 @@ def _validate(config):
         )
     for key in ("alpha", "beta_hat"):
         value = _at(config, key)
-        if value is not None and not value > 0:
-            raise ConfigTypeError("%s must be > 0, got %r" % (key, value))
+        if value is not None and not 0 < value < np.inf:
+            raise ConfigTypeError("%s must be finite and > 0, got %r" % (key, value))
     for key in ("master_seed", "problem.seed", "graph.seed"):
         seed = _at(config, key)
         if seed is not None and seed < 0:
@@ -237,8 +237,8 @@ def _validate(config):
                 % (p.n * p.m_per, p.d))
     if not (0.0 < a.rho < 1.0):
         raise ConfigTypeError("algorithm.rho must lie in (0, 1), got %r" % (a.rho,))
-    if a.eps0 < 0:
-        raise ConfigTypeError("algorithm.eps0 must be >= 0")
+    if not 0 <= a.eps0 < np.inf:
+        raise ConfigTypeError("algorithm.eps0 must lie in [0, inf), got %r" % (a.eps0,))
 
 
 def _substream_seed(master_seed, index):
@@ -421,25 +421,12 @@ def _record_configuration_warnings():
             module.pattern if module else "", lineno)
 
 
-# An iDDRS record's envelope takes each agent's prox from the agent's own
-# conjugate-gradient solver, certified to
-# ||mu_i||^2 <= (_ENVELOPE_PROX_TOL + (10 u alpha shift_i)^2) (1 + ||s_i||^2),
-# u the unit roundoff.  The second term follows the rounding floor of the
-# computed residual mu = x - s + alpha * (shift * x - G x): for the refined
-# exact prox, ||mu||^2 / ||s||^2 measured 0.003 to 0.74 times
-# (u alpha shift)^2 (d = 10, 36 and 784, alpha * shift 1 to 1e7), so a fixed
-# 1e-24 falls below it from alpha * shift near 1e4.  Against the exact
+# An iDDRS record's envelope asks each agent's own conjugate-gradient solver
+# for ||mu_i||^2 <= _ENVELOPE_PROX_TOL (1 + ||s_i||^2).  Against the exact
 # prox, every recorded envelope value stayed within 3.8e-14 relative on the
 # preset, 4.0e-14 at d=64 and 1.6e-13 at d=784, and within 3.0e-11 at
 # alpha * shift = 8.3e5 (preset data, 20 iterations).
 _ENVELOPE_PROX_TOL = 1e-24
-_ROUNDOFF_MARGIN = 10 * np.finfo(float).eps / 2
-
-
-def _envelope_prox_tolerance(inst, alpha, s):
-    """Squared-residual bound an iDDRS record's envelope prox of s meets."""
-    floor = (_ROUNDOFF_MARGIN * alpha * inst.shift) ** 2
-    return (_ENVELOPE_PROX_TOL + floor) * (1.0 + float(np.vdot(s, s)))
 
 
 def _envelope_proxes(stack, problem, alpha):
@@ -447,7 +434,8 @@ def _envelope_proxes(stack, problem, alpha):
     Proxes of ``stack.s`` for an iDDRS record's envelope, none exact.
 
     An agent whose step residual ``mu_sq`` already meets the tolerance keeps
-    its ``x``; every other agent runs ``prox_inexact`` warm-started at it.
+    its ``x``; every other agent runs ``prox_inexact`` warm-started at it,
+    which certifies the rounding floor where that lies above the tolerance.
     The solves run through ``map_agents``, like the step's, so at MNIST
     width they run on the per-agent pool, and no agent builds the inverse
     of its prox system unless its solve stalls.  The envelope only monitors
@@ -458,7 +446,7 @@ def _envelope_proxes(stack, problem, alpha):
              else np.full(len(stack.s), np.inf))
 
     def prox_one(inst, s, x, step_mu_sq):
-        eps = _envelope_prox_tolerance(inst, alpha, s)
+        eps = _ENVELOPE_PROX_TOL * (1.0 + float(np.vdot(s, s)))
         if step_mu_sq <= eps:
             return x
         try:
@@ -474,7 +462,7 @@ def _run(config):
     if config.algorithm.kind == "ddrs":
         # Every exact prox needs scipy.linalg.  Loading it before the dataset
         # exists keeps its import from stacking on the run's arrays in the
-        # peak resident memory; an iDDRS run loads it only if a solve stalls.
+        # peak resident memory; an iDDRS run loads it only if an envelope solve stalls.
         import scipy.linalg  # noqa: F401
     setup = build_run(config)
     dataset, problem, W, params = (setup.dataset, setup.problem, setup.W,

@@ -52,6 +52,14 @@ class DimMismatchError(ValueError):
 _LANCZOS_MAX_STEPS = 160
 _LANCZOS_TEST_EVERY = 8
 
+# The computed prox residual mu = x - s + alpha * (shift * x - G x) has a
+# rounding floor: for the refined exact prox, ||mu||^2 / ||s||^2 measured
+# 0.003 to 0.74 times (u alpha shift)^2, u the unit roundoff (d = 10, 36 and
+# 784, alpha * shift 1 to 1e7), so a fixed 1e-24 falls below it from
+# alpha * shift near 1e4.  A certified prox may stop at 100 times that,
+# (10 u alpha shift)^2 (1 + ||s||^2).
+_ROUNDOFF_MARGIN = 10 * np.finfo(float).eps / 2
+
 
 def _lanczos_top(gram):
     """
@@ -147,7 +155,8 @@ class DPCAInstance:
     or both from one Gram product (``value_and_egrad``), ``smoothness``,
     ``prox(alpha, s)``, the minimizer of ``f(y) + ||y - s||^2 / (2 alpha)``,
     and ``prox_inexact``, an approximate minimizer with its optimality
-    residual ``mu = x - s + alpha * egrad(x)``.
+    residual ``mu = x - s + alpha * egrad(x)``, certified to a tolerance or
+    to the residual's rounding floor (``residual_floor``).
     """
 
     def __init__(self, A):
@@ -236,20 +245,25 @@ class DPCAInstance:
         """Prox optimality residual ``x - s + alpha * egrad(x)``."""
         return x - _as_matrix(s) + alpha * self.egrad(x)
 
+    def residual_floor(self, alpha, s):
+        """Squared residual ``(10 u alpha shift)^2 (1 + ||s||^2)`` of a prox of s."""
+        return ((_ROUNDOFF_MARGIN * alpha * self.shift) ** 2
+                * (1.0 + float(np.vdot(s, s))))
+
     def prox_inexact(self, alpha, s, eps, x0=None):
         """
-        Conjugate-gradient prox solve stopped at squared residual <= eps.
+        Conjugate-gradient prox solve certified to squared residual <= eps.
 
         Warm-started from ``x0``, or from s when it is None: an iDDRS
         step starts each agent's solve from that agent's previous x, and
         its record's envelope starts from the step's x.  Each CG
-        iteration makes one product with the Gram matrix.  ``eps == 0``
-        takes the exact path, ``prox``.  When CG cannot certify the
-        tolerance (eps near the floating point floor), ``prox`` plus
-        iterative refinement with the kept inverse is used; if even that
-        misses eps, SolverStallError is raised.  Only those two paths build
-        the inverse of the prox system.  A non-finite s raises
-        NonFiniteInputError before any arithmetic, as in ``prox``.
+        iteration makes one product with the Gram matrix.  The recomputed
+        residual is accepted if it meets eps or, when eps lies below what
+        rounding allows, ``residual_floor(alpha, s)``; otherwise
+        SolverStallError is raised.  With eps > 0 the inverse of the prox
+        system is never built; ``eps == 0`` takes the exact path, ``prox``.
+        A non-finite s raises NonFiniteInputError before any arithmetic, as
+        in ``prox``.
 
         Returns
         -------
@@ -288,23 +302,14 @@ class DPCAInstance:
                 p = r + (rs_new / rs) * p
                 rs = rs_new
         mu = self.residual(alpha, s, x)
-        if float(np.vdot(mu, mu)) <= eps:
+        mu_sq = float(np.vdot(mu, mu))
+        if mu_sq <= eps:
             return x, mu
-        # CG hit the floating-point floor; fall back to the exact solve
-        # with a few refinement passes.
-        x = self.prox(alpha, s)
-        for _ in range(4):
-            mu = self.residual(alpha, s, x)
-            if float(np.vdot(mu, mu)) <= eps:
-                return x, mu
-            x = x - self._solve(alpha, mu)
-        mu = self.residual(alpha, s, x)
-        if float(np.vdot(mu, mu)) <= eps:
+        floor = self.residual_floor(alpha, s)
+        if mu_sq <= floor:
             return x, mu
-        raise SolverStallError(
-            "inexact prox stalled at ||mu||^2 = %.3e > %.3e"
-            % (float(np.vdot(mu, mu)), eps)
-        )
+        raise SolverStallError("inexact prox stalled at ||mu||^2 = %.3e > %.3e "
+                               "and its rounding floor %.3e" % (mu_sq, eps, floor))
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -362,6 +363,12 @@ class TestParams:
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(ValueError):
             SolverParams(alpha=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key", ["alpha", "eps0"])
+    def test_rejects_non_finite(self, key, value):
+        with pytest.raises(ValueError, match="finite"):
+            SolverParams(**{"alpha": 1.0, key: value})
 
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):

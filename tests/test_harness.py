@@ -13,7 +13,12 @@ import pytest
 import ddrs.cli as cli
 import ddrs.harness as harness
 import ddrs.metrics as metrics
-from ddrs.algorithms import AgentStack, ConfigurationWarning, ddrs_step
+from ddrs.algorithms import (
+    AgentStack,
+    ConfigurationWarning,
+    ddrs_step,
+    epsilon_schedule,
+)
 from ddrs.harness import (
     ConfigError,
     ConfigTypeError,
@@ -622,7 +627,9 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", "0"), ("beta_hat", "-1"), ("master_seed", "-1"),
-        ("problem.seed", "-1"), ("graph.seed", "-1")])
+        ("problem.seed", "-1"), ("graph.seed", "-1")] + [
+        (key, value) for key in ("alpha", "beta_hat", "algorithm.eps0")
+        for value in ("inf", "-inf", "nan")])
     @pytest.mark.parametrize("command", ["run", "advise"])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys,
                                                   command, key, value):
@@ -840,16 +847,19 @@ def test_the_envelope_keeps_a_step_prox_only_if_it_meets_the_tolerance(
                 assert np.array_equal(out[i], x[i])
             else:
                 mu = inst.residual(alpha, s[i], out[i])
-                assert float(np.vdot(mu, mu)) <= harness._envelope_prox_tolerance(
-                    inst, alpha, s[i])
+                ss = float(np.vdot(s[i], s[i]))
+                assert float(np.vdot(mu, mu)) <= max(
+                    harness._ENVELOPE_PROX_TOL * (1 + ss),
+                    inst.residual_floor(alpha, s[i]))
 
 
 @pytest.mark.parametrize("alpha_shift", [1.0, 1e2, 1e4, 1e6, 1e7])
 def test_the_envelope_tolerance_clears_the_residual_rounding_floor(
         small_dataset, alpha_shift):
     # The refined exact prox leaves only the rounding floor of the computed
-    # residual, which grows with alpha * shift; the tolerance stays an order
-    # of magnitude above it, and within 2% of 1e-24 relative up to 1e2.
+    # residual, which grows with alpha * shift; the floor a certified prox
+    # may stop at stays an order of magnitude above it, and below 2% of the
+    # envelope's 1e-24 relative up to 1e2, where it leaves that bound as is.
     rng = np.random.default_rng(5)
     for inst in small_dataset.instances():
         alpha = alpha_shift / inst.shift
@@ -858,10 +868,11 @@ def test_the_envelope_tolerance_clears_the_residual_rounding_floor(
         for _ in range(3):
             x = x - inst._solve(alpha, inst.residual(alpha, s, x))
         mu = inst.residual(alpha, s, x)
-        eps = harness._envelope_prox_tolerance(inst, alpha, s)
-        assert float(np.vdot(mu, mu)) <= 0.1 * eps
+        floor = inst.residual_floor(alpha, s)
+        assert float(np.vdot(mu, mu)) <= 0.1 * floor
         if alpha_shift <= 1e2:
-            assert eps <= 1.02e-24 * (1 + float(np.vdot(s, s)))
+            assert floor <= 0.02 * harness._ENVELOPE_PROX_TOL * (
+                1 + float(np.vdot(s, s)))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -926,3 +937,41 @@ def test_iddrs_at_a_large_alpha_shift_certifies_every_envelope_prox(
     assert len(records) == len(exact) == config.max_iters + 1
     for rec, value in zip(records, exact):
         assert abs(rec.dre - value) <= 1e-10 * abs(value)
+
+
+def test_iddrs_below_the_rounding_floor_certifies_the_floor_and_ends_ok(
+        tmp_path, monkeypatch):
+    # beta_hat = 650000 on pixel-like 6 x 6 images puts alpha * shift near
+    # 8e5, and rho = 0.5 takes eps_k below the residual's rounding floor
+    # within 60 iterations.  The run must end ok, and every record whose
+    # mu_sq_max exceeds eps_k must hold each agent within the solver's floor.
+    images = pixel_like_images(2000, 6, 6, seed=0, border=1)
+    path = tmp_path / "images.idx"
+    path.write_bytes(idx_bytes(0x00000803, images.shape, images.ravel()))
+    stacks = {}
+    step = harness.iddrs_step
+
+    def step_spy(stack, problem, W, params, k):
+        stacks[k + 1] = step(stack, problem, W, params, k)
+        return stacks[k + 1]
+
+    monkeypatch.setattr(harness, "iddrs_step", step_spy)
+    config = preset("mnist-er06", "problem.path = %s\nalgorithm.kind = iddrs\n"
+                    "beta_hat = 650000\nalgorithm.rho = 0.5\nmax_iters = 60\n"
+                    "log_every = 5\n" % path)
+    records, summary = run_experiment(config)
+    setup = harness.build_run(config)
+    assert setup.params.alpha * max(i.shift for i in setup.problem) > 5e5
+    assert summary["status"] == "ok", summary.get("error")
+    assert records[-1].k == 60
+    floored = 0
+    for rec in records[1:]:
+        eps = epsilon_schedule(config.algorithm.eps0, config.algorithm.rho,
+                               rec.k - 1)
+        if rec.mu_sq_max <= eps:
+            continue
+        floored += 1
+        stack = stacks[rec.k]
+        for inst, s, mu_sq in zip(setup.problem, stack.s, stack.mu_sq):
+            assert mu_sq <= max(eps, inst.residual_floor(setup.params.alpha, s))
+    assert floored

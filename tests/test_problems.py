@@ -292,6 +292,22 @@ class TestProxInexact:
         x, mu = inst.prox_inexact(0.6, s, 1e-28)
         assert float(np.vdot(mu, mu)) <= 1e-28
 
+    def test_a_tolerance_below_rounding_certifies_the_floor(self, rng,
+                                                           monkeypatch):
+        # 1e-40 lies far below the rounding floor of the computed residual:
+        # CG alone certifies the floor, with no exact prox or kept inverse.
+        inst = DPCAInstance(rng.standard_normal((20, 5)))
+        s = rng.standard_normal((5, 2))
+        called = []
+        for name in ("prox", "_solve"):
+            monkeypatch.setattr(inst, name,
+                                lambda *args, name=name: called.append(name))
+        x, mu = inst.prox_inexact(0.6, s, 1e-40)
+        assert np.array_equal(mu, inst.residual(0.6, s, x))
+        assert 1e-40 < float(np.vdot(mu, mu)) <= inst.residual_floor(0.6, s)
+        assert called == []
+        assert inst._inverse is None
+
     def test_warm_start(self, rng):
         inst = DPCAInstance(rng.standard_normal((40, 6)))
         s = rng.standard_normal((6, 3))

@@ -130,7 +130,7 @@ def ddrs_init(problem, W, params, x0):
                       d=np.zeros_like(x), k=0, z_sv=z_sv)
 
 
-def _advance(stack, problem, W, params, prox_blocks):
+def _advance(stack, W, params, prox_blocks):
     """Shared splitting step; ``prox_blocks(s_new) -> (x_new, mu_sq)``."""
     s_new = stack.s + stack.z - stack.x
     x_new, mu_sq = prox_blocks(s_new)
@@ -158,7 +158,7 @@ def ddrs_step(stack, problem, W, params):
                           for inst, s in zip(problem, s_new, strict=True)])
         return x_new, None
 
-    return _advance(stack, problem, W, params, prox_blocks)
+    return _advance(stack, W, params, prox_blocks)
 
 
 def iddrs_step(stack, problem, W, params, k):
@@ -197,7 +197,7 @@ def iddrs_step(stack, problem, W, params, k):
         return (np.stack([x for x, _ in pairs]),
                 np.asarray([mu_sq for _, mu_sq in pairs]))
 
-    return _advance(stack, problem, W, params, prox_blocks)
+    return _advance(stack, W, params, prox_blocks)
 
 
 @dataclass

@@ -226,6 +226,8 @@ def _validate(config):
     if p.n < 2:
         raise ConfigTypeError("problem.n must be >= 2 (a network needs two "
                               "agents), got %d" % p.n)
+    if g.kind == "ring" and p.n < 3:
+        raise ConfigTypeError("ring needs problem.n >= 3, got %d" % p.n)
     if p.kind == "synthetic":
         # An IDX file fixes d for mnist runs; build_run checks r against it.
         if p.r > p.d:
@@ -433,28 +435,18 @@ def _envelope_proxes(stack, problem, alpha):
     """
     Proxes of ``stack.s`` for an iDDRS record's envelope, none exact.
 
-    An agent whose step residual ``mu_sq`` already meets the tolerance keeps
-    its ``x``; every other agent runs ``prox_inexact`` warm-started at it,
-    which certifies the rounding floor where that lies above the tolerance.
-    The solves run through ``map_agents``, like the step's, so at MNIST
-    width they run on the per-agent pool, and no agent builds the inverse
-    of its prox system unless its solve stalls.  The envelope only monitors
-    the run, so a stalled solve takes the exact prox instead of ending it.
+    Each agent runs ``prox_inexact`` warm-started at its ``x``, which
+    certifies the rounding floor where that lies above the tolerance.  The
+    solves run through ``map_agents``, like the step's, so at MNIST width
+    they run on the per-agent pool, and none builds the inverse of its prox
+    system.  A stalled solve ends the run ``diverged``, as a step's does.
     """
-    # The start has no step residual, and x = s there.
-    mu_sq = (stack.mu_sq if stack.mu_sq is not None
-             else np.full(len(stack.s), np.inf))
 
-    def prox_one(inst, s, x, step_mu_sq):
+    def prox_one(inst, s, x):
         eps = _ENVELOPE_PROX_TOL * (1.0 + float(np.vdot(s, s)))
-        if step_mu_sq <= eps:
-            return x
-        try:
-            return inst.prox_inexact(alpha, s, eps, x0=x)[0]
-        except SolverStallError:
-            return inst.prox(alpha, s)
+        return inst.prox_inexact(alpha, s, eps, x0=x)[0]
 
-    return np.stack(map_agents(prox_one, problem, stack.s, stack.x, mu_sq,
+    return np.stack(map_agents(prox_one, problem, stack.s, stack.x,
                                dim=stack.s.shape[1]))
 
 
@@ -462,7 +454,7 @@ def _run(config):
     if config.algorithm.kind == "ddrs":
         # Every exact prox needs scipy.linalg.  Loading it before the dataset
         # exists keeps its import from stacking on the run's arrays in the
-        # peak resident memory; an iDDRS run loads it only if an envelope solve stalls.
+        # peak resident memory; an iDDRS run with eps0 > 0 never loads it.
         import scipy.linalg  # noqa: F401
     setup = build_run(config)
     dataset, problem, W, params = (setup.dataset, setup.problem, setup.W,

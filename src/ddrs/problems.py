@@ -56,8 +56,11 @@ _LANCZOS_TEST_EVERY = 8
 # rounding floor: for the refined exact prox, ||mu||^2 / ||s||^2 measured
 # 0.003 to 0.74 times (u alpha shift)^2, u the unit roundoff (d = 10, 36 and
 # 784, alpha * shift 1 to 1e7), so a fixed 1e-24 falls below it from
-# alpha * shift near 1e4.  A certified prox may stop at 100 times that,
-# (10 u alpha shift)^2 (1 + ||s||^2).
+# alpha * shift near 1e4.  Rounding x - s adds an error near u ||s|| that
+# does not shrink with alpha * shift: at alpha * shift 0.0083 and 0.083,
+# preset iDDRS runs stalled at 237 and 5.6 times (10 u alpha shift)^2
+# (1 + ||s||^2).  A certified prox may stop at
+# (10 u (1 + alpha shift))^2 (1 + ||s||^2).
 _ROUNDOFF_MARGIN = 10 * np.finfo(float).eps / 2
 
 
@@ -246,8 +249,8 @@ class DPCAInstance:
         return x - _as_matrix(s) + alpha * self.egrad(x)
 
     def residual_floor(self, alpha, s):
-        """Squared residual ``(10 u alpha shift)^2 (1 + ||s||^2)`` of a prox of s."""
-        return ((_ROUNDOFF_MARGIN * alpha * self.shift) ** 2
+        """Rounding floor ``(10 u (1 + alpha shift))^2 (1 + ||s||^2)`` of a prox of s."""
+        return ((_ROUNDOFF_MARGIN * (1.0 + alpha * self.shift)) ** 2
                 * (1.0 + float(np.vdot(s, s))))
 
     def prox_inexact(self, alpha, s, eps, x0=None):

@@ -625,6 +625,19 @@ class TestCli:
                          "--out", out]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["run", "validate-graph"])
+    def test_a_two_agent_ring_is_a_config_error(self, tmp_path, capsys,
+                                                command):
+        with pytest.raises(ConfigTypeError, match="ring needs problem.n >= 3"):
+            preset("synthetic-ring", "problem.n = 2")
+        argv = [command, "--preset", "synthetic-ring",
+                "--config", self._write(tmp_path, "problem.n = 2\n")]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "r.csv")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: ring needs problem.n >= 3, got 2\n")
+
     @pytest.mark.parametrize("key, value", [
         ("alpha", "0"), ("beta_hat", "-1"), ("master_seed", "-1"),
         ("problem.seed", "-1"), ("graph.seed", "-1")] + [
@@ -830,27 +843,19 @@ def test_a_wide_iddrs_run_builds_no_inverse_and_loads_no_scipy_linalg():
     assert out == ["ok", "3", "8", "0", "False"]
 
 
-def test_the_envelope_keeps_a_step_prox_only_if_it_meets_the_tolerance(
-        small_dataset):
+def test_every_envelope_prox_is_certified(small_dataset):
     problem = small_dataset.instances()
     rng = np.random.default_rng(3)
     s = rng.standard_normal((4, 6, 2))
     x = s + 1e-3 * rng.standard_normal(s.shape)
     alpha = 2.0
-    for mu_sq, kept in ((np.array([0.0, np.inf, 0.0, np.inf]), [0, 2]),
-                        (None, [])):
-        stack = AgentStack(s=s, x=x, y=x, z=x, d=np.zeros_like(x),
-                           mu_sq=mu_sq)
-        out = harness._envelope_proxes(stack, problem, alpha)
-        for i, inst in enumerate(problem):
-            if i in kept:
-                assert np.array_equal(out[i], x[i])
-            else:
-                mu = inst.residual(alpha, s[i], out[i])
-                ss = float(np.vdot(s[i], s[i]))
-                assert float(np.vdot(mu, mu)) <= max(
-                    harness._ENVELOPE_PROX_TOL * (1 + ss),
-                    inst.residual_floor(alpha, s[i]))
+    stack = AgentStack(s=s, x=x, y=x, z=x, d=np.zeros_like(x))
+    out = harness._envelope_proxes(stack, problem, alpha)
+    for inst, s_i, x_i in zip(problem, s, out, strict=True):
+        mu = inst.residual(alpha, s_i, x_i)
+        assert float(np.vdot(mu, mu)) <= max(
+            harness._ENVELOPE_PROX_TOL * (1 + float(np.vdot(s_i, s_i))),
+            inst.residual_floor(alpha, s_i))
 
 
 @pytest.mark.parametrize("alpha_shift", [1.0, 1e2, 1e4, 1e6, 1e7])
@@ -900,8 +905,8 @@ def test_iddrs_at_a_large_alpha_shift_certifies_every_envelope_prox(
         monkeypatch):
     # beta_hat = 1e9 puts the preset's alpha * shift near 8e4, where a fixed
     # 1e-24 residual bound lies below the rounding floor even of the refined
-    # exact prox.  The run must end ok, no envelope solve may fall back to
-    # the exact prox, and the envelope keeps the exact prox's value.
+    # exact prox.  The run must end ok, no solve may stall or call the exact
+    # prox, and the envelope keeps the exact prox's value.
     exact, fallbacks, inside = [], [], []
     solve, prox = DPCAInstance.prox_inexact, DPCAInstance.prox
 
@@ -937,6 +942,19 @@ def test_iddrs_at_a_large_alpha_shift_certifies_every_envelope_prox(
     assert len(records) == len(exact) == config.max_iters + 1
     for rec, value in zip(records, exact):
         assert abs(rec.dre - value) <= 1e-10 * abs(value)
+
+
+def test_iddrs_at_a_small_alpha_shift_certifies_the_floor_of_x_minus_s():
+    # beta_hat = 100 puts the preset's alpha * shift near 0.008, where the
+    # rounding of x - s, not alpha * shift, sets the residual's floor.  Under
+    # a floor of (10 u alpha shift)^2 (1 + ||s||^2) it stalled at iteration
+    # 545.
+    config = preset("synthetic-er06", "algorithm.kind = iddrs\n"
+                    "beta_hat = 100\nmax_iters = 600\nlog_every = 100\n")
+    records, summary = run_experiment(config)
+    assert summary["status"] == "ok", summary["error"]
+    assert records[-1].k == 600
+    assert records[-1].wall_ns < 1e9
 
 
 def test_iddrs_below_the_rounding_floor_certifies_the_floor_and_ends_ok(

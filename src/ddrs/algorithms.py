@@ -150,13 +150,13 @@ def ddrs_step(stack, problem, W, params):
     increment of ``x - s``; finally ``z`` projects the mixed iterates plus
     tracker back onto the manifold.  A RankDeficientError from that
     projection means the iterates left the certified tube (step size or t
-    misconfigured).
+    misconfigured).  The proxes run through ``map_agents``, as in
+    ``iddrs_step``.
     """
 
     def prox_blocks(s_new):
-        x_new = np.stack([inst.prox(params.alpha, s)
-                          for inst, s in zip(problem, s_new, strict=True)])
-        return x_new, None
+        return np.stack(map_agents(lambda inst, s: inst.prox(params.alpha, s),
+                                   problem, s_new, dim=s_new.shape[1])), None
 
     return _advance(stack, W, params, prox_blocks)
 

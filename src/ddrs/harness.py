@@ -379,8 +379,9 @@ def run_experiment(config):
     certified-regime violation (``neighborhood_violations``), the
     violations of each kind (``violations_by_kind``), the iteration at
     which each kind first occurred (``first_violation_iter``) and the
-    smallest singular value any step projected (``sigma_min``).  The
-    baseline reports None for all four.
+    smallest singular value any step projected (``sigma_min``), and
+    ``alpha_over_alpha_max`` and ``t_over_t_min``, at most and at least 1
+    inside the certified regime.  The baseline reports None for all six.
 
     The summary's ``warnings`` lists the message of each
     ConfigurationWarning the run raised, once each, in the order first
@@ -451,11 +452,6 @@ def _envelope_proxes(stack, problem, alpha):
 
 
 def _run(config):
-    if config.algorithm.kind == "ddrs":
-        # Every exact prox needs scipy.linalg.  Loading it before the dataset
-        # exists keeps its import from stacking on the run's arrays in the
-        # peak resident memory; an iDDRS run with eps0 > 0 never loads it.
-        import scipy.linalg  # noqa: F401
     setup = build_run(config)
     dataset, problem, W, params = (setup.dataset, setup.problem, setup.W,
                                    setup.params)
@@ -545,6 +541,8 @@ def _run(config):
         "violations_by_kind": by_kind if splitting else None,
         "first_violation_iter": first_violation if splitting else None,
         "sigma_min": sigma_min,
+        "alpha_over_alpha_max": alpha / advice.alpha_max if splitting else None,
+        "t_over_t_min": params.t / advice.t_min if splitting else None,
         "advice": asdict(advice),
         "resolved_alpha": alpha,
         "resolved_seeds": resolved_seeds(config),

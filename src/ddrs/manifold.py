@@ -189,19 +189,20 @@ def subspace_distance(x, xstar):
     """
     Rotation-invariant distance ``min_Q ||x Q - xstar||`` over orthogonal Q.
 
-    Computed from the singular values of ``x^T xstar`` (orthogonal
-    Procrustes): the squared distance is ``2 r - 2 sum_i s_i``.  The value
-    lies in ``[0, 2 sqrt(r)]`` and vanishes iff the two frames span the same
-    column space.
+    The orthogonal Procrustes residual ``||x (u v^T) - xstar||``, with
+    ``u s v^T`` the SVD of ``x^T xstar``; unlike ``sqrt(2 r - 2 sum(s))``
+    it does not cancel at small distances.  The value lies in
+    ``[0, 2 sqrt(r)]``, vanishes iff the two frames span the same column
+    space, and is exactly 0 for equal frames.
     """
     a = _as_matrix(x)
     b = _as_matrix(xstar)
     if a.shape != b.shape:
         raise ValueError("shape mismatch: %s vs %s" % (a.shape, b.shape))
-    r = a.shape[1]
-    sv = np.linalg.svd(a.T @ b, compute_uv=False)
-    # Clip tiny negatives produced by rounding when the frames coincide.
-    return float(np.sqrt(max(2.0 * r - 2.0 * float(np.sum(sv)), 0.0)))
+    if np.array_equal(a, b):
+        return 0.0
+    u, _, vt = np.linalg.svd(a.T @ b)
+    return float(np.linalg.norm(a @ (u @ vt) - b))
 
 
 def random_stiefel(d, r, rng):

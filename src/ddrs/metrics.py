@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .fanout import map_agents
 from .manifold import (
     RANK_TOL,
     _as_matrix,
@@ -85,13 +86,14 @@ def dre_value(s_blocks, problem, alpha, x_blocks=None):
     of ``s_blocks`` at ``alpha`` passes them as ``x_blocks``: an exact
     step's ``x``, or solves certified to a residual near rounding, which
     keep the value within rounding of the exact prox's without building it.
-    Otherwise they are computed here with the exact prox.  Each agent's
-    value and gradient come from one product with its Gram matrix.
+    Otherwise they are computed here with the exact prox, through
+    ``map_agents``.  Each agent's value and gradient come from one product
+    with its Gram matrix.
     """
     if x_blocks is None:
         s_blocks = np.asarray(s_blocks, dtype=float)
-        xs = np.stack([inst.prox(alpha, s)
-                       for inst, s in zip(problem, s_blocks, strict=True)])
+        xs = np.stack(map_agents(lambda inst, s: inst.prox(alpha, s),
+                                 problem, s_blocks, dim=s_blocks.shape[1]))
     else:
         xs = np.asarray(x_blocks, dtype=float)
     pairs = [inst.value_and_egrad(x) for inst, x in zip(problem, xs, strict=True)]

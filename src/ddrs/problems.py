@@ -139,11 +139,12 @@ class DPCAInstance:
     the prox system ``I + alpha (||A||_2^2 I - A^T A)`` is symmetric positive
     definite with spectrum in ``[1, 1 + alpha L]``, and the prox is an exact
     linear solve.  The instance keeps the Gram matrix of its data block and
-    the inverse of the prox system for the step size in use, built by the
-    first exact prox and rebuilt when the step size changes; an instance
-    whose proxes are all conjugate-gradient solves never builds it.  A
-    product with the inverse streams the d-by-d operand once, where a
-    Cholesky solve reads its factor twice.
+    the inverse of the prox system for the step size in use, built with
+    ``np.linalg.inv`` by the first exact prox (on the per-agent pool at
+    MNIST width) and rebuilt when the step size changes; an instance whose
+    proxes are all conjugate-gradient solves never builds it.  A product
+    with the inverse streams the d-by-d operand once, where a Cholesky
+    solve reads its factor twice.
 
     Of the Gram's spectrum only the two extremes are kept: the largest
     eigenvalue, the shift, and the smallest, which ``smoothness`` subtracts
@@ -208,28 +209,19 @@ class DPCAInstance:
         Solve the prox system at step size alpha for a finite rhs.
 
         Applies the kept inverse as ``(rhs^T M^-1)^T``, one streaming pass
-        over it.  The system's spectrum lies in ``[1, 1 + alpha L]``, so the
-        inverse is as well conditioned as the system.  A product with it
-        passes NaN through silently, which is why ``prox`` checks its input.
+        over it; ``np.linalg.inv`` builds it, and raises LinAlgError on a
+        singular system.  The system's spectrum lies in ``[1, 1 + alpha L]``,
+        so the inverse is as well conditioned as the system.  A product with
+        it passes NaN through silently, which is why ``prox`` checks its input.
         """
         # The slot is replaced by one assignment and each call solves with
         # the pair it read, so concurrent callers need no lock.
         slot = self._inverse
         if slot is None or slot[0] != alpha:
-            # Imported here, so that a run whose proxes are all
-            # conjugate-gradient solves never loads scipy.linalg.
-            from scipy.linalg import cho_factor
-            from scipy.linalg.lapack import dpotri
-
             eye = np.eye(self.dim)
-            factor, _ = cho_factor(eye + alpha * (self.shift * eye - self.gram))
-            inv, info = dpotri(factor)
-            if info != 0:
-                raise np.linalg.LinAlgError("dpotri failed with info=%d" % info)
-            # dpotri fills the upper triangle; mirroring it makes the inverse
-            # exactly symmetric.
-            inv = np.triu(inv) + np.triu(inv, 1).T
-            slot = (float(alpha), inv)
+            inv = np.linalg.inv(eye + alpha * (self.shift * eye - self.gram))
+            # Averaging with the transpose makes the inverse exactly symmetric.
+            slot = (float(alpha), 0.5 * (inv + inv.T))
             self._inverse = slot
         return (rhs.T @ slot[1]).T
 

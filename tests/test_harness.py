@@ -425,7 +425,8 @@ class TestRunExperiment:
         assert summary["status"] == "ok"
         assert all(r.dre is None for r in records)
         for key in ("neighborhood_violations", "violations_by_kind",
-                    "first_violation_iter", "sigma_min"):
+                    "first_violation_iter", "sigma_min",
+                    "alpha_over_alpha_max", "t_over_t_min"):
             assert summary[key] is None
 
     def test_summary_counts_violations_by_kind_and_the_smallest_sigma(self):
@@ -458,6 +459,19 @@ class TestRunExperiment:
         assert summary["first_violation_iter"] == {
             "x-neighborhood": 1, "z-neighborhood": None, "projection-tube": 1}
         assert 0 < summary["sigma_min"] < 1
+
+    def test_summary_says_how_far_outside_the_certified_regime_a_run_was_set(
+            self):
+        # The tuned preset takes a step 457 times alpha_max, with 10 rounds
+        # against t_min = 15.
+        _, summary = run_experiment(preset("synthetic-er06",
+                                           "max_iters = 2\nlog_every = 2\n"))
+        advice = summary["advice"]
+        assert summary["alpha_over_alpha_max"] == (
+            summary["resolved_alpha"] / advice["alpha_max"])
+        assert summary["t_over_t_min"] == 10 / advice["t_min"]
+        assert 457 < summary["alpha_over_alpha_max"] < 458
+        assert advice["t_min"] == 15
 
     def test_configuration_warnings_are_kept_in_the_summary(self, recwarn):
         # eps0 at or above delta2 = 1/96 warns on the first inexact step.
@@ -805,22 +819,10 @@ def _run_python(code):
     return proc.stdout.split()
 
 
-# A scipy module loaded during a wide iDDRS run adds to its peak resident
-# memory (scipy.linalg: 14 MB over 40 iterations).
-_SCIPY_LOADED = 'any(m.split(".")[0] == "scipy" for m in sys.modules)'
-
-
-def test_importing_the_package_loads_no_scipy_linalg():
-    assert _run_python("""
-        import sys
-        import ddrs
-        print(%s)
-    """ % _SCIPY_LOADED) == ["False"]
-
-
-def test_a_wide_iddrs_run_builds_no_inverse_and_loads_no_scipy_linalg():
-    # The set-up runs Lanczos on each singular Gram, and the records'
-    # envelope takes CG proxes: only an exact prox needs scipy.
+def test_no_run_loads_scipy_and_an_iddrs_run_builds_no_inverse():
+    # The set-up runs Lanczos on each singular Gram, an exact prox builds
+    # its inverse with NumPy, and an iDDRS run's steps and records' envelope
+    # take only CG proxes.
     out = _run_python("""
         import sys
         import ddrs.problems as problems
@@ -830,17 +832,20 @@ def test_a_wide_iddrs_run_builds_no_inverse_and_loads_no_scipy_linalg():
         real = problems.Dataset.instances
 
         def instances(self):
-            made.extend(real(self))
+            made[:] = real(self)
             return made
 
         problems.Dataset.instances = instances
-        records, summary = run_experiment(preset("synthetic-er06", %r))
-        print(summary["status"], len(records), len(made),
-              sum(inst._inverse is not None for inst in made),
-              %s)
-    """ % ("problem.d = %d\nalgorithm.kind = iddrs\nmax_iters = 6\n"
-           "log_every = 3\n" % 200, _SCIPY_LOADED))
-    assert out == ["ok", "3", "8", "0", "False"]
+        for kind in ("ddrs", "iddrs", "baseline_gt"):
+            records, summary = run_experiment(preset("synthetic-er06", (
+                "problem.d = 200\\nmax_iters = 6\\nlog_every = 3\\n"
+                "algorithm.kind = %s\\n" % kind)))
+            print(kind, summary["status"], len(records),
+                  sum(inst._inverse is not None for inst in made))
+        print(any(m.split(".")[0] == "scipy" for m in sys.modules))
+    """)
+    assert out == ["ddrs", "ok", "3", "8", "iddrs", "ok", "3", "0",
+                   "baseline_gt", "ok", "3", "0", "False"]
 
 
 def test_every_envelope_prox_is_certified(small_dataset):

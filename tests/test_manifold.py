@@ -159,7 +159,19 @@ class TestSubspaceDistance:
         x = random_stiefel_mat(rng, 5, 2)
         for _ in range(10):
             q = random_orthogonal(rng, 2)
-            assert subspace_distance(x, x @ q) < 1e-7
+            assert subspace_distance(x, x @ q) < 1e-14
+
+    @pytest.mark.parametrize("angle", [1e-6, 1e-8, 1e-10, 1e-12])
+    def test_small_distances_keep_their_relative_accuracy(self, rng, angle):
+        # Every column turned out of the span by the same angle e: the
+        # distance is 2 sqrt(r) sin(e / 2), where sqrt(2 r - 2 sum(sv))
+        # cancels to 0 from e = 1e-10.
+        d, r = 784, 5
+        q = np.linalg.qr(rng.standard_normal((d, 2 * r)))[0]
+        x, away = q[:, :r], q[:, r:]
+        y = np.cos(angle) * x + np.sin(angle) * away
+        want = 2.0 * np.sqrt(r) * np.sin(angle / 2.0)
+        assert subspace_distance(x, y) == pytest.approx(want, rel=1e-5)
 
     def test_brute_force_oracle(self, rng):
         x = random_stiefel_mat(rng, 4, 2)

@@ -819,11 +819,13 @@ def _run_python(code):
     return proc.stdout.split()
 
 
-def test_no_run_loads_scipy_and_an_iddrs_run_builds_no_inverse():
-    # The set-up runs Lanczos on each singular Gram, an exact prox builds
-    # its inverse with NumPy, and an iDDRS run's steps and records' envelope
-    # take only CG proxes.
-    out = _run_python("""
+# A scipy module loaded during a wide run adds to its peak resident memory
+# (scipy.linalg: 14 MB over 40 iterations).
+_SCIPY_LOADED = 'any(m.split(".")[0] == "scipy" for m in sys.modules)'
+
+# Counts the inverses the instances of every run so far have built, indented
+# as the test bodies it is prepended to.
+_COUNT_INVERSES = """
         import sys
         import ddrs.problems as problems
         from ddrs.harness import preset, run_experiment
@@ -836,16 +838,43 @@ def test_no_run_loads_scipy_and_an_iddrs_run_builds_no_inverse():
             return made
 
         problems.Dataset.instances = instances
-        for kind in ("ddrs", "iddrs", "baseline_gt"):
+"""
+
+
+def test_importing_the_package_loads_no_scipy_linalg():
+    assert _run_python("""
+        import sys
+        import ddrs
+        print(%s)
+    """ % _SCIPY_LOADED) == ["False"]
+
+
+def test_a_wide_iddrs_run_builds_no_inverse_and_loads_no_scipy_linalg():
+    # The set-up runs Lanczos on each singular Gram, and an iDDRS run's steps
+    # and records' envelope take only CG proxes.
+    out = _run_python(_COUNT_INVERSES + """
+        records, summary = run_experiment(preset("synthetic-er06", %r))
+        print(summary["status"], len(records), len(made),
+              sum(inst._inverse is not None for inst in made),
+              %s)
+    """ % ("problem.d = %d\nalgorithm.kind = iddrs\nmax_iters = 6\n"
+           "log_every = 3\n" % 200, _SCIPY_LOADED))
+    assert out == ["ok", "3", "8", "0", "False"]
+
+
+def test_wide_exact_and_baseline_runs_load_no_scipy():
+    # An exact prox builds its inverse with NumPy; the baseline takes no prox.
+    out = _run_python(_COUNT_INVERSES + """
+        for kind in ("ddrs", "baseline_gt"):
             records, summary = run_experiment(preset("synthetic-er06", (
                 "problem.d = 200\\nmax_iters = 6\\nlog_every = 3\\n"
-                "algorithm.kind = %s\\n" % kind)))
+                "algorithm.kind = %%s\\n" %% kind)))
             print(kind, summary["status"], len(records),
                   sum(inst._inverse is not None for inst in made))
-        print(any(m.split(".")[0] == "scipy" for m in sys.modules))
-    """)
-    assert out == ["ddrs", "ok", "3", "8", "iddrs", "ok", "3", "0",
-                   "baseline_gt", "ok", "3", "0", "False"]
+        print(%s)
+    """ % _SCIPY_LOADED)
+    assert out == ["ddrs", "ok", "3", "8", "baseline_gt", "ok", "3", "0",
+                   "False"]
 
 
 def test_every_envelope_prox_is_certified(small_dataset):

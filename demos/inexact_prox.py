@@ -27,7 +27,7 @@ W = metropolis_weights(gen_erdos_renyi(4, 0.7, seed=2))
 inst = problem[0]
 s = rng.standard_normal((8, 3))
 for eps in [1e-2, 1e-6, 1e-12]:
-    x, mu = inst.prox_inexact(0.8, s, eps)
+    x, mu, _ = inst.prox_inexact(0.8, s, eps)
     print("eps=%.0e  realized ||mu||^2 = %.3e" % (eps, float(np.vdot(mu, mu))))
 
 # The geometric schedule is summable, which is all the accuracy theory asks.

@@ -39,6 +39,6 @@ show("synthetic-er03-t10")
 show("synthetic-ring-t10")
 show("synthetic-er06-baseline")
 
-print("\nrunning-min stationarity log-log slope over k in [10, 200]: %.2f"
-      % summary["rate_slope"])
+print("\nrunning-min stationarity log-log slope over k in %s: %.2f"
+      % (summary["rate_window"], summary["rate_slope"]))
 print("(the certified guarantee is slope <= -1)")

@@ -375,6 +375,11 @@ def run_experiment(config):
     state, every ``log_every``-th iteration, and the final one.  Module
     errors during stepping mark the run ``diverged`` instead of raising.
 
+    ``rate_slope`` is the log-log slope of the running minimum of
+    ``stationarity_sq`` (``rate_fit``) over every record with k >= 1, and
+    ``rate_window`` the first and last k it fits; both are None for a run
+    with fewer than 5 such records.
+
     For the splitting engines the summary counts the iterations with any
     certified-regime violation (``neighborhood_violations``), the
     violations of each kind (``violations_by_kind``), the iteration at
@@ -436,18 +441,21 @@ def _envelope_proxes(stack, problem, alpha):
     """
     Proxes of ``stack.s`` for an iDDRS record's envelope, none exact.
 
-    Each agent runs ``prox_inexact`` warm-started at its ``x``, which
-    certifies the rounding floor where that lies above the tolerance.  The
-    solves run through ``map_agents``, like the step's, so at MNIST width
-    they run on the per-agent pool, and none builds the inverse of its prox
-    system.  A stalled solve ends the run ``diverged``, as a step's does.
+    Each agent runs ``prox_inexact`` warm-started at its ``x``, with the
+    Gram product ``stack.gx`` that certified it after a step, so the start
+    makes no product; it certifies the rounding floor where that lies
+    above the tolerance.  The solves run through ``map_agents``, like the
+    step's, so at MNIST width they run on the per-agent pool, and none
+    builds the inverse of its prox system.  A stalled solve ends the run
+    ``diverged``, as a step's does.
     """
 
-    def prox_one(inst, s, x):
+    def prox_one(inst, s, x, gx):
         eps = _ENVELOPE_PROX_TOL * (1.0 + float(np.vdot(s, s)))
-        return inst.prox_inexact(alpha, s, eps, x0=x)[0]
+        return inst.prox_inexact(alpha, s, eps, x0=x, gx0=gx)[0]
 
-    return np.stack(map_agents(prox_one, problem, stack.s, stack.x,
+    gx = [None] * stack.n if stack.gx is None else stack.gx
+    return np.stack(map_agents(prox_one, problem, stack.s, stack.x, gx,
                                dim=stack.s.shape[1]))
 
 
@@ -524,9 +532,11 @@ def _run(config):
         status = "failed"
         error = "%s: %s" % (type(exc).__name__, exc)
 
-    slope = None
+    slope = window = None
     try:
-        slope, _ = rate_fit(records, "stationarity_sq", k_min=10, k_max=200)
+        slope, _ = rate_fit(records, "stationarity_sq")
+        fitted = [rec.k for rec in records if rec.k >= 1]
+        window = [fitted[0], fitted[-1]]
     except ValueError:
         pass
 
@@ -537,6 +547,7 @@ def _run(config):
         "iterations": stack.k,
         "final": _record_to_dict(final) if final else None,
         "rate_slope": slope,
+        "rate_window": window,
         "neighborhood_violations": violations if splitting else None,
         "violations_by_kind": by_kind if splitting else None,
         "first_violation_iter": first_violation if splitting else None,

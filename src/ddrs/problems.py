@@ -225,8 +225,15 @@ class DPCAInstance:
             self._inverse = slot
         return (rhs.T @ slot[1]).T
 
-    def _apply_system(self, alpha, x):
-        return x + alpha * (self.shift * x - self._gram_apply(x))
+    def apply_system(self, alpha, x, gx):
+        """
+        Prox system product ``(1 + alpha shift) x - alpha G x`` from
+        ``gx = G x``.
+
+        Elementwise in its arguments, so a stack of points and their Gram
+        products gives the stack of system products.
+        """
+        return (1.0 + alpha * self.shift) * x - alpha * gx
 
     def prox(self, alpha, s):
         if not alpha > 0:
@@ -237,72 +244,95 @@ class DPCAInstance:
         return self._solve(alpha, s)
 
     def residual(self, alpha, s, x):
-        """Prox optimality residual ``x - s + alpha * egrad(x)``."""
-        return x - _as_matrix(s) + alpha * self.egrad(x)
+        """Prox optimality residual ``x - s + alpha * egrad(x)``, as ``M x - s``."""
+        x = _as_matrix(x)
+        return self.apply_system(alpha, x, self._gram_apply(x)) - _as_matrix(s)
 
     def residual_floor(self, alpha, s):
         """Rounding floor ``(10 u (1 + alpha shift))^2 (1 + ||s||^2)`` of a prox of s."""
         return ((_ROUNDOFF_MARGIN * (1.0 + alpha * self.shift)) ** 2
                 * (1.0 + float(np.vdot(s, s))))
 
-    def prox_inexact(self, alpha, s, eps, x0=None):
+    def prox_inexact(self, alpha, s, eps, x0=None, gx0=None):
         """
         Conjugate-gradient prox solve certified to squared residual <= eps.
 
-        Warm-started from ``x0``, or from s when it is None: an iDDRS
-        step starts each agent's solve from that agent's previous x, and
-        its record's envelope starts from the step's x.  Each CG
-        iteration makes one product with the Gram matrix.  The recomputed
-        residual is accepted if it meets eps or, when eps lies below what
-        rounding allows, ``residual_floor(alpha, s)``; otherwise
-        SolverStallError is raised.  With eps > 0 the inverse of the prox
-        system is never built; ``eps == 0`` takes the exact path, ``prox``.
-        A non-finite s raises NonFiniteInputError before any arithmetic, as
+        Starts from ``x0``, or from s when it is None.  ``gx0`` stands in
+        for the Gram product of ``x0``: that product, or the same linear
+        combination of certified products that combined ``x0`` (an iDDRS
+        step extrapolates both from an agent's last proxes).  It forms only
+        the starting residual, so a wrong one costs iterations, never the
+        certificate.  Without it the start makes one Gram product; each CG
+        iteration makes one more.
+
+        The certificate is the residual recomputed from a fresh Gram
+        product of the returned x, and that product is returned with it.
+        A solve that takes no CG step from a start without ``gx0`` already
+        holds that product, so it makes one product in all.  The
+        certificate holds if it meets eps or, when eps lies below what
+        rounding allows, ``residual_floor(alpha, s)``.  On a miss, CG
+        restarts once from the recomputed residual, within the same
+        iteration budget, and a second miss raises SolverStallError.  With
+        eps > 0 the inverse of the prox system is never built; ``eps == 0``
+        takes the exact path, ``prox``, and ignores the start.  A
+        non-finite s raises NonFiniteInputError before any arithmetic, as
         in ``prox``.
 
         Returns
         -------
-        (x, mu) : the iterate and its recomputed optimality residual.
+        (x, mu, gx) : the iterate, its recomputed optimality residual, and
+        ``_gram_apply(x)``, the product that residual was computed from.
         """
         if not alpha > 0:
             raise ValueError("prox needs alpha > 0, got %r" % (alpha,))
         if eps < 0:
             raise ValueError("tolerance must be >= 0, got %r" % (eps,))
         s = _as_matrix(s)
-        if not np.all(np.isfinite(s)):
+        if not np.isfinite(s).all():
             raise NonFiniteInputError("prox input contains non-finite entries")
         if eps == 0.0:
             x = self.prox(alpha, s)
-            return x, self.residual(alpha, s, x)
+            gx = self._gram_apply(x)
+            return x, self.apply_system(alpha, x, gx) - s, gx
 
         x = (s if x0 is None else _as_matrix(x0)).copy()
-        r = s - self._apply_system(alpha, x)
-        rs = float(np.vdot(r, r))
+        # Whether gx is the Gram product of the current x.
+        fresh = gx0 is None
+        gx = self._gram_apply(x) if fresh else _as_matrix(gx0)
+        r = s - self.apply_system(alpha, x, gx)
         # Stop slightly inside the target so the recomputed residual holds.
         target = 0.9 * eps
-        if rs > target:
-            p = r.copy()
-            for _ in range(max(10 * self.dim, 200)):
-                Mp = self._apply_system(alpha, p)
-                denom = float(np.vdot(p, Mp))
-                if denom <= 0.0:
-                    break
-                step = rs / denom
-                x = x + step * p
-                r = r - step * Mp
-                rs_new = float(np.vdot(r, r))
-                if rs_new <= target:
+        budget = max(10 * self.dim, 200)
+        for _ in range(2):
+            rs = float(np.vdot(r, r))
+            if rs > target:
+                p = r.copy()
+                while budget:
+                    budget -= 1
+                    Mp = self.apply_system(alpha, p, self._gram_apply(p))
+                    denom = float(np.vdot(p, Mp))
+                    if denom <= 0.0:
+                        break
+                    step = rs / denom
+                    x = x + step * p
+                    r = r - step * Mp
+                    fresh = False
+                    rs_new = float(np.vdot(r, r))
+                    if rs_new <= target:
+                        break
+                    p = r + (rs_new / rs) * p
                     rs = rs_new
-                    break
-                p = r + (rs_new / rs) * p
-                rs = rs_new
-        mu = self.residual(alpha, s, x)
-        mu_sq = float(np.vdot(mu, mu))
-        if mu_sq <= eps:
-            return x, mu
-        floor = self.residual_floor(alpha, s)
-        if mu_sq <= floor:
-            return x, mu
+            if not fresh:
+                gx = self._gram_apply(x)
+                fresh = True
+            mu = self.apply_system(alpha, x, gx) - s
+            mu_sq = float(np.vdot(mu, mu))
+            if mu_sq <= eps:
+                return x, mu, gx
+            floor = self.residual_floor(alpha, s)
+            if mu_sq <= floor:
+                return x, mu, gx
+            r = -mu
         raise SolverStallError("inexact prox stalled at ||mu||^2 = %.3e > %.3e "
                                "and its rounding floor %.3e" % (mu_sq, eps, floor))
 

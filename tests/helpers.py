@@ -4,7 +4,12 @@ import struct
 
 import numpy as np
 
-from ddrs.algorithms import AgentStack, BaselineStack, epsilon_schedule
+from ddrs.algorithms import (
+    AgentStack,
+    BaselineStack,
+    epsilon_schedule,
+    extrapolated_start,
+)
 from ddrs.manifold import StiefelPoint, project_stiefel
 from ddrs.network import mix
 from ddrs.problems import Dataset
@@ -223,26 +228,46 @@ def tangent_dir_per_block(x, v):
 def per_agent_splitting_step(stack, problem, W, params, k=None):
     """
     The splitting step written agent by agent: the exact step when ``k`` is
-    None, otherwise the inexact step at tolerance ``eps0 * rho**k``, each
-    agent's solve started from its previous x.
+    None, otherwise the inexact step at tolerance ``eps0 * rho**k``.  Each
+    inexact solve starts where ``extrapolated_start`` puts it, from the
+    agent's history in ``stack``, and the new history is built here agent
+    by agent: the certified products, and the differences of the last
+    three certified proxes and of their products, the newest first.
     """
     n = stack.n
     s = stack.s + stack.z - stack.x
+    gx = dx = dgx = None
     if k is None:
         x = np.stack([problem[i].prox(params.alpha, s[i]) for i in range(n)])
         mu_sq = None
     else:
         eps = epsilon_schedule(params.eps0, params.rho, k)
-        pairs = [problem[i].prox_inexact(params.alpha, s[i], eps,
-                                         x0=stack.x[i])
-                 for i in range(n)]
-        x = np.stack([xi for xi, _ in pairs])
-        mu_sq = np.array([float(np.vdot(mu, mu)) for _, mu in pairs])
+        xs, mu_sq, gxs = [], [], []
+        for i in range(n):
+            history = [None if h is None else h[i]
+                       for h in (stack.gx, stack.dx, stack.dgx)]
+            x0, gx0 = extrapolated_start(problem[i], params.alpha, s[i],
+                                         stack.x[i], *history)
+            xi, mu, gxi = problem[i].prox_inexact(params.alpha, s[i], eps,
+                                                  x0=x0, gx0=gx0)
+            xs.append(xi)
+            mu_sq.append(float(np.vdot(mu, mu)))
+            gxs.append(gxi)
+        x, mu_sq, gx = np.stack(xs), np.array(mu_sq), np.stack(gxs)
+        if stack.gx is not None:
+            dx, dgx = [], []
+            for i in range(n):
+                dx.append([x[i] - stack.x[i]])
+                dgx.append([gx[i] - stack.gx[i]])
+                if stack.dx is not None:
+                    dx[i].append(stack.dx[i][0])
+                    dgx[i].append(stack.dgx[i][0])
+            dx, dgx = np.array(dx), np.array(dgx)
     d = mix(W, params.t, stack.d) + (x - s) - (stack.x - stack.s)
     mixed = mix(W, params.t, x)
     z = np.stack([project_stiefel(mixed[i] + d[i]).mat for i in range(n)])
     return AgentStack(s=s, x=x, y=2.0 * x - s, z=z, d=d, k=stack.k + 1,
-                      mu_sq=mu_sq)
+                      mu_sq=mu_sq, gx=gx, dx=dx, dgx=dgx)
 
 
 def per_agent_baseline_step(stack, problem, W, params):

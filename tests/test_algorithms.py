@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -13,12 +14,14 @@ from ddrs.algorithms import (
     ddrs_init,
     ddrs_step,
     epsilon_schedule,
+    extrapolated_start,
     iddrs_step,
 )
+from ddrs.harness import build_run, preset, start_run
 from ddrs.manifold import StiefelPoint, manifold_constants, project_stiefel
 from ddrs.metrics import tracking_residual
 from ddrs.network import Graph, gen_complete, gen_erdos_renyi, metropolis_weights
-from ddrs.problems import DPCAInstance
+from ddrs.problems import DPCAInstance, NonFiniteInputError
 
 from helpers import (
     centralized_drs,
@@ -224,6 +227,80 @@ class TestInexactStep:
             assert st.mu_sq is not None
             assert np.all(st.mu_sq <= epsilon_schedule(1e-4, 0.5, k))
             assert tracking_residual(st) <= 1e-11
+
+    def test_each_step_keeps_the_certified_products_and_their_differences(
+            self, rng, small_dataset):
+        problem = small_dataset.instances()
+        W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
+        params = SolverParams(alpha=2.0, t=2)
+        st = ddrs_init(problem, W, params, _consensus_start(rng, 4, 6, 2))
+        assert st.gx is st.dx is st.dgx is None
+        xs, gxs = [], []
+        for k in range(5):
+            st = iddrs_step(st, problem, W, params, k)
+            xs.insert(0, st.x)
+            gxs.insert(0, st.gx)
+            for inst, x, gx in zip(problem, st.x, st.gx, strict=True):
+                assert np.array_equal(gx, inst._gram_apply(x))
+            m = min(k, 2)
+            if m == 0:
+                assert st.dx is st.dgx is None
+                continue
+            assert st.dx.shape == st.dgx.shape == (4, m, 6, 2)
+            for j in range(m):
+                assert np.array_equal(st.dx[:, j], xs[j] - xs[j + 1])
+                assert np.array_equal(st.dgx[:, j], gxs[j] - gxs[j + 1])
+        exact = ddrs_step(st, problem, W, params)
+        assert exact.gx is exact.dx is exact.dgx is None
+
+    def test_extrapolated_start_is_the_least_residual_move(self, rng):
+        d, r, alpha = 6, 3, 0.7
+        inst = DPCAInstance(rng.standard_normal((30, d)))
+        M = np.eye(d) + alpha * (inst.shift * np.eye(d) - inst.gram)
+        x, s = rng.standard_normal((d, r)), rng.standard_normal((d, r))
+        gx = inst._gram_apply(x)
+        dx = rng.standard_normal((2, d, r))
+        dgx = np.stack([inst._gram_apply(v) for v in dx])
+        for m in (1, 2):
+            x0, gx0 = extrapolated_start(inst, alpha, s, x, gx, dx[:m],
+                                         dgx[:m])
+            moves = np.stack([(M @ v).ravel() for v in dx[:m]], axis=1)
+            theta = np.linalg.lstsq(moves, (s - M @ x).ravel(), rcond=None)[0]
+            want = x + np.tensordot(theta, dx[:m], axes=1)
+            assert np.abs(x0 - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.abs(gx0 - inst.gram @ x0).max() <= 1e-12 * np.abs(gx0).max()
+        # Parallel differences: the newest alone.
+        x0, gx0 = extrapolated_start(inst, alpha, s, x, gx,
+                                     np.stack([dx[0], -3.0 * dx[0]]),
+                                     np.stack([dgx[0], -3.0 * dgx[0]]))
+        one = extrapolated_start(inst, alpha, s, x, gx, dx[:1], dgx[:1])
+        assert np.abs(x0 - one[0]).max() <= 1e-14 * np.abs(x0).max()
+        # A difference with no system product, or no history: no move.
+        zero = np.zeros((1, d, r))
+        x0, gx0 = extrapolated_start(inst, alpha, s, x, gx, zero, zero)
+        assert x0 is x and gx0 is gx
+        x0, gx0 = extrapolated_start(inst, alpha, s, x, None, None, None)
+        assert x0 is x and gx0 is None
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_s_with_history_is_rejected_without_a_warning(
+            self, bad):
+        # On the preset, an infinite entry in agent 0's s turns the start's
+        # theta into opposite infinities, whose sum would warn (inf - inf);
+        # the start must leave the rejection to the solve, as the first
+        # step does.
+        config = preset("synthetic-er06", "algorithm.kind = iddrs\n")
+        setup = build_run(config)
+        st, _ = start_run(config, setup)
+        args = setup.problem, setup.W, setup.params
+        for k in range(4):
+            st = iddrs_step(st, *args, k)
+        s = st.s.copy()
+        s[0, 0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteInputError):
+                iddrs_step(dataclasses.replace(st, s=s), *args, 4)
 
     def test_eps0_above_delta2_warns(self, rng, small_dataset):
         problem = small_dataset.instances()

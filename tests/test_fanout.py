@@ -104,10 +104,11 @@ def test_pooled_iddrs_step_equals_per_agent_reference(wide_data, pooled):
     for k in range(4):
         got = iddrs_step(stack, problem, W, params, k)
         want = per_agent_splitting_step(stack, problem, W, params, k)
-        for name in ("s", "x", "y", "z", "d", "mu_sq"):
+        for name in ("s", "x", "y", "z", "d", "mu_sq", "gx", "dx", "dgx"):
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(want, name), err_msg=name)
         stack = got
+    assert stack.dx.shape == (4, 2, D, 3)
 
 
 @pytest.mark.parametrize("kind", ["ddrs", "iddrs"])
@@ -140,14 +141,14 @@ def test_worker_errors_end_the_run_as_serial_errors_do(monkeypatch, inject, erro
     raised_on = set()
     solve = DPCAInstance.prox_inexact
 
-    def stall(self, alpha, s, eps, x0=None):
+    def stall(self, alpha, s, eps, x0=None, gx0=None):
         # Only the step's solves, or only the records' envelope solves,
         # stall.  The envelope asks for its own tolerance, which tells them
         # apart.
         envelope = eps == harness._ENVELOPE_PROX_TOL * (
             1.0 + float(np.vdot(s, s)))
         if envelope != (inject == "envelope stall"):
-            return solve(self, alpha, s, eps, x0=x0)
+            return solve(self, alpha, s, eps, x0=x0, gx0=gx0)
         raised_on.add(threading.current_thread().name)
         raise SolverStallError("stalled on the agent with shift %.17g"
                                % self.shift)

@@ -40,6 +40,7 @@ from ddrs.metrics import (
     IterationRecord,
     dre_value,
     neighborhood_report,
+    rate_fit,
 )
 from ddrs.network import mix
 
@@ -344,6 +345,24 @@ class TestRunExperiment:
         assert summary["resolved_seeds"]["data"] == 5
         assert summary["resolved_seeds"]["graph"] == 2
         assert isinstance(summary["resolved_seeds"]["init"], int)
+
+    @pytest.mark.parametrize("overrides, window", [
+        ("max_iters = 300\nlog_every = 50\n", [50, 300]),
+        ("max_iters = 8\n", [1, 8]),
+    ], ids=["sparse", "short"])
+    def test_rate_slope_fits_every_recorded_iteration(self, overrides, window):
+        # Both runs have fewer than 5 records with k in [10, 200], the only
+        # iterations a fit used to see, so they read no slope.
+        records, summary = run_experiment(preset("synthetic-er06", overrides))
+        assert summary["rate_window"] == window
+        assert summary["rate_slope"] == rate_fit(records, "stationarity_sq")[0]
+        assert summary["rate_slope"] < 0
+        with pytest.raises(ValueError):
+            rate_fit(records, "stationarity_sq", k_min=10, k_max=200)
+
+    def test_rate_slope_needs_five_records(self):
+        _, summary = run_experiment(preset("synthetic-er06", "max_iters = 4\n"))
+        assert summary["rate_slope"] is None and summary["rate_window"] is None
 
     def test_log_every_subsampling(self):
         cfg = parse_config(TINY + "log_every = 10\n")
@@ -944,10 +963,10 @@ def test_iddrs_at_a_large_alpha_shift_certifies_every_envelope_prox(
     exact, fallbacks, inside = [], [], []
     solve, prox = DPCAInstance.prox_inexact, DPCAInstance.prox
 
-    def solve_spy(self, alpha, s, eps, x0=None):
+    def solve_spy(self, alpha, s, eps, x0=None, gx0=None):
         inside.append(x0 is not None)
         try:
-            return solve(self, alpha, s, eps, x0=x0)
+            return solve(self, alpha, s, eps, x0=x0, gx0=gx0)
         except SolverStallError:
             fallbacks.append("stall")
             raise

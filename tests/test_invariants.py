@@ -1,7 +1,7 @@
 """
 Core invariants over random shapes, data, step sizes, round counts and
 graph kinds: the splitting engines' tracking identity, exact-prox
-optimality, certified inexact-prox tolerance and warm start, the
+optimality, certified inexact-prox tolerance and extrapolated start, the
 mean-preserving mix, and the tube distance as the distance to the
 projection.
 """
@@ -98,31 +98,51 @@ def test_inexact_steps_track_the_mean_within_their_tolerances(run):
             assert float(np.vdot(mu, mu)) <= eps_k
 
 
+def _system_residual_norm(inst, alpha, s, x):
+    """``||s - M x||`` for the prox system M, from a fresh Gram product."""
+    return float(np.linalg.norm(s - inst.apply_system(alpha, x,
+                                                      inst._gram_apply(x))))
+
+
 @pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
 @PROPERTY
 @given(runs())
-def test_inexact_steps_start_each_solve_at_the_agents_last_prox(run):
+def test_inexact_steps_start_no_worse_than_the_agents_last_prox(run):
     problem, W, params, x0 = run
     stack = ddrs_init(problem, W, params, x0)
-    for k in range(STEPS):
+    for k in range(STEPS + 2):
         starts = {}
         for i, inst in enumerate(problem):
             solve = inst.prox_inexact
 
-            def spy(alpha, s, eps, x0=None, i=i, solve=solve):
-                starts[i] = x0
-                return solve(alpha, s, eps, x0=x0)
+            def spy(alpha, s, eps, x0=None, gx0=None, i=i, solve=solve):
+                starts[i] = (s, x0, gx0)
+                return solve(alpha, s, eps, x0=x0, gx0=gx0)
 
             inst.prox_inexact = spy
         try:
-            previous = stack.x
+            previous = stack
             stack = iddrs_step(stack, problem, W, params, k)
         finally:
             for inst in problem:
                 del inst.prox_inexact
         assert sorted(starts) == list(range(W.n))
-        for i, start in starts.items():
-            np.testing.assert_array_equal(start, previous[i])
+        for i, (s, start, gstart) in starts.items():
+            inst, x_k = problem[i], previous.x[i]
+            if previous.gx is None:
+                # Without certified products the start is the last prox.
+                np.testing.assert_array_equal(start, x_k)
+                assert gstart is None
+                continue
+            # The start's product stands in for its Gram product.
+            rounding = 1e-13 * (1.0 + np.linalg.norm(inst.gram)) * (
+                np.linalg.norm(start) + np.linalg.norm(x_k))
+            assert np.linalg.norm(gstart - inst._gram_apply(start)) <= rounding
+            bound = _system_residual_norm(inst, params.alpha, s, x_k)
+            assert (_system_residual_norm(inst, params.alpha, s, start)
+                    <= bound * (1.0 + 1e-12)
+                    + (1.0 + params.alpha * inst.shift) * rounding)
+    assert stack.dx.shape[1] == 2
 
 
 @PROPERTY

@@ -266,14 +266,16 @@ class TestProxInexact:
     def test_zero_tolerance_exact_path(self, rng):
         inst = DPCAInstance(rng.standard_normal((6, 4)))
         s = rng.standard_normal((4, 2))
-        x, mu = inst.prox_inexact(0.5, s, 0.0)
+        x, mu, gx = inst.prox_inexact(0.5, s, 0.0)
         assert np.array_equal(x, inst.prox(0.5, s))
         assert np.linalg.norm(mu) < 1e-12
+        assert np.array_equal(gx, inst._gram_apply(x))
+        assert np.array_equal(mu, inst.residual(0.5, s, x))
 
     def test_huge_tolerance_returns_start(self, rng):
         inst = DPCAInstance(rng.standard_normal((6, 4)))
         s = rng.standard_normal((4, 2))
-        x, mu = inst.prox_inexact(0.5, s, 1e6)
+        x, mu, gx = inst.prox_inexact(0.5, s, 1e6)
         assert np.array_equal(x, s)
         assert float(np.vdot(mu, mu)) <= 1e6
 
@@ -281,15 +283,16 @@ class TestProxInexact:
         inst = DPCAInstance(rng.standard_normal((40, 6)))
         for _ in range(10):
             s = rng.standard_normal((6, 3))
-            x, mu = inst.prox_inexact(0.8, s, 1e-8)
+            x, mu, gx = inst.prox_inexact(0.8, s, 1e-8)
             recomputed = inst.residual(0.8, s, x)
             assert np.allclose(mu, recomputed, atol=1e-15)
             assert float(np.vdot(recomputed, recomputed)) <= 1e-8
+            assert np.array_equal(gx, inst._gram_apply(x))
 
     def test_tiny_tolerance_uses_refinement(self, rng):
         inst = DPCAInstance(rng.standard_normal((20, 5)))
         s = rng.standard_normal((5, 2))
-        x, mu = inst.prox_inexact(0.6, s, 1e-28)
+        x, mu, gx = inst.prox_inexact(0.6, s, 1e-28)
         assert float(np.vdot(mu, mu)) <= 1e-28
 
     def test_a_tolerance_below_rounding_certifies_the_floor(self, rng,
@@ -302,7 +305,7 @@ class TestProxInexact:
         for name in ("prox", "_solve"):
             monkeypatch.setattr(inst, name,
                                 lambda *args, name=name: called.append(name))
-        x, mu = inst.prox_inexact(0.6, s, 1e-40)
+        x, mu, gx = inst.prox_inexact(0.6, s, 1e-40)
         assert np.array_equal(mu, inst.residual(0.6, s, x))
         assert 1e-40 < float(np.vdot(mu, mu)) <= inst.residual_floor(0.6, s)
         assert called == []
@@ -312,17 +315,95 @@ class TestProxInexact:
         inst = DPCAInstance(rng.standard_normal((40, 6)))
         s = rng.standard_normal((6, 3))
         # None starts from s, bit for bit as without x0.
-        x, mu = inst.prox_inexact(0.8, s, 1e-8, x0=None)
+        x, mu, gx = inst.prox_inexact(0.8, s, 1e-8, x0=None)
         assert np.array_equal(x, inst.prox_inexact(0.8, s, 1e-8)[0])
         # A start that already meets the tolerance is returned unchanged,
         # as a copy.
         x0 = inst.prox(0.8, s)
-        x, mu = inst.prox_inexact(0.8, s, 1e-20, x0=x0)
+        x, mu, gx = inst.prox_inexact(0.8, s, 1e-20, x0=x0)
         assert np.array_equal(x, x0) and x is not x0
         # A nearby start certifies a tight tolerance.
-        x, mu = inst.prox_inexact(0.8, s, 1e-26, x0=x0 + 1e-6)
+        x, mu, gx = inst.prox_inexact(0.8, s, 1e-26, x0=x0 + 1e-6)
         recomputed = inst.residual(0.8, s, x)
         assert float(np.vdot(recomputed, recomputed)) <= 1e-26
+
+    @staticmethod
+    def _count_products(inst, monkeypatch):
+        calls = []
+        product = inst._gram_apply
+
+        def spy(x):
+            calls.append(1)
+            return product(x)
+
+        monkeypatch.setattr(inst, "_gram_apply", spy)
+        return calls
+
+    def test_a_solve_that_takes_no_cg_step_makes_one_product(self, rng,
+                                                             monkeypatch):
+        inst = DPCAInstance(rng.standard_normal((40, 6)))
+        s = rng.standard_normal((6, 3))
+        x0 = inst.prox(0.8, s)
+        calls = self._count_products(inst, monkeypatch)
+        # A cold start that meets the target: its own product certifies it.
+        x, mu, gx = inst.prox_inexact(0.8, s, 1e-20, x0=x0)
+        assert np.array_equal(x, x0) and len(calls) == 1
+        assert np.array_equal(gx, x0.T.dot(inst.gram).T)
+        # A start with a stand-in product pays only the certificate's.
+        del calls[:]
+        x, mu, gx = inst.prox_inexact(0.8, s, 1e-20, x0=x0, gx0=gx)
+        assert np.array_equal(x, x0) and len(calls) == 1
+        # A start that needs CG pays a product per iteration on top.
+        del calls[:]
+        x, mu, gx = inst.prox_inexact(0.8, s, 1e-8, x0=x0 + 1e-3,
+                                      gx0=gx + 1e-3 * inst.gram.sum(axis=1,
+                                                                    keepdims=True))
+        assert len(calls) >= 2
+        assert np.array_equal(gx, x.T.dot(inst.gram).T)
+
+    def test_a_start_product_that_lies_is_caught_by_the_certificate(self, rng):
+        # gx0 chosen so the start's residual reads as rounding alone: CG
+        # takes no step, the fresh certificate misses, and CG restarts
+        # from it.
+        inst = DPCAInstance(rng.standard_normal((40, 6)))
+        s = rng.standard_normal((6, 3))
+        alpha = 0.8
+        gx0 = ((1.0 + alpha * inst.shift) * s - s) / alpha
+        assert np.linalg.norm(s - inst.apply_system(alpha, s, gx0)) < 1e-12
+        assert np.linalg.norm(inst.residual(alpha, s, s)) > 1.0
+        x, mu, gx = inst.prox_inexact(alpha, s, 1e-16, x0=s, gx0=gx0)
+        res = inst.residual(alpha, s, x)
+        assert float(np.vdot(res, res)) <= 1e-16
+        assert np.array_equal(mu, res) and np.array_equal(gx, inst._gram_apply(x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(
+        ["other point", "zeros", "scaled", "noise", "huge", "claims solved"]),
+        st.floats(1e-30, 1e-4), st.floats(1e-3, 1e3))
+    def test_a_wrong_start_product_never_returns_an_uncertified_x(
+            self, seed, kind, eps, alpha_shift):
+        rng = np.random.default_rng(seed)
+        d, r = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        inst = DPCAInstance(rng.standard_normal((int(rng.integers(d, 3 * d)), d)))
+        alpha = alpha_shift / inst.shift
+        s = rng.standard_normal((d, r))
+        x0 = s + rng.standard_normal((d, r))
+        gx0 = {"other point": inst._gram_apply(rng.standard_normal((d, r))),
+               "zeros": np.zeros((d, r)),
+               "scaled": 1.5 * inst._gram_apply(x0),
+               "noise": inst._gram_apply(x0) + rng.standard_normal((d, r)),
+               "huge": 1e12 * rng.standard_normal((d, r)),
+               # Makes the start's residual read as rounding alone.
+               "claims solved": (x0 + alpha * inst.shift * x0 - s) / alpha,
+               }[kind]
+        try:
+            x, mu, gx = inst.prox_inexact(alpha, s, eps, x0=x0, gx0=gx0)
+        except SolverStallError:
+            return
+        res = inst.residual(alpha, s, x)
+        assert float(np.vdot(res, res)) <= max(eps, inst.residual_floor(alpha, s))
+        assert np.array_equal(gx, inst._gram_apply(x))
+        assert np.array_equal(mu, res)
 
     def test_injected_residual_is_exact(self, rng):
         inst = DPCAInstance(rng.standard_normal((10, 4)))

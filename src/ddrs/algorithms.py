@@ -49,7 +49,9 @@ class AgentStack:
 
     An inexact step also keeps each agent's prox history, from which the
     next step starts its solves (``iddrs_step``): ``gx``, shape (n, d, r),
-    the Gram product of each block of ``x`` that certified it, and ``dx``
+    the Gram product of each block of ``x`` that certified it (a fresh
+    product, or the last CG iteration's two products combined, within
+    rounding of one; ``prox_inexact``), and ``dx``
     and ``dgx``, shape (n, m, d, r) with m = 1 or 2, the differences of
     the agent's last m + 1 certified proxes and of their products, the
     newest first.  Like ``z_sv`` they are stale if ``x`` is edited later.

@@ -439,24 +439,29 @@ _ENVELOPE_PROX_TOL = 1e-24
 
 def _envelope_proxes(stack, problem, alpha):
     """
-    Proxes of ``stack.s`` for an iDDRS record's envelope, none exact.
+    Proxes of ``stack.s`` for an iDDRS record's envelope, none exact, and
+    the Gram products that certified them: ``(xs, gxs)``, each (n, d, r).
 
     Each agent runs ``prox_inexact`` warm-started at its ``x``, with the
     Gram product ``stack.gx`` that certified it after a step, so the start
     makes no product; it certifies the rounding floor where that lies
-    above the tolerance.  The solves run through ``map_agents``, like the
-    step's, so at MNIST width they run on the per-agent pool, and none
-    builds the inverse of its prox system.  A stalled solve ends the run
+    above the tolerance.  ``dre_value`` takes ``gxs`` in place of products
+    of its own.  The solves run through ``map_agents``, like the step's,
+    so at MNIST width they run on the per-agent pool, and none builds the
+    inverse of its prox system.  A stalled solve ends the run
     ``diverged``, as a step's does.
     """
 
     def prox_one(inst, s, x, gx):
         eps = _ENVELOPE_PROX_TOL * (1.0 + float(np.vdot(s, s)))
-        return inst.prox_inexact(alpha, s, eps, x0=x, gx0=gx)[0]
+        x, _, gx = inst.prox_inexact(alpha, s, eps, x0=x, gx0=gx)
+        return x, gx
 
     gx = [None] * stack.n if stack.gx is None else stack.gx
-    return np.stack(map_agents(prox_one, problem, stack.s, stack.x, gx,
-                               dim=stack.s.shape[1]))
+    solved = map_agents(prox_one, problem, stack.s, stack.x, gx,
+                        dim=stack.s.shape[1])
+    return (np.stack([x for x, _ in solved]),
+            np.stack([gx for _, gx in solved]))
 
 
 def _run(config):
@@ -477,7 +482,7 @@ def _run(config):
         dre = None
         if algo == "iddrs":
             dre = dre_value(stack.s, problem, alpha,
-                            _envelope_proxes(stack, problem, alpha))
+                            *_envelope_proxes(stack, problem, alpha))
         elif algo == "ddrs":
             # An exact step leaves x = prox(alpha, s) bitwise; the start,
             # where x = s, does not.

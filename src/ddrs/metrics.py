@@ -58,22 +58,24 @@ def consensus_and_stationarity(x_blocks, xbar, problem):
     ``xbar`` (``induced_mean(x_blocks)``, which the caller computes once),
     the squared norm of the Riemannian gradient of the summed objective at
     that mean, and the summed objective value there.  Each agent's value
-    and gradient at ``xbar`` come from one product with its Gram matrix.
+    and gradient at ``xbar`` come from one product with its Gram matrix;
+    the products run through ``map_agents`` and are summed in agent order,
+    so a pooled record is bitwise a serial one.
     """
     xbar = _as_matrix(xbar)
     diff = np.asarray(x_blocks, dtype=float) - xbar
     consensus_sq = float(np.vdot(diff, diff))
     g = np.zeros_like(xbar)
     obj = 0
-    for inst in problem:
-        value, grad = inst.value_and_egrad(xbar)
+    for value, grad in map_agents(lambda inst: inst.value_and_egrad(xbar),
+                                  problem, dim=xbar.shape[0]):
         g += grad
         obj += value
     rg = _tangent_dir(xbar, g)
     return consensus_sq, float(np.vdot(rg, rg)), float(obj)
 
 
-def dre_value(s_blocks, problem, alpha, x_blocks=None):
+def dre_value(s_blocks, problem, alpha, x_blocks=None, gx_blocks=None):
     """
     Splitting envelope at the stacked splitting variable.
 
@@ -88,7 +90,9 @@ def dre_value(s_blocks, problem, alpha, x_blocks=None):
     keep the value within rounding of the exact prox's without building it.
     Otherwise they are computed here with the exact prox, through
     ``map_agents``.  Each agent's value and gradient come from one product
-    with its Gram matrix.
+    with its Gram matrix, or from its block of ``gx_blocks``, the Gram
+    products that certified ``x_blocks`` (``prox_inexact``), which makes
+    none.  They run through ``map_agents`` and are summed in agent order.
     """
     if x_blocks is None:
         s_blocks = np.asarray(s_blocks, dtype=float)
@@ -96,7 +100,9 @@ def dre_value(s_blocks, problem, alpha, x_blocks=None):
                                  problem, s_blocks, dim=s_blocks.shape[1]))
     else:
         xs = np.asarray(x_blocks, dtype=float)
-    pairs = [inst.value_and_egrad(x) for inst, x in zip(problem, xs, strict=True)]
+    gxs = [None] * len(xs) if gx_blocks is None else gx_blocks
+    pairs = map_agents(lambda inst, x, gx: inst.value_and_egrad(x, gx),
+                       problem, xs, gxs, dim=xs.shape[1])
     grads = np.stack([grad for _, grad in pairs])
     ybar = project_stiefel((xs - alpha * grads).mean(axis=0)).mat
     gap = ybar - xs

@@ -6,6 +6,7 @@ closed-form prox, the synthetic spectrum-controlled data generator, and the
 IDX image-file loader.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -194,10 +195,15 @@ class DPCAInstance:
         x = _as_matrix(x)
         return self.shift * x - self._gram_apply(x)
 
-    def value_and_egrad(self, x):
-        """``(value(x), egrad(x))`` from one product with the Gram matrix."""
+    def value_and_egrad(self, x, gx=None):
+        """
+        ``(value(x), egrad(x))`` from one product with the Gram matrix, or
+        from ``gx``, a Gram product of x the caller holds (``prox_inexact``
+        returns the one that certified its x).
+        """
         x = _as_matrix(x)
-        gx = self._gram_apply(x)
+        if gx is None:
+            gx = self._gram_apply(x)
         return self._value(x, gx), self.shift * x - gx
 
     def smoothness(self):
@@ -250,8 +256,11 @@ class DPCAInstance:
 
     def residual_floor(self, alpha, s):
         """Rounding floor ``(10 u (1 + alpha shift))^2 (1 + ||s||^2)`` of a prox of s."""
-        return ((_ROUNDOFF_MARGIN * (1.0 + alpha * self.shift)) ** 2
-                * (1.0 + float(np.vdot(s, s))))
+        return self._floor(alpha, float(np.vdot(s, s)))
+
+    def _floor(self, alpha, s_sq):
+        # residual_floor from s_sq = ||s||^2.
+        return (_ROUNDOFF_MARGIN * (1.0 + alpha * self.shift)) ** 2 * (1.0 + s_sq)
 
     def prox_inexact(self, alpha, s, eps, x0=None, gx0=None):
         """
@@ -262,40 +271,65 @@ class DPCAInstance:
         combination of certified products that combined ``x0`` (an iDDRS
         step extrapolates both from an agent's last proxes).  It forms only
         the starting residual, so a wrong one costs iterations, never the
-        certificate.  Without it the start makes one Gram product; each CG
-        iteration makes one more.
+        certificate.  Without it the start makes one Gram product.
 
-        The certificate is the residual recomputed from a fresh Gram
-        product of the returned x, and that product is returned with it.
-        A solve that takes no CG step from a start without ``gx0`` already
-        holds that product, so it makes one product in all.  The
-        certificate holds if it meets eps or, when eps lies below what
-        rounding allows, ``residual_floor(alpha, s)``.  On a miss, CG
-        restarts once from the recomputed residual, within the same
-        iteration budget, and a second miss raises SolverStallError.  With
-        eps > 0 the inverse of the prox system is never built; ``eps == 0``
-        takes the exact path, ``prox``, and ignores the start.  A
-        non-finite s raises NonFiniteInputError before any arithmetic, as
+        Each CG iteration makes one Gram product, of the (d, 2r) block
+        ``[x_j | p_j]`` of the iterate and the search direction: at d = 784
+        a product streams G once, so 2r columns cost about what r do.  When
+        the CG recurrence meets ``0.9 eps`` at ``x_J = x_{J-1} + step
+        p_{J-1}``, the certificate is the residual computed from
+        ``G x_{J-1} + step G p_{J-1}``, the last block's two products,
+        never from the recurrence or ``gx0``.  Two guards, checked once at
+        exit, keep it within rounding of a fresh product's.  The update
+        guard ``step^2 ||p||^2 <= ||x_J||^2`` gives ``||x_{J-1}|| <= 2
+        ||x_J||``, so the combination's rounding stays a small multiple of
+        one product's; it is checked as ``step rs <= ||x_J||^2``, which
+        implies it, since ``rs = step <p, M p>`` and ``M >= I``.  The
+        margin guard is ``(||mu|| + sqrt(residual_floor))^2 <= eps``.
+
+        Every other exit, and a combined certificate that trips a guard,
+        takes a fresh product of x; a solve that takes no CG step from a
+        start without ``gx0`` already holds it, so it makes one product in
+        all.  That certificate holds if it meets eps or, when eps lies
+        below what rounding allows, ``residual_floor(alpha, s)``.  On a
+        miss, CG restarts once from the recomputed residual, within the
+        same iteration budget, and a second miss raises SolverStallError.
+        With eps > 0 the inverse of the prox system is never built;
+        ``eps == 0`` takes the exact path, ``prox``, and ignores the start.
+        A non-finite s raises NonFiniteInputError before any arithmetic, as
         in ``prox``.
 
         Returns
         -------
-        (x, mu, gx) : the iterate, its recomputed optimality residual, and
-        ``_gram_apply(x)``, the product that residual was computed from.
+        (x, mu, gx) : the iterate, its optimality residual ``mu =
+        apply_system(alpha, x, gx) - s``, and ``gx``, the Gram product of x
+        it was certified from: ``_gram_apply(x)`` bitwise where the solve
+        took no CG step or a guard tripped, else the combined product.
         """
         if not alpha > 0:
             raise ValueError("prox needs alpha > 0, got %r" % (alpha,))
         if eps < 0:
             raise ValueError("tolerance must be >= 0, got %r" % (eps,))
         s = _as_matrix(s)
-        if not np.isfinite(s).all():
+        # ||s||^2 is finite only if every entry is.  A non-finite ||s||^2
+        # may still come from finite entries that overflow it, so only then
+        # are the entries tested.
+        s_sq = float(np.vdot(s, s))
+        if not math.isfinite(s_sq) and not np.isfinite(s).all():
             raise NonFiniteInputError("prox input contains non-finite entries")
         if eps == 0.0:
             x = self.prox(alpha, s)
             gx = self._gram_apply(x)
             return x, self.apply_system(alpha, x, gx) - s, gx
 
-        x = (s if x0 is None else _as_matrix(x0)).copy()
+        cols = s.shape[1]
+        # CG runs on transposes: the rows of xpt are x^T and p^T, so xpt.T
+        # is the block [x | p], and x, p and the two halves of the block's
+        # product stay contiguous and update in place.
+        xpt = np.empty((2 * cols, self.dim))
+        xt, pt = xpt[:cols], xpt[cols:]
+        xt[...] = (s if x0 is None else _as_matrix(x0)).T
+        x = xt.T
         # Whether gx is the Gram product of the current x.
         fresh = gx0 is None
         gx = self._gram_apply(x) if fresh else _as_matrix(gx0)
@@ -303,34 +337,46 @@ class DPCAInstance:
         # Stop slightly inside the target so the recomputed residual holds.
         target = 0.9 * eps
         budget = max(10 * self.dim, 200)
+        floor = self._floor(alpha, s_sq)
         for _ in range(2):
             rs = float(np.vdot(r, r))
+            # The last iteration's block product and step, once CG converged.
+            last = None
             if rs > target:
-                p = r.copy()
+                pt[...] = rt = r.T
                 while budget:
                     budget -= 1
-                    Mp = self.apply_system(alpha, p, self._gram_apply(p))
-                    denom = float(np.vdot(p, Mp))
+                    gxpt = self._gram_apply(xpt.T).T
+                    Mpt = self.apply_system(alpha, pt, gxpt[cols:])
+                    denom = float(np.vdot(pt, Mpt))
                     if denom <= 0.0:
                         break
                     step = rs / denom
-                    x = x + step * p
-                    r = r - step * Mp
+                    xt += step * pt
+                    rt = rt - step * Mpt
                     fresh = False
-                    rs_new = float(np.vdot(r, r))
+                    rs_new = float(np.vdot(rt, rt))
                     if rs_new <= target:
+                        last = gxpt, step, rs
                         break
-                    p = r + (rs_new / rs) * p
+                    pt *= rs_new / rs
+                    pt += rt
                     rs = rs_new
+            if last is not None:
+                gxpt, step, rs = last
+                # The update guard: step^2 ||p||^2 <= step rs, as M >= I.
+                if step * rs <= float(np.vdot(xt, xt)):
+                    gx = (gxpt[:cols] + step * gxpt[cols:]).T
+                    mu = self.apply_system(alpha, x, gx) - s
+                    mu_sq = float(np.vdot(mu, mu))
+                    if (math.sqrt(mu_sq) + math.sqrt(floor)) ** 2 <= eps:
+                        return x, mu, gx
             if not fresh:
                 gx = self._gram_apply(x)
                 fresh = True
             mu = self.apply_system(alpha, x, gx) - s
             mu_sq = float(np.vdot(mu, mu))
-            if mu_sq <= eps:
-                return x, mu, gx
-            floor = self.residual_floor(alpha, s)
-            if mu_sq <= floor:
+            if mu_sq <= eps or mu_sq <= floor:
                 return x, mu, gx
             r = -mu
         raise SolverStallError("inexact prox stalled at ||mu||^2 = %.3e > %.3e "

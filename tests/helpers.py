@@ -195,6 +195,60 @@ def prox_with_injected_residual(inst, alpha, s, mu):
     return x, inst.residual(alpha, s, x)
 
 
+def count_gram_products(inst):
+    """
+    Spy on ``inst._gram_apply``: the returned list gets each call's column
+    count.  The spy is an attribute of ``inst`` alone, so it goes with it.
+    """
+    calls = []
+    product = inst._gram_apply
+
+    def spy(x):
+        calls.append(x.shape[1])
+        return product(x)
+
+    inst._gram_apply = spy
+    return calls
+
+
+def fresh_gram_product(inst, x):
+    """``inst._gram_apply(x)``, past any spy on the instance."""
+    return type(inst)._gram_apply(inst, x)
+
+
+def gram_rounding(inst, x):
+    """
+    How far a certified Gram product of x may lie from a fresh one:
+    ``4 (d + 2) u ||G||_F ||x||_F``, u the unit roundoff.
+
+    A CG certificate combines ``G x_prev + step G p`` only when
+    ``||step p|| <= ||x||``, so ``||x_prev|| <= 2 ||x||``.  Each product is
+    within ``d u ||G||_F`` times its operand's norm, and the fresh one, the
+    combination's sum and the rounding of ``x = x_prev + step p`` add a few
+    u more.
+    """
+    u = np.finfo(float).eps / 2
+    return (4 * (inst.dim + 2) * u * float(np.linalg.norm(inst.gram))
+            * float(np.linalg.norm(x)))
+
+
+def assert_certified_product(inst, alpha, s, x, mu, gx, calls):
+    """
+    Check what a ``prox_inexact`` solve returned with x.  Its residual is
+    ``apply_system(alpha, x, gx) - s`` bitwise.  gx is a fresh product of x
+    bitwise when the solve's last product had r columns (it took no CG
+    step, or a guard tripped), and otherwise, after a (d, 2r) block,
+    within ``gram_rounding`` of one.
+    """
+    assert np.array_equal(mu, inst.apply_system(alpha, x, gx) - s)
+    fresh = fresh_gram_product(inst, x)
+    if calls[-1] == x.shape[1]:
+        assert np.array_equal(gx, fresh)
+    else:
+        assert calls[-1] == 2 * x.shape[1]
+        assert np.linalg.norm(gx - fresh) <= gram_rounding(inst, x)
+
+
 def save_matrix(path, M):
     """Write a matrix as text: header line ``m d``, then one row per line."""
     M = np.asarray(M, dtype=float)

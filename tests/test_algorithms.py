@@ -24,7 +24,9 @@ from ddrs.network import Graph, gen_complete, gen_erdos_renyi, metropolis_weight
 from ddrs.problems import DPCAInstance, NonFiniteInputError
 
 from helpers import (
+    assert_certified_product,
     centralized_drs,
+    count_gram_products,
     global_average_drs,
     projected_gradient_descent,
     random_stiefel_mat,
@@ -236,12 +238,19 @@ class TestInexactStep:
         st = ddrs_init(problem, W, params, _consensus_start(rng, 4, 6, 2))
         assert st.gx is st.dx is st.dgx is None
         xs, gxs = [], []
+        calls = [count_gram_products(inst) for inst in problem]
         for k in range(5):
+            for agent_calls in calls:
+                del agent_calls[:]
             st = iddrs_step(st, problem, W, params, k)
             xs.insert(0, st.x)
             gxs.insert(0, st.gx)
-            for inst, x, gx in zip(problem, st.x, st.gx, strict=True):
-                assert np.array_equal(gx, inst._gram_apply(x))
+            for inst, s, x, mu_sq, gx, agent_calls in zip(
+                    problem, st.s, st.x, st.mu_sq, st.gx, calls, strict=True):
+                mu = inst.apply_system(params.alpha, x, gx) - s
+                assert mu_sq == float(np.vdot(mu, mu))
+                assert_certified_product(inst, params.alpha, s, x, mu, gx,
+                                         agent_calls)
             m = min(k, 2)
             if m == 0:
                 assert st.dx is st.dgx is None

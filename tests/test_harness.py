@@ -44,7 +44,7 @@ from ddrs.metrics import (
 )
 from ddrs.network import mix
 
-from helpers import idx_bytes, pixel_like_images
+from helpers import gram_rounding, idx_bytes, pixel_like_images
 
 
 MINIMAL = """
@@ -389,8 +389,8 @@ class TestRunExperiment:
         # whose value is within 1e-10 relative of the exact recompute.
         calls = []
 
-        def spy(s_blocks, problem, alpha, x_blocks=None):
-            value = dre_value(s_blocks, problem, alpha, x_blocks)
+        def spy(s_blocks, problem, alpha, x_blocks=None, gx_blocks=None):
+            value = dre_value(s_blocks, problem, alpha, x_blocks, gx_blocks)
             calls.append((x_blocks is not None, value,
                           dre_value(s_blocks, problem, alpha)))
             return value
@@ -903,12 +903,15 @@ def test_every_envelope_prox_is_certified(small_dataset):
     x = s + 1e-3 * rng.standard_normal(s.shape)
     alpha = 2.0
     stack = AgentStack(s=s, x=x, y=x, z=x, d=np.zeros_like(x))
-    out = harness._envelope_proxes(stack, problem, alpha)
-    for inst, s_i, x_i in zip(problem, s, out, strict=True):
+    xs, gxs = harness._envelope_proxes(stack, problem, alpha)
+    for inst, s_i, x_i, gx_i in zip(problem, s, xs, gxs, strict=True):
         mu = inst.residual(alpha, s_i, x_i)
         assert float(np.vdot(mu, mu)) <= max(
             harness._ENVELOPE_PROX_TOL * (1 + float(np.vdot(s_i, s_i))),
             inst.residual_floor(alpha, s_i))
+        # The product that certified x_i, within rounding of a fresh one.
+        assert np.linalg.norm(gx_i - inst._gram_apply(x_i)) <= gram_rounding(
+            inst, x_i)
 
 
 @pytest.mark.parametrize("alpha_shift", [1.0, 1e2, 1e4, 1e6, 1e7])
@@ -941,9 +944,9 @@ def test_iddrs_envelope_matches_the_exact_prox_at_every_record(monkeypatch,
                                                                overrides):
     exact = []
 
-    def spy(s_blocks, problem, alpha, x_blocks=None):
+    def spy(s_blocks, problem, alpha, x_blocks=None, gx_blocks=None):
         exact.append(dre_value(s_blocks, problem, alpha))
-        return dre_value(s_blocks, problem, alpha, x_blocks)
+        return dre_value(s_blocks, problem, alpha, x_blocks, gx_blocks)
 
     monkeypatch.setattr(harness, "dre_value", spy)
     config = preset("synthetic-er06", "algorithm.kind = iddrs\n" + overrides)
@@ -978,9 +981,9 @@ def test_iddrs_at_a_large_alpha_shift_certifies_every_envelope_prox(
             fallbacks.append("refined")
         return prox(self, alpha, s)
 
-    def spy(s_blocks, problem, alpha, x_blocks=None):
+    def spy(s_blocks, problem, alpha, x_blocks=None, gx_blocks=None):
         exact.append(dre_value(s_blocks, problem, alpha))
-        return dre_value(s_blocks, problem, alpha, x_blocks)
+        return dre_value(s_blocks, problem, alpha, x_blocks, gx_blocks)
 
     monkeypatch.setattr(DPCAInstance, "prox_inexact", solve_spy)
     monkeypatch.setattr(DPCAInstance, "prox", prox_spy)

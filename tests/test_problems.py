@@ -24,7 +24,10 @@ from ddrs.problems import (
 )
 
 from helpers import (
+    assert_certified_product,
+    count_gram_products,
     finite_difference_egrad,
+    fresh_gram_product,
     gen_synthetic_full,
     idx_bytes,
     load_matrix,
@@ -281,13 +284,14 @@ class TestProxInexact:
 
     def test_certified_tolerance(self, rng):
         inst = DPCAInstance(rng.standard_normal((40, 6)))
+        calls = count_gram_products(inst)
         for _ in range(10):
             s = rng.standard_normal((6, 3))
+            del calls[:]
             x, mu, gx = inst.prox_inexact(0.8, s, 1e-8)
+            assert_certified_product(inst, 0.8, s, x, mu, gx, calls)
             recomputed = inst.residual(0.8, s, x)
-            assert np.allclose(mu, recomputed, atol=1e-15)
             assert float(np.vdot(recomputed, recomputed)) <= 1e-8
-            assert np.array_equal(gx, inst._gram_apply(x))
 
     def test_tiny_tolerance_uses_refinement(self, rng):
         inst = DPCAInstance(rng.standard_normal((20, 5)))
@@ -327,39 +331,85 @@ class TestProxInexact:
         recomputed = inst.residual(0.8, s, x)
         assert float(np.vdot(recomputed, recomputed)) <= 1e-26
 
-    @staticmethod
-    def _count_products(inst, monkeypatch):
-        calls = []
-        product = inst._gram_apply
-
-        def spy(x):
-            calls.append(1)
-            return product(x)
-
-        monkeypatch.setattr(inst, "_gram_apply", spy)
-        return calls
-
-    def test_a_solve_that_takes_no_cg_step_makes_one_product(self, rng,
-                                                             monkeypatch):
+    def test_a_solve_that_takes_no_cg_step_makes_one_product(self, rng):
         inst = DPCAInstance(rng.standard_normal((40, 6)))
         s = rng.standard_normal((6, 3))
         x0 = inst.prox(0.8, s)
-        calls = self._count_products(inst, monkeypatch)
+        calls = count_gram_products(inst)
         # A cold start that meets the target: its own product certifies it.
         x, mu, gx = inst.prox_inexact(0.8, s, 1e-20, x0=x0)
-        assert np.array_equal(x, x0) and len(calls) == 1
+        assert np.array_equal(x, x0) and calls == [3]
         assert np.array_equal(gx, x0.T.dot(inst.gram).T)
         # A start with a stand-in product pays only the certificate's.
         del calls[:]
         x, mu, gx = inst.prox_inexact(0.8, s, 1e-20, x0=x0, gx0=gx)
-        assert np.array_equal(x, x0) and len(calls) == 1
-        # A start that needs CG pays a product per iteration on top.
+        assert np.array_equal(x, x0) and calls == [3]
+        assert np.array_equal(gx, x0.T.dot(inst.gram).T)
+        # A start that needs CG pays one (d, 2r) block per iteration, and
+        # the last block's products certify the result.
         del calls[:]
         x, mu, gx = inst.prox_inexact(0.8, s, 1e-8, x0=x0 + 1e-3,
                                       gx0=gx + 1e-3 * inst.gram.sum(axis=1,
                                                                     keepdims=True))
-        assert len(calls) >= 2
-        assert np.array_equal(gx, x.T.dot(inst.gram).T)
+        assert calls and set(calls) == {6}
+        assert_certified_product(inst, 0.8, s, x, mu, gx, calls)
+
+    @pytest.mark.parametrize("directions", [1, 2, 3])
+    def test_a_solve_of_j_iterations_makes_j_blocks(self, rng, directions):
+        # A start whose error lies in j eigenvectors of the Gram matrix is
+        # solved by j CG iterations; no guard trips, so the solve makes j
+        # products, each of the (d, 2r) block [x | p], and none more.
+        d, r, alpha = 8, 3, 0.7
+        inst = DPCAInstance(rng.standard_normal((30, d)))
+        vecs = np.linalg.eigh(inst.gram)[1]
+        s = rng.standard_normal((d, r))
+        err = vecs[:, :directions] @ rng.standard_normal((directions, r))
+        x0 = inst.prox(alpha, s) + 1e-3 * err
+        calls = count_gram_products(inst)
+        for gx0 in (None, fresh_gram_product(inst, x0)):
+            del calls[:]
+            x, mu, gx = inst.prox_inexact(alpha, s, 1e-20, x0=x0, gx0=gx0)
+            start = [r] if gx0 is None else []
+            assert calls == start + [2 * r] * directions
+            assert_certified_product(inst, alpha, s, x, mu, gx, calls)
+            res = inst.residual(alpha, s, x)
+            assert float(np.vdot(res, res)) <= 1e-20
+
+    def test_a_step_larger_than_the_iterate_trips_the_update_guard(self, rng):
+        # s = 0 and a huge start along one eigenvector: one CG step lands
+        # within rounding of the prox, 0, so the last update is some 1e16
+        # times the iterate.  The certificate takes a fresh product.
+        d, r, alpha = 6, 2, 0.5
+        inst = DPCAInstance(rng.standard_normal((20, d)))
+        v = np.linalg.eigh(inst.gram)[1][:, 2]
+        s = np.zeros((d, r))
+        x0 = 1e6 * np.outer(v, rng.standard_normal(r))
+        calls = count_gram_products(inst)
+        x, mu, gx = inst.prox_inexact(alpha, s, 1e-16, x0=x0)
+        assert calls == [r, 2 * r, r]
+        assert np.linalg.norm(x) < 1e-6 * np.linalg.norm(x0)
+        assert np.array_equal(gx, fresh_gram_product(inst, x))
+        assert np.array_equal(mu, inst.residual(alpha, s, x))
+        assert float(np.vdot(mu, mu)) <= 1e-16
+
+    @pytest.mark.parametrize("times_floor", [1e-10, 0.5])
+    def test_a_tolerance_below_the_floor_trips_the_margin_guard(
+            self, rng, times_floor):
+        # Below the rounding floor the margin (||mu|| + sqrt(floor))^2 <= eps
+        # cannot hold: every solve that runs CG certifies from a fresh
+        # product of its x.
+        inst = DPCAInstance(rng.standard_normal((20, 5)))
+        calls = count_gram_products(inst)
+        for _ in range(5):
+            s = rng.standard_normal((5, 2))
+            eps = times_floor * inst.residual_floor(0.6, s)
+            del calls[:]
+            x, mu, gx = inst.prox_inexact(0.6, s, eps)
+            assert calls[0] == 2 and calls[-1] == 2 and 4 in calls
+            assert np.array_equal(gx, fresh_gram_product(inst, x))
+            assert np.array_equal(mu, inst.residual(0.6, s, x))
+            assert float(np.vdot(mu, mu)) <= max(
+                eps, inst.residual_floor(0.6, s))
 
     def test_a_start_product_that_lies_is_caught_by_the_certificate(self, rng):
         # gx0 chosen so the start's residual reads as rounding alone: CG
@@ -371,10 +421,13 @@ class TestProxInexact:
         gx0 = ((1.0 + alpha * inst.shift) * s - s) / alpha
         assert np.linalg.norm(s - inst.apply_system(alpha, s, gx0)) < 1e-12
         assert np.linalg.norm(inst.residual(alpha, s, s)) > 1.0
+        calls = count_gram_products(inst)
         x, mu, gx = inst.prox_inexact(alpha, s, 1e-16, x0=s, gx0=gx0)
+        # The fresh certificate of the start comes first, then CG's blocks.
+        assert calls[0] == 3 and set(calls[1:]) == {6}
+        assert_certified_product(inst, alpha, s, x, mu, gx, calls)
         res = inst.residual(alpha, s, x)
         assert float(np.vdot(res, res)) <= 1e-16
-        assert np.array_equal(mu, res) and np.array_equal(gx, inst._gram_apply(x))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(
@@ -396,14 +449,53 @@ class TestProxInexact:
                # Makes the start's residual read as rounding alone.
                "claims solved": (x0 + alpha * inst.shift * x0 - s) / alpha,
                }[kind]
+        calls = count_gram_products(inst)
         try:
             x, mu, gx = inst.prox_inexact(alpha, s, eps, x0=x0, gx0=gx0)
         except SolverStallError:
             return
+        assert_certified_product(inst, alpha, s, x, mu, gx, calls)
         res = inst.residual(alpha, s, x)
         assert float(np.vdot(res, res)) <= max(eps, inst.residual_floor(alpha, s))
-        assert np.array_equal(gx, inst._gram_apply(x))
-        assert np.array_equal(mu, res)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 4), st.floats(-3.0, 3.0),
+           st.floats(-30.0, -4.0), st.sampled_from(
+               ["from s", "near", "huge", "huge, zero product",
+                "other point's product", "claims solved"]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_a_returned_prox_is_certified_by_a_fresh_product(
+            self, d, r, log_alpha_shift, log_eps, start, seed):
+        # Whatever the start and its stand-in product, a fresh product of
+        # the returned x certifies it, or the solve raises.
+        rng = np.random.default_rng(seed)
+        inst = DPCAInstance(rng.standard_normal((int(rng.integers(1, 3 * d + 1)), d)))
+        alpha, eps = 10.0 ** log_alpha_shift / inst.shift, 10.0 ** log_eps
+        s = rng.standard_normal((d, r))
+        noise = rng.standard_normal((d, r))
+        x0, gx0 = s + noise, None
+        if start == "from s":
+            x0 = None
+        elif start == "near":
+            x0 = inst.prox(alpha, s) + 1e-6 * noise
+            gx0 = fresh_gram_product(inst, x0)
+        elif start.startswith("huge"):
+            x0 = 1e8 * noise
+            if start == "huge, zero product":
+                gx0 = np.zeros((d, r))
+        elif start == "other point's product":
+            gx0 = fresh_gram_product(inst, rng.standard_normal((d, r)))
+        else:
+            # Makes the start's residual read as rounding alone.
+            gx0 = (x0 + alpha * inst.shift * x0 - s) / alpha
+        calls = count_gram_products(inst)
+        try:
+            x, mu, gx = inst.prox_inexact(alpha, s, eps, x0=x0, gx0=gx0)
+        except SolverStallError:
+            return
+        assert_certified_product(inst, alpha, s, x, mu, gx, calls)
+        res = inst.residual(alpha, s, x)
+        assert float(np.vdot(res, res)) <= max(eps, inst.residual_floor(alpha, s))
 
     def test_injected_residual_is_exact(self, rng):
         inst = DPCAInstance(rng.standard_normal((10, 4)))

@@ -37,15 +37,16 @@ class AgentStack:
     """
     Full per-agent splitting state: arrays of shape (n, d, r).
 
-    ``s`` is the splitting variable, ``x`` the prox output, ``y = 2x - s``,
-    ``z`` the mixed-and-projected consensus estimate (always on the
-    manifold), and ``d`` the tracker whose block mean equals
-    ``mean(x) - mean(s)`` exactly.  ``mu_sq`` holds the realized squared
-    prox residuals of the last inexact step, when there was one.  ``z_sv``,
-    shape (n, r), holds the singular values of each block of
-    ``mix(x) + d`` that produced ``z`` (inf where that projection was not
-    unique); it is recorded when the stack is built and not updated if
-    ``x`` or ``d`` is edited later.
+    ``s`` is the splitting variable, ``x`` the prox output, ``z`` the
+    mixed-and-projected consensus estimate (always on the manifold), and
+    ``d`` the tracker whose block mean equals ``mean(x) - mean(s)``
+    exactly; ``y = 2x - s`` is a read-only property, computed from ``x``
+    and ``s`` on each read, so it cannot disagree with them.  ``mu_sq``
+    holds the realized squared prox residuals of the last inexact step,
+    when there was one.  ``z_sv``, shape (n, r), holds the singular values
+    of each block of ``mix(x) + d`` that produced ``z`` (inf where that
+    projection was not unique); it is recorded when the stack is built and
+    not updated if ``x`` or ``d`` is edited later.
 
     An inexact step also keeps each agent's prox history, from which the
     next step starts its solves (``iddrs_step``): ``gx``, shape (n, d, r),
@@ -62,7 +63,6 @@ class AgentStack:
 
     s: np.ndarray
     x: np.ndarray
-    y: np.ndarray
     z: np.ndarray
     d: np.ndarray
     k: int = 0
@@ -75,6 +75,10 @@ class AgentStack:
     @property
     def n(self):
         return self.s.shape[0]
+
+    @property
+    def y(self):
+        return 2.0 * self.x - self.s
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ def ddrs_init(problem, W, params, x0):
     """
     Build the initial stack from on-manifold per-agent points.
 
-    Sets ``s = y = z = x`` and a zero tracker, and records the singular
+    Sets ``s = z = x`` and a zero tracker, and records the singular
     values of ``mix(x)``, the blocks a step would project.  The consensus
     quality of the start is checked against the certified neighborhood and
     a ConfigurationWarning (not an error) is emitted when it is too spread
@@ -141,7 +145,7 @@ def ddrs_init(problem, W, params, x0):
         z_sv = _polar(mix(W, params.t, x))[1]
     except RankDeficientError:
         z_sv = np.full((x.shape[0], x.shape[2]), math.inf)
-    return AgentStack(s=x.copy(), x=x.copy(), y=x.copy(), z=x.copy(),
+    return AgentStack(s=x.copy(), x=x.copy(), z=x.copy(),
                       d=np.zeros_like(x), k=0, z_sv=z_sv)
 
 
@@ -152,7 +156,6 @@ def _advance(stack, W, params, prox_blocks):
     """
     s_new = stack.s + stack.z - stack.x
     x_new, mu_sq, gx_new = prox_blocks(s_new)
-    y_new = 2.0 * x_new - s_new
     d_new = mix(W, params.t, stack.d) + (x_new - s_new) - (stack.x - stack.s)
     z_new, z_sv = _polar(mix(W, params.t, x_new) + d_new)
     dx = dgx = None
@@ -162,7 +165,7 @@ def _advance(stack, W, params, prox_blocks):
         if stack.dx is not None:
             dx = np.concatenate([dx, stack.dx[:, :1]], axis=1)
             dgx = np.concatenate([dgx, stack.dgx[:, :1]], axis=1)
-    return AgentStack(s=s_new, x=x_new, y=y_new, z=z_new, d=d_new,
+    return AgentStack(s=s_new, x=x_new, z=z_new, d=d_new,
                       k=stack.k + 1, mu_sq=mu_sq, z_sv=z_sv,
                       gx=gx_new, dx=dx, dgx=dgx)
 
@@ -171,18 +174,17 @@ def ddrs_step(stack, problem, W, params):
     """
     One synchronous exact-prox splitting iteration.
 
-    Per agent: ``s += z - x``; ``x = prox(alpha, s)``; ``y = 2x - s``; the
-    tracker is gossip-mixed over t rounds and corrected by the local
-    increment of ``x - s``; finally ``z`` projects the mixed iterates plus
-    tracker back onto the manifold.  A RankDeficientError from that
-    projection means the iterates left the certified tube (step size or t
-    misconfigured).  The proxes run through ``map_agents``, as in
-    ``iddrs_step``.
+    Per agent: ``s += z - x``; ``x = prox(alpha, s)``; the tracker is
+    gossip-mixed over t rounds and corrected by the local increment of
+    ``x - s``; finally ``z`` projects the mixed iterates plus tracker back
+    onto the manifold.  A RankDeficientError from that projection means
+    the iterates left the certified tube (step size or t misconfigured).
+    The proxes run through ``map_agents``, as in ``iddrs_step``.
     """
 
     def prox_blocks(s_new):
         return np.stack(map_agents(lambda inst, s: inst.prox(params.alpha, s),
-                                   problem, s_new, dim=s_new.shape[1])), None, None
+                                   problem, s_new)), None, None
 
     return _advance(stack, W, params, prox_blocks)
 
@@ -272,11 +274,8 @@ def iddrs_step(stack, problem, W, params, k):
         return x, float(np.vdot(mu, mu)), gx
 
     def prox_blocks(s_new):
-        n = len(s_new)
-        history = [[None] * n if a is None else a
-                   for a in (stack.gx, stack.dx, stack.dgx)]
-        solved = map_agents(prox_one, problem, s_new, stack.x, *history,
-                            dim=s_new.shape[1])
+        solved = map_agents(prox_one, problem, s_new, stack.x, stack.gx,
+                            stack.dx, stack.dgx)
         return (np.stack([x for x, _, _ in solved]),
                 np.asarray([mu_sq for _, mu_sq, _ in solved]),
                 np.stack([gx for _, _, gx in solved]))
@@ -376,14 +375,15 @@ def advise_parameters(L, gamma, zeta, sigma2, n, grad0_norm,
         Supplies the initial-state norms entering ``c2``/``c4_shape``.
     eps0, rho : float
         Inexactness schedule; its sum ``eps0 / (1 - rho)`` enters the
-        inexact-rate constants.
+        inexact-rate constants.  An exact run passes ``eps0 = 0``.
 
     Notes
     -----
     Two stated bounds are implemented in corrected form and flagged in
     ``notes``: the round-count clause is used with the argument orientation
     that makes the logarithm positive, and the run-dependent sum of
-    tolerances is replaced by its limit.
+    tolerances is replaced by its limit, which is noted only when it is
+    positive.
     """
     if not (0.0 <= sigma2 < 1.0):
         raise ValueError("sigma2 must lie in [0, 1), got %r" % (sigma2,))
@@ -415,8 +415,9 @@ def advise_parameters(L, gamma, zeta, sigma2, n, grad0_norm,
     alpha_max = min(alpha_curv, alpha_tube)
 
     big_d = eps0 / (1.0 - rho)
-    notes.append("c3/c4_shape use the schedule limit %.6g in place of the "
-                 "run-dependent partial sums" % big_d)
+    if big_d > 0:
+        notes.append("c3/c4_shape use the schedule limit %.6g in place of the "
+                     "run-dependent partial sums" % big_d)
     c3 = (128.0 / (1.0 - 4.0 * sig_t) ** 2
           * (sig_t ** 2 * alpha_max ** 2 * L ** 2
              + alpha_max ** 2 * L ** 2 / (1.0 - sig_t) ** 2)

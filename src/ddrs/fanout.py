@@ -11,6 +11,7 @@ so a pooled run is bitwise identical to a serial one.
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from itertools import repeat
 
 # Below this feature dimension the agents' work stays on the calling thread.
 # Paired medians, serial / pooled, of one iDDRS step (8 agents, r = 5, 1 BLAS
@@ -65,20 +66,23 @@ def _executor(pid, workers):
                               thread_name_prefix="ddrs-agent")
 
 
-def map_agents(fn, *per_agent, dim):
+def map_agents(fn, problem, *per_agent):
     """
-    ``[fn(*args) for args in zip(*per_agent)]``, the list in agent order.
+    ``[fn(inst, *args) for inst, *args in zip(problem, *per_agent)]``, the
+    list in agent order.
 
-    With ``dim >= FANOUT_MIN_DIM`` and ``min(n, pool_size()) > 1`` the calls
-    run on one shared pool of ``pool_size()`` threads, so at most that many
-    agents run at once; otherwise they run serially on the calling thread.
-    The pool waits for every call before returning, and an exception is
-    re-raised from the lowest agent that raised, as the serial loop would
-    raise it.
+    ``problem`` is the agents' objectives, and a per-agent argument given as
+    None passes None to every call.  With ``problem[0].dim >=
+    FANOUT_MIN_DIM`` and ``min(n, pool_size()) > 1`` the calls run on one
+    shared pool of ``pool_size()`` threads, so at most that many agents run
+    at once; otherwise they run serially on the calling thread.  The pool
+    waits for every call before returning, and an exception is re-raised
+    from the lowest agent that raised, as the serial loop would raise it.
     """
-    calls = list(zip(*per_agent, strict=True))
+    calls = list(zip(problem, *(repeat(None, len(problem)) if a is None else a
+                                for a in per_agent), strict=True))
     workers = pool_size()
-    if dim < FANOUT_MIN_DIM or min(len(calls), workers) <= 1:
+    if problem[0].dim < FANOUT_MIN_DIM or min(len(calls), workers) <= 1:
         return [fn(*args) for args in calls]
     pool = _executor(os.getpid(), workers)
     futures = [pool.submit(fn, *args) for args in calls]

@@ -351,6 +351,9 @@ def start_run(config, setup):
 
     The splitting engines' initial stack enters ``c2``/``c4_shape``/
     ``c5_shape``; the baseline has no splitting state, so those stay None.
+    Only iDDRS solves its proxes inexactly: the advice of an exact run
+    (``ddrs``, ``baseline_gt``) takes a tolerance sum of 0, whatever
+    ``algorithm.eps0`` says.
     """
     consts, W, params = setup.constants, setup.W, setup.params
     if config.algorithm.kind == "baseline_gt":
@@ -358,10 +361,10 @@ def start_run(config, setup):
         state = None
     else:
         stack = state = ddrs_init(setup.problem, W, params, setup.x0)
+    eps0 = params.eps0 if config.algorithm.kind == "iddrs" else 0.0
     advice = advise_parameters(setup.L, consts.gamma, consts.zeta, W.sigma2,
                                setup.dataset.n, setup.grad0_norm,
-                               initial_state=state, eps0=params.eps0,
-                               rho=params.rho)
+                               initial_state=state, eps0=eps0, rho=params.rho)
     return stack, advice
 
 
@@ -457,9 +460,7 @@ def _envelope_proxes(stack, problem, alpha):
         x, _, gx = inst.prox_inexact(alpha, s, eps, x0=x, gx0=gx)
         return x, gx
 
-    gx = [None] * stack.n if stack.gx is None else stack.gx
-    solved = map_agents(prox_one, problem, stack.s, stack.x, gx,
-                        dim=stack.s.shape[1])
+    solved = map_agents(prox_one, problem, stack.s, stack.x, stack.gx)
     return (np.stack([x for x, _ in solved]),
             np.stack([gx for _, gx in solved]))
 
@@ -610,9 +611,9 @@ def read_records(path, fmt=None):
     Without ``fmt`` the format is read from the content: JSON lines start
     with ``{``, a CSV file with its header.  An empty file, which has no
     content to tell, is JSON lines if the path ends in ``.jsonl`` or
-    ``.ndjson`` and CSV otherwise.  A CSV file that is empty, or has a row
-    whose cell count differs from the header's, raises ValueError naming
-    the file and line.
+    ``.ndjson`` and CSV otherwise.  A CSV file that is empty, whose header
+    is not ``RECORD_FIELDS``, or that has a row whose cell count differs
+    from the header's, raises ValueError naming the file and line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -627,9 +628,10 @@ def read_records(path, fmt=None):
                 in enumerate(text.splitlines(), start=1) if line]
         if not rows:
             raise ValueError("%s: empty file, expected a CSV header" % (path,))
-        header = rows[0][1]
+        lineno, header = rows[0]
         if tuple(header) != RECORD_FIELDS:
-            raise ValueError("unexpected CSV header: %r" % (header,))
+            raise ValueError("%s line %d: unexpected CSV header %r"
+                             % (path, lineno, header))
         for lineno, cells in rows[1:]:
             if len(cells) != len(RECORD_FIELDS):
                 raise ValueError("%s line %d: %d cells, the header has %d"

@@ -68,7 +68,7 @@ def consensus_and_stationarity(x_blocks, xbar, problem):
     g = np.zeros_like(xbar)
     obj = 0
     for value, grad in map_agents(lambda inst: inst.value_and_egrad(xbar),
-                                  problem, dim=xbar.shape[0]):
+                                  problem):
         g += grad
         obj += value
     rg = _tangent_dir(xbar, g)
@@ -95,14 +95,12 @@ def dre_value(s_blocks, problem, alpha, x_blocks=None, gx_blocks=None):
     none.  They run through ``map_agents`` and are summed in agent order.
     """
     if x_blocks is None:
-        s_blocks = np.asarray(s_blocks, dtype=float)
         xs = np.stack(map_agents(lambda inst, s: inst.prox(alpha, s),
-                                 problem, s_blocks, dim=s_blocks.shape[1]))
+                                 problem, s_blocks))
     else:
         xs = np.asarray(x_blocks, dtype=float)
-    gxs = [None] * len(xs) if gx_blocks is None else gx_blocks
     pairs = map_agents(lambda inst, x, gx: inst.value_and_egrad(x, gx),
-                       problem, xs, gxs, dim=xs.shape[1])
+                       problem, xs, gx_blocks)
     grads = np.stack([grad for _, grad in pairs])
     ybar = project_stiefel((xs - alpha * grads).mean(axis=0)).mat
     gap = ybar - xs

@@ -8,7 +8,7 @@ IDX image-file loader.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -156,8 +156,8 @@ class DPCAInstance:
     -2e-17 for the d=784 synthetic Grams, which have rank at most 324),
     clamped to 0.  Every other Gram takes both from the dense spectrum.
 
-    It is one agent's loss as the engines use it: ``value`` and ``egrad``,
-    or both from one Gram product (``value_and_egrad``), ``smoothness``,
+    It is one agent's loss as the engines use it: ``egrad``, the loss and
+    its gradient from one Gram product (``value_and_egrad``), ``smoothness``,
     ``prox(alpha, s)``, the minimizer of ``f(y) + ||y - s||^2 / (2 alpha)``,
     and ``prox_inexact``, an approximate minimizer with its optimality
     residual ``mu = x - s + alpha * egrad(x)``, certified to a tolerance or
@@ -184,27 +184,21 @@ class DPCAInstance:
         # product.  F-ordered operands such as G.T @ x are slower still.
         return (x.T @ self.gram).T
 
-    def _value(self, x, gx):
-        return -0.5 * (float(np.vdot(x, gx)) - self.shift * float(np.vdot(x, x)))
-
-    def value(self, x):
-        x = _as_matrix(x)
-        return self._value(x, self._gram_apply(x))
-
     def egrad(self, x):
         x = _as_matrix(x)
         return self.shift * x - self._gram_apply(x)
 
     def value_and_egrad(self, x, gx=None):
         """
-        ``(value(x), egrad(x))`` from one product with the Gram matrix, or
+        The loss and ``egrad(x)`` from one product with the Gram matrix, or
         from ``gx``, a Gram product of x the caller holds (``prox_inexact``
         returns the one that certified its x).
         """
         x = _as_matrix(x)
         if gx is None:
             gx = self._gram_apply(x)
-        return self._value(x, gx), self.shift * x - gx
+        value = -0.5 * (float(np.vdot(x, gx)) - self.shift * float(np.vdot(x, x)))
+        return value, self.shift * x - gx
 
     def smoothness(self):
         # ||shift*I - A^T A||_2 for a PSD shift equals shift - lambda_min.
@@ -389,7 +383,6 @@ class Dataset:
 
     blocks: list
     ground_truth: StiefelPoint = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.blocks:
@@ -500,8 +493,7 @@ def gen_synthetic(n, m_per, d, r, xi, seed):
     U *= xi ** np.arange(1, k + 1)
     perm = rng.permutation(total)
     blocks = [U[perm[i * m_per:(i + 1) * m_per]] @ V.T for i in range(n)]
-    meta = dict(n=n, m_per=m_per, d=d, r=r, xi=xi, seed=seed, source="synthetic")
-    return Dataset(blocks, StiefelPoint(V[:, :r].copy()), meta)
+    return Dataset(blocks, StiefelPoint(V[:, :r].copy()))
 
 
 _IDX_IMAGE_MAGIC = 0x00000803
@@ -555,5 +547,4 @@ def normalize_and_split(matrix, n, seed):
         raise DimMismatchError("cannot split %d rows into %d blocks" % (X.shape[0], n))
     perm = np.random.default_rng(seed).permutation(X.shape[0])
     blocks = [X[perm[i * m:(i + 1) * m]] / 255.0 for i in range(n)]
-    meta = dict(n=n, m_per=m, d=X.shape[1], seed=seed, source="idx")
-    return Dataset(blocks, None, meta)
+    return Dataset(blocks)

@@ -178,8 +178,7 @@ def gen_synthetic_full(n, m_per, d, r, xi, seed):
     A = (U * sv) @ V.T
     A = A[rng.permutation(total)]
     blocks = [A[i * m_per:(i + 1) * m_per].copy() for i in range(n)]
-    meta = dict(n=n, m_per=m_per, d=d, r=r, xi=xi, seed=seed, source="synthetic")
-    return Dataset(blocks, StiefelPoint(V[:, :r]), meta)
+    return Dataset(blocks, StiefelPoint(V[:, :r]))
 
 
 def prox_with_injected_residual(inst, alpha, s, mu):
@@ -320,7 +319,7 @@ def per_agent_splitting_step(stack, problem, W, params, k=None):
     d = mix(W, params.t, stack.d) + (x - s) - (stack.x - stack.s)
     mixed = mix(W, params.t, x)
     z = np.stack([project_stiefel(mixed[i] + d[i]).mat for i in range(n)])
-    return AgentStack(s=s, x=x, y=2.0 * x - s, z=z, d=d, k=stack.k + 1,
+    return AgentStack(s=s, x=x, z=z, d=d, k=stack.k + 1,
                       mu_sq=mu_sq, gx=gx, dx=dx, dgx=dgx)
 
 

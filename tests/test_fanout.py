@@ -6,6 +6,7 @@ workers end runs as serial errors do, and the pool stays within the CPUs.
 import dataclasses
 import os
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,14 +42,19 @@ def _strip_wall(records):
              r.mu_sq_max) for r in records]
 
 
+def _agents(n, dim=D):
+    """Stand-ins for n agents' objectives; ``map_agents`` reads their width."""
+    return [SimpleNamespace(dim=dim)] * n
+
+
 def _threads_used(n):
     ran_on = set()
 
-    def task(i):
+    def task(agent, i):
         ran_on.add(threading.current_thread().name)
         return i
 
-    assert fanout.map_agents(task, range(n), dim=D) == list(range(n))
+    assert fanout.map_agents(task, _agents(n), range(n)) == list(range(n))
     return ran_on
 
 
@@ -90,9 +96,17 @@ def test_pool_workers_follow_the_pool_size(pooled):
 
 
 def test_below_the_threshold_agents_run_on_the_calling_thread(pooled):
-    ran_on = fanout.map_agents(lambda i: threading.current_thread(),
-                               range(4), dim=D - 1)
+    ran_on = fanout.map_agents(lambda agent: threading.current_thread(),
+                               _agents(4, D - 1))
     assert ran_on == [threading.current_thread()] * 4
+
+
+def test_an_absent_per_agent_argument_is_none_in_every_call(pooled):
+    got = fanout.map_agents(lambda agent, i, h: (agent.dim, i, h),
+                            _agents(4), range(4), None)
+    assert got == [(D, i, None) for i in range(4)]
+    with pytest.raises(ValueError):
+        fanout.map_agents(lambda agent, i: i, _agents(4), range(3))
 
 
 def test_pooled_iddrs_step_equals_per_agent_reference(wide_data, pooled):

@@ -15,12 +15,18 @@ With no case names every array is rewritten.
 """
 
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddrs.algorithms import baseline_gt_step, ddrs_step, iddrs_step
+from ddrs.algorithms import (
+    ConfigurationWarning,
+    baseline_gt_step,
+    ddrs_step,
+    iddrs_step,
+)
 from ddrs.harness import build_run, preset, start_run
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -32,6 +38,13 @@ CASES = {
     "er06_iddrs": "algorithm.kind = iddrs\n",
     "er06_baseline_gt": "algorithm.kind = baseline_gt\n",
     "d64_ddrs": "algorithm.kind = ddrs\nproblem.d = 64\nmax_iters = 60\n",
+}
+
+# The warnings each case raises; the d = 64 start lies outside the
+# certified neighborhood.  Any other warning fails its case.
+WARNINGS = {
+    "d64_ddrs": ["initial consensus error 1.349e-01 exceeds the certified "
+                 "bound 1.250e-01"],
 }
 
 
@@ -53,7 +66,10 @@ def final_x(overrides):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_final_iterate_matches_golden(case):
     golden = np.load(DATA / ("golden_%s.npy" % case))
-    x = final_x(CASES[case])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConfigurationWarning)
+        x = final_x(CASES[case])
+    assert [str(w.message) for w in caught] == WARNINGS.get(case, [])
     assert x.shape == golden.shape
     assert float(np.abs(x - golden).max()) <= TOL
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -291,13 +292,29 @@ class TestRecordIO:
         header, first, second = path.read_text().splitlines()
         row = (second.split(",") + ["7"])[:cells]
         path.write_text("\n".join([header, first, ",".join(row)]) + "\n")
-        with pytest.raises(ValueError, match="line 3: %d cells" % cells):
+        with pytest.raises(ValueError, match=re.escape(
+                "%s line 3: %d cells" % (path, cells))):
             read_records(path)
 
     def test_empty_csv_file_is_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("")
-        with pytest.raises(ValueError, match="empty file"):
+        with pytest.raises(ValueError, match=re.escape(
+                "%s: empty file" % path)):
+            read_records(path)
+
+    @pytest.mark.parametrize("blank_lines", [0, 2])
+    def test_wrong_header_names_its_file_and_line(self, tmp_path,
+                                                  blank_lines):
+        path = tmp_path / "r.csv"
+        write_records(self.RECS, path, fmt="csv")
+        header, first, second = path.read_text().splitlines()
+        header = header.replace("dre", "envelope")
+        path.write_text("\n" * blank_lines
+                        + "\n".join([header, first, second]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "%s line %d: unexpected CSV header %r"
+                % (path, blank_lines + 1, header.split(",")))):
             read_records(path)
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -780,6 +797,38 @@ class TestCli:
         assert "C2 = %s " % advice["c2"] in printed
         assert "alpha_max = %.10g " % advice["alpha_max"] in printed
 
+    @pytest.mark.parametrize("kind", ["ddrs", "baseline_gt", "iddrs"])
+    def test_only_an_inexact_run_advises_a_tolerance_sum(self, tmp_path,
+                                                         capsys, kind):
+        cfg = self._write(tmp_path, "max_iters = 2\nalgorithm.kind = %s\n"
+                          % kind)
+        out = str(tmp_path / "p.csv")
+        assert cli.main(["run", "--preset", "synthetic-er06",
+                         "--config", cfg, "--out", out]) == 0
+        advice = json.loads((tmp_path / "p.summary.json").read_text())["advice"]
+        capsys.readouterr()
+        assert cli.main(["advise", "--preset", "synthetic-er06",
+                         "--config", cfg]) == 0
+        printed = capsys.readouterr().out
+        note = "c3/c4_shape use the schedule limit"
+        assert "C3 = %.6g\n" % advice["c3"] in printed
+        assert "C4_shape = %s   C5_shape = %s\n" % (
+            advice["c4_shape"], advice["c5_shape"]) in printed
+        if kind == "iddrs":
+            # eps0 = 1e-6 and rho = 0.9 sum to 1e-5, as before exact runs
+            # stopped taking it.
+            assert advice["c3"] == 1.7380492467881946e-09
+            assert advice["c4_shape"] == 2.370392430617748
+            assert advice["c5_shape"] == 2.370448999160243
+            assert "%s 1e-05 " % note in printed
+            assert any(n.startswith(note) for n in advice["notes"])
+        else:
+            assert advice["c3"] == 0
+            assert advice["c5_shape"] == advice["c4_shape"]
+            assert (advice["c4_shape"] is None) == (kind == "baseline_gt")
+            assert note not in printed
+            assert not any(n.startswith(note) for n in advice["notes"])
+
     # advise shows the run's warning as a Python warning, as before.
     @pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
     def test_mnist_width_setup_matches_the_dense_spectrum(self, tmp_path,
@@ -902,7 +951,7 @@ def test_every_envelope_prox_is_certified(small_dataset):
     s = rng.standard_normal((4, 6, 2))
     x = s + 1e-3 * rng.standard_normal(s.shape)
     alpha = 2.0
-    stack = AgentStack(s=s, x=x, y=x, z=x, d=np.zeros_like(x))
+    stack = AgentStack(s=s, x=x, z=x, d=np.zeros_like(x))
     xs, gxs = harness._envelope_proxes(stack, problem, alpha)
     for inst, s_i, x_i, gx_i in zip(problem, s, xs, gxs, strict=True):
         mu = inst.residual(alpha, s_i, x_i)

@@ -2,8 +2,8 @@
 Core invariants over random shapes, data, step sizes, round counts and
 graph kinds: the splitting engines' tracking identity, exact-prox
 optimality, certified inexact-prox tolerance and extrapolated start, the
-mean-preserving mix, and the tube distance as the distance to the
-projection.
+mean-preserving mix, polar optimality, and the tube distance as the
+distance to the projection.
 """
 
 import numpy as np
@@ -18,7 +18,12 @@ from ddrs.algorithms import (
     epsilon_schedule,
     iddrs_step,
 )
-from ddrs.manifold import manifold_constants, project_stiefel, tube_distance
+from ddrs.manifold import (
+    _polar,
+    manifold_constants,
+    project_stiefel,
+    tube_distance,
+)
 from ddrs.metrics import neighborhood_report, tracking_residual
 from ddrs.network import (
     gen_complete,
@@ -28,6 +33,8 @@ from ddrs.network import (
     mix,
 )
 from ddrs.problems import gen_synthetic
+
+from helpers import random_stiefel_mat
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -156,6 +163,27 @@ def test_mix_preserves_the_block_mean(n, seed, t, trailing, data):
 
 
 @PROPERTY
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 6),
+       st.floats(1e-2, 1e2), seeds)
+def test_polar_factor_is_the_nearest_stiefel_point(n, r, extra, scale, seed):
+    d = r + extra
+    rng = np.random.default_rng(seed)
+    M = scale * rng.standard_normal((n, d, r))
+    Q, sv = _polar(M)
+    tol = 1e-12 * (1.0 + np.abs(M).max())
+    for block, q, block_sv in zip(M, Q, sv, strict=True):
+        assert np.abs(q.T @ q - np.eye(r)).max() <= 1e-13
+        own_q, own_sv = _polar(block)
+        np.testing.assert_array_equal(q, own_q)
+        np.testing.assert_array_equal(block_sv, own_sv)
+        dist = np.linalg.norm(block - q)
+        assert abs(dist - np.linalg.norm(block_sv - 1.0)) <= tol
+        for _ in range(20):
+            other = random_stiefel_mat(rng, d, r)
+            assert dist <= np.linalg.norm(block - other) + tol
+
+
+@PROPERTY
 @given(st.integers(1, 4), st.integers(0, 6), st.floats(1e-3, 1e3), seeds)
 def test_tube_distance_is_the_distance_to_the_projection(r, extra, scale,
                                                          seed):
@@ -167,7 +195,7 @@ def test_tube_distance_is_the_distance_to_the_projection(r, extra, scale,
     assert abs(tube - np.linalg.norm(M - x)) <= tol
     # A one-agent stack whose step kept the singular values of M = x + d.
     x = x[None]
-    stack = AgentStack(s=x, x=x, y=x, z=x, d=M - x,
+    stack = AgentStack(s=x, x=x, z=x, d=M - x,
                        z_sv=np.linalg.svd(M, compute_uv=False)[None])
     report = neighborhood_report(stack, manifold_constants(d, r), None, 1)
     assert abs(report.max_tube - tube) <= tol

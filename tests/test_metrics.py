@@ -77,7 +77,7 @@ class TestDreValue:
         alpha = 1.3
         s = np.stack([vstar + alpha * inst.egrad(vstar) for inst in problem])
         val = dre_value(s, problem, alpha)
-        direct = sum(inst.value(vstar) for inst in problem)
+        direct = sum(inst.value_and_egrad(vstar)[0] for inst in problem)
         assert abs(val - direct) < 1e-9
         assert abs(direct - fstar) < 1e-9
 
@@ -252,12 +252,13 @@ class TestObjectiveAtMean:
         stacked = np.stack([x] * 4)
         _, _, val = consensus_and_stationarity(stacked, induced_mean(stacked),
                                                problem)
-        assert abs(val - sum(inst.value(x) for inst in problem)) < 1e-12
+        assert abs(val - sum(inst.value_and_egrad(x)[0]
+                             for inst in problem)) < 1e-12
 
     def test_bitwise_equal_to_separate_value_and_egrad_sums(self, rng,
                                                             small_dataset):
-        # One value_and_egrad per agent gives the same floats, in the same
-        # summation order, as summing egrad and value separately.
+        # The summed values and gradients are the same floats, in the same
+        # summation order, as summing each agent's egrad and value.
         problem = small_dataset.instances()
         blocks = np.stack([random_stiefel_mat(rng, 6, 2) for _ in range(4)])
         xbar = induced_mean(blocks)
@@ -268,7 +269,8 @@ class TestObjectiveAtMean:
             g += inst.egrad(xbar)
         rg = tangent_project(xbar, g)
         assert stationarity_sq == float(np.vdot(rg, rg))
-        assert obj == float(sum(inst.value(xbar) for inst in problem))
+        assert obj == float(sum(inst.value_and_egrad(xbar)[0]
+                                 for inst in problem))
 
 
 class TestRateFit:

@@ -229,7 +229,8 @@ def _validate(config):
     if g.kind == "ring" and p.n < 3:
         raise ConfigTypeError("ring needs problem.n >= 3, got %d" % p.n)
     if p.kind == "synthetic":
-        # An IDX file fixes d for mnist runs; build_run checks r against it.
+        # An IDX file fixes d for mnist runs; build_run checks it there.
+        _check_width(p.d, "problem.d")
         if p.r > p.d:
             raise ConfigTypeError("problem.r = %d exceeds problem.d = %d"
                                   % (p.r, p.d))
@@ -241,6 +242,12 @@ def _validate(config):
         raise ConfigTypeError("algorithm.rho must lie in (0, 1), got %r" % (a.rho,))
     if not 0 <= a.eps0 < np.inf:
         raise ConfigTypeError("algorithm.eps0 must lie in [0, inf), got %r" % (a.eps0,))
+
+
+def _check_width(d, name):
+    # St(1, 1) is the two points +-1, and a 1 x 1 Gram has L = 0.
+    if d < 2:
+        raise ConfigTypeError("%s must be >= 2, got %d" % (name, d))
 
 
 def _substream_seed(master_seed, index):
@@ -318,6 +325,7 @@ def build_run(config):
     """
     dataset = _build_dataset(config)
     d, r = dataset.dim, config.problem.r
+    _check_width(d, "the data's width")
     if r > d:
         raise ConfigTypeError("problem.r = %d exceeds the data's width %d"
                               % (r, d))
@@ -390,6 +398,9 @@ def run_experiment(config):
     smallest singular value any step projected (``sigma_min``), and
     ``alpha_over_alpha_max`` and ``t_over_t_min``, at most and at least 1
     inside the certified regime.  The baseline reports None for all six.
+    ``prox_rank`` lists each agent's ``DPCAInstance.prox_rank``, the
+    eigenpairs its exact prox kept, which say whether it took the low-rank
+    or the dense form; it is None for a run that took no exact prox.
 
     The summary's ``warnings`` lists the message of each
     ConfigurationWarning the run raised, once each, in the order first
@@ -451,7 +462,7 @@ def _envelope_proxes(stack, problem, alpha):
     above the tolerance.  ``dre_value`` takes ``gxs`` in place of products
     of its own.  The solves run through ``map_agents``, like the step's,
     so at MNIST width they run on the per-agent pool, and none builds the
-    inverse of its prox system.  A stalled solve ends the run
+    exact prox's factor.  A stalled solve ends the run
     ``diverged``, as a step's does.
     """
 
@@ -547,6 +558,7 @@ def _run(config):
         pass
 
     final = records[-1] if records else None
+    prox_rank = [inst.prox_rank for inst in problem]
     summary = {
         "status": status,
         "error": error,
@@ -558,6 +570,8 @@ def _run(config):
         "violations_by_kind": by_kind if splitting else None,
         "first_violation_iter": first_violation if splitting else None,
         "sigma_min": sigma_min,
+        "prox_rank": (None if all(k is None for k in prox_rank)
+                      else prox_rank),
         "alpha_over_alpha_max": alpha / advice.alpha_max if splitting else None,
         "t_over_t_min": params.t / advice.t_min if splitting else None,
         "advice": asdict(advice),

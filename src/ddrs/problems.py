@@ -62,7 +62,16 @@ _LANCZOS_TEST_EVERY = 8
 # preset iDDRS runs stalled at 237 and 5.6 times (10 u alpha shift)^2
 # (1 + ||s||^2).  A certified prox may stop at
 # (10 u (1 + alpha shift))^2 (1 + ||s||^2).
-_ROUNDOFF_MARGIN = 10 * np.finfo(float).eps / 2
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_ROUNDOFF_MARGIN = 10 * _UNIT_ROUNDOFF
+
+# Largest share of the width d up to which the exact prox applies its k kept
+# eigenpairs as a low-rank correction, and above which it applies the dense
+# inverse.  Per call, d=784, r=5, 1 BLAS thread, medians in us, low-rank /
+# dense: k=80 51/509, k=160 134/521, k=240 143/512, k=260 362/532 (the
+# factor no longer fits the cache of the 2-vCPU VM), k=280 408/536, k=320
+# 556/549, k=400 669/569.
+LOW_RANK_MAX_SHARE = 1 / 3
 
 
 def _lanczos_top(gram):
@@ -140,16 +149,18 @@ class DPCAInstance:
     the prox system ``I + alpha (||A||_2^2 I - A^T A)`` is symmetric positive
     definite with spectrum in ``[1, 1 + alpha L]``, and the prox is an exact
     linear solve.  The instance keeps the Gram matrix of its data block and
-    the inverse of the prox system for the step size in use, built with
-    ``np.linalg.inv`` by the first exact prox (on the per-agent pool at
-    MNIST width) and rebuilt when the step size changes; an instance whose
-    proxes are all conjugate-gradient solves never builds it.  A product
-    with the inverse streams the d-by-d operand once, where a Cholesky
-    solve reads its factor twice.
+    the factor of the exact prox, built from one eigendecomposition of the
+    Gram by the first exact prox (on the per-agent pool at MNIST width); an
+    instance whose proxes are all conjugate-gradient solves never builds it.
+    The factor keeps the ``prox_rank`` eigenpairs above ``u shift``, u the
+    unit roundoff.  Up to ``LOW_RANK_MAX_SHARE`` of the width it is those
+    eigenpairs, whatever the step size; above it, the dense inverse of the
+    prox system for the step size in use, rebuilt when that changes (see
+    ``_solve``).
 
-    Of the Gram's spectrum only the two extremes are kept: the largest
-    eigenvalue, the shift, and the smallest, which ``smoothness`` subtracts
-    from it (``_extreme_eigenvalues``).  A Gram whose Cholesky
+    The set-up computes only the two extremes of the Gram's spectrum: the
+    largest eigenvalue, the shift, and the smallest, which ``smoothness``
+    subtracts from it (``_extreme_eigenvalues``).  A Gram whose Cholesky
     factorization fails is numerically singular, so its smallest
     eigenvalue is taken as 0 and its largest comes from a Lanczos solve:
     the dense spectrum returns a rounding-level smallest value there (about
@@ -171,12 +182,19 @@ class DPCAInstance:
         self.gram = A.T @ A
         # ||A||_2^2 is the largest eigenvalue of the Gram matrix.
         self._lambda_min, self.shift = _extreme_eigenvalues(self.gram)
-        # (alpha, inverse of the prox system) for the last step size solved with.
-        self._inverse = None
+        # The exact prox's factor (alpha, rank, operand): alpha None and the
+        # kept (eigenvalues, eigenvectors as rows) in the low-rank form, or
+        # the step size and the inverse of the prox system in the dense form.
+        self._factor = None
 
     @property
     def dim(self):
         return self.gram.shape[0]
+
+    @property
+    def prox_rank(self):
+        """Eigenpairs the exact prox keeps, or None before the first exact prox."""
+        return None if self._factor is None else self._factor[1]
 
     def _gram_apply(self, x):
         # G x as (x^T G)^T, which G's symmetry allows: OpenBLAS streams a
@@ -208,22 +226,51 @@ class DPCAInstance:
         """
         Solve the prox system at step size alpha for a finite rhs.
 
-        Applies the kept inverse as ``(rhs^T M^-1)^T``, one streaming pass
-        over it; ``np.linalg.inv`` builds it, and raises LinAlgError on a
-        singular system.  The system's spectrum lies in ``[1, 1 + alpha L]``,
-        so the inverse is as well conditioned as the system.  A product with
-        it passes NaN through silently, which is why ``prox`` checks its input.
+        The system is ``c I - alpha G``, ``c = 1 + alpha shift``, so with the
+        Gram's eigenpairs ``G = Q diag(lam) Q^T`` its solution is ``x = s /
+        c + Q diag(w) Q^T s``, ``w = alpha lam / (c (c - alpha lam))``.  A
+        direction with ``lam <= u shift`` adds at most ``alpha lam / c <=
+        lam / shift <= u`` relative to x, below the rounding of a dense
+        inverse, so only the k eigenpairs above that are kept.  Where k is
+        at most ``LOW_RANK_MAX_SHARE`` of the width, the prox applies them as
+        that correction, two passes over a k-by-d factor that does not
+        depend on alpha, so a new step size costs O(k).  Otherwise it applies
+        the dense inverse ``Q diag(1 / (c - alpha lam)) Q^T`` for the step
+        size in use as ``(rhs^T M^-1)^T``, one streaming pass, and a new
+        step size takes a new eigendecomposition.  The system's spectrum lies
+        in ``[1, 1 + alpha L]``, so either form is as well conditioned as the
+        system.  A product with them passes NaN through silently, which is
+        why ``prox`` checks its input.
         """
         # The slot is replaced by one assignment and each call solves with
-        # the pair it read, so concurrent callers need no lock.
-        slot = self._inverse
-        if slot is None or slot[0] != alpha:
-            eye = np.eye(self.dim)
-            inv = np.linalg.inv(eye + alpha * (self.shift * eye - self.gram))
-            # Averaging with the transpose makes the inverse exactly symmetric.
-            slot = (float(alpha), 0.5 * (inv + inv.T))
-            self._inverse = slot
-        return (rhs.T @ slot[1]).T
+        # the factor it read, so concurrent callers need no lock.
+        factor = self._factor
+        # A low-rank factor, alpha None, serves every step size.
+        if factor is None or factor[0] not in (None, alpha):
+            factor = self._factorize(alpha)
+            self._factor = factor
+        if factor[0] is not None:
+            return (rhs.T @ factor[2]).T
+        lam, qt = factor[2]
+        c = 1.0 + alpha * self.shift
+        y = rhs.T @ qt.T
+        y *= alpha * lam / (c * (1.0 + alpha * (self.shift - lam)))
+        x = y @ qt
+        x += rhs.T / c
+        return x.T
+
+    def _factorize(self, alpha):
+        # The exact prox's factor at step size alpha, as _solve reads it.
+        lam, q = np.linalg.eigh(self.gram)
+        rank = int(np.count_nonzero(lam > _UNIT_ROUNDOFF * self.shift))
+        if rank <= LOW_RANK_MAX_SHARE * self.dim:
+            # eigh sorts ascending, so the kept eigenpairs are the last.
+            kept = slice(self.dim - rank, None)
+            return None, rank, (lam[kept], q[:, kept].T.copy())
+        b = q * np.sqrt(1.0 / (1.0 + alpha * (self.shift - lam)))
+        inv = b @ b.T
+        # Averaging with the transpose makes the inverse exactly symmetric.
+        return float(alpha), rank, 0.5 * (inv + inv.T)
 
     def apply_system(self, alpha, x, gx):
         """
@@ -288,7 +335,7 @@ class DPCAInstance:
         below what rounding allows, ``residual_floor(alpha, s)``.  On a
         miss, CG restarts once from the recomputed residual, within the
         same iteration budget, and a second miss raises SolverStallError.
-        With eps > 0 the inverse of the prox system is never built;
+        With eps > 0 the exact prox's factor is never built;
         ``eps == 0`` takes the exact path, ``prox``, and ignores the start.
         A non-finite s raises NonFiniteInputError before any arithmetic, as
         in ``prox``.

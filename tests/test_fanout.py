@@ -127,7 +127,7 @@ def test_pooled_iddrs_step_equals_per_agent_reference(wide_data, pooled):
 
 @pytest.mark.parametrize("kind", ["ddrs", "iddrs"])
 def test_pooled_runs_repeat_and_match_the_serial_run(pooled, monkeypatch, kind):
-    # An exact run builds every agent's inverse in its k = 0 envelope.
+    # An exact run builds every agent's prox factor in its k = 0 envelope.
     cfg = preset("synthetic-er06", WIDE.replace("iddrs", kind))
     first, summary = run_experiment(cfg)
     again, _ = run_experiment(cfg)

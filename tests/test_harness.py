@@ -637,6 +637,8 @@ class TestCli:
         assert (tmp_path / "rec.stationarity_sq.dat").exists()
         summary = json.loads((tmp_path / "rec.summary.json").read_text())
         assert summary["status"] == "ok"
+        # Each agent's full-rank 6 x 6 Gram keeps all its eigenpairs.
+        assert summary["prox_rank"] == [6] * 4
 
     def test_run_jsonl_format(self, tmp_path):
         cfg = self._write(tmp_path, TINY)
@@ -743,6 +745,8 @@ class TestCli:
         assert "warning: eps0 = 5.000e-01 is not below delta2" in err
         saved = json.loads((tmp_path / "r.summary.json").read_text())
         assert len(saved["warnings"]) == 1
+        # Every iDDRS prox is a conjugate-gradient solve.
+        assert saved["prox_rank"] is None
 
     def test_rank_above_the_idx_width_is_a_config_error(self, tmp_path,
                                                         capsys):
@@ -755,6 +759,30 @@ class TestCli:
                          "--out", str(tmp_path / "r.csv")]) == 1
         assert capsys.readouterr().err == (
             "error: problem.r = 30 exceeds the data's width 25\n")
+
+    @pytest.mark.parametrize("command", ["run", "advise"])
+    def test_a_width_of_one_is_a_config_error(self, tmp_path, capsys,
+                                              command):
+        # St(1, 1) is two points, and a 1 x 1 Gram has L = 0, which the
+        # advice used to reject with an uncaught ValueError.
+        argv = [command, "--preset", "synthetic-er06", "--config",
+                self._write(tmp_path, "problem.d = 1\nproblem.r = 1\n")]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "r.csv")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: problem.d must be >= 2, got 1\n")
+
+    def test_an_idx_width_of_one_is_a_config_error(self, tmp_path, capsys):
+        images = pixel_like_images(40, 1, 1, seed=0, border=0)
+        path = tmp_path / "images.idx"
+        path.write_bytes(idx_bytes(0x00000803, images.shape, images.ravel()))
+        cfg = self._write(tmp_path, "problem.path = %s\nproblem.n = 4\n"
+                          "problem.r = 1\n" % path)
+        assert cli.main(["advise", "--preset", "mnist-er06",
+                         "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "error: the data's width must be >= 2, got 1\n")
 
     def test_unknown_preset_exit_code(self, capsys):
         assert cli.main(["run", "--preset", "nope"]) == 1
@@ -854,6 +882,9 @@ class TestCli:
         saved = json.loads((tmp_path / "w.summary.json").read_text())
         assert saved["warnings"] == ["initial consensus error 7.889e-01 "
                                      "exceeds the certified bound 1.250e-01"]
+        # The spectrum's decay leaves each exact prox a low-rank factor.
+        assert len(saved["prox_rank"]) == 8
+        assert all(k <= 784 / 3 for k in saved["prox_rank"])
         capsys.readouterr()
         assert cli.main(["advise", "--preset", "synthetic-er06",
                          "--config", cfg]) == 0
@@ -891,9 +922,9 @@ def _run_python(code):
 # (scipy.linalg: 14 MB over 40 iterations).
 _SCIPY_LOADED = 'any(m.split(".")[0] == "scipy" for m in sys.modules)'
 
-# Counts the inverses the instances of every run so far have built, indented
-# as the test bodies it is prepended to.
-_COUNT_INVERSES = """
+# Keeps the instances of the last run, to count the exact-prox factors they
+# have built, indented as the test bodies it is prepended to.
+_COUNT_FACTORS = """
         import sys
         import ddrs.problems as problems
         from ddrs.harness import preset, run_experiment
@@ -920,10 +951,10 @@ def test_importing_the_package_loads_no_scipy_linalg():
 def test_a_wide_iddrs_run_builds_no_inverse_and_loads_no_scipy_linalg():
     # The set-up runs Lanczos on each singular Gram, and an iDDRS run's steps
     # and records' envelope take only CG proxes.
-    out = _run_python(_COUNT_INVERSES + """
+    out = _run_python(_COUNT_FACTORS + """
         records, summary = run_experiment(preset("synthetic-er06", %r))
         print(summary["status"], len(records), len(made),
-              sum(inst._inverse is not None for inst in made),
+              sum(inst.prox_rank is not None for inst in made),
               %s)
     """ % ("problem.d = %d\nalgorithm.kind = iddrs\nmax_iters = 6\n"
            "log_every = 3\n" % 200, _SCIPY_LOADED))
@@ -931,14 +962,14 @@ def test_a_wide_iddrs_run_builds_no_inverse_and_loads_no_scipy_linalg():
 
 
 def test_wide_exact_and_baseline_runs_load_no_scipy():
-    # An exact prox builds its inverse with NumPy; the baseline takes no prox.
-    out = _run_python(_COUNT_INVERSES + """
+    # An exact prox builds its factor with NumPy; the baseline takes no prox.
+    out = _run_python(_COUNT_FACTORS + """
         for kind in ("ddrs", "baseline_gt"):
             records, summary = run_experiment(preset("synthetic-er06", (
                 "problem.d = 200\\nmax_iters = 6\\nlog_every = 3\\n"
                 "algorithm.kind = %%s\\n" %% kind)))
             print(kind, summary["status"], len(records),
-                  sum(inst._inverse is not None for inst in made))
+                  sum(inst.prox_rank is not None for inst in made))
         print(%s)
     """ % _SCIPY_LOADED)
     assert out == ["ddrs", "ok", "3", "8", "baseline_gt", "ok", "3", "0",

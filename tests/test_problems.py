@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ddrs.problems as problems
 from ddrs.manifold import StiefelPoint
@@ -37,6 +37,9 @@ from helpers import (
     random_stiefel_mat,
     save_matrix,
 )
+
+# The presets' data seed.
+PRESET_SEED = 214748364
 
 
 class TestValue:
@@ -168,39 +171,43 @@ class TestProx:
 
     def test_alternating_step_sizes_race(self, rng):
         # Threads that switch between two step sizes keep replacing the one
-        # stored factor; each solve must still use its own step size.
+        # stored dense factor, or share the one low-rank factor (a rank-1
+        # Gram of width 12); each solve must still use its own step size.
         import sys
         import threading
 
-        block = rng.standard_normal((20, 6))
-        inst = DPCAInstance(block)
-        s = rng.standard_normal((6, 3))
-        expected = {a: DPCAInstance(block).prox(a, s) for a in (0.3, 0.7)}
-        mismatches = []
-        errors = []
+        for block in (rng.standard_normal((20, 6)),
+                      rng.standard_normal((1, 12))):
+            inst = DPCAInstance(block)
+            s = rng.standard_normal((block.shape[1], 3))
+            expected = {a: DPCAInstance(block).prox(a, s) for a in (0.3, 0.7)}
+            mismatches = []
+            errors = []
 
-        def work(i):
+            def work(i):
+                try:
+                    for j in range(40):
+                        a = (0.3, 0.7)[(i + j) % 2]
+                        if not np.array_equal(inst.prox(a, s), expected[a]):
+                            mismatches.append(a)
+                except Exception as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
             try:
-                for j in range(40):
-                    a = (0.3, 0.7)[(i + j) % 2]
-                    if not np.array_equal(inst.prox(a, s), expected[a]):
-                        mismatches.append(a)
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert not errors
-        assert not mismatches
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(th.is_alive() for th in threads)
+            assert not errors
+            assert not mismatches
+            assert (inst._factor[0] is None) == (len(block) == 1)
 
     def test_cache_reproduces_direct_solve(self, rng):
         inst = DPCAInstance(rng.standard_normal((10, 4)))
@@ -231,30 +238,88 @@ class TestProx:
 
     @pytest.mark.parametrize("alpha_L", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
     def test_inverse_prox_across_conditioning(self, rng, alpha_L):
-        # The prox system's spectrum is [1, 1 + alpha L]; the kept inverse
-        # must stay as accurate as a direct solve across that range.
+        # The prox system's spectrum is [1, 1 + alpha L]; the dense inverse
+        # of a full-rank Gram must stay as accurate as a direct solve across
+        # that range, and exactly symmetric.
         d = 30
         inst = DPCAInstance(rng.standard_normal((60, d)))
         alpha = alpha_L / inst.smoothness()
         s = rng.standard_normal((d, 4))
         x = inst.prox(alpha, s)
+        assert inst.prox_rank == d
         bound = 1e-12 * (1.0 + alpha_L) * np.linalg.norm(s)
         assert np.linalg.norm(x - s + alpha * inst.egrad(x)) <= bound
         M = np.eye(d) + alpha * (inst.shift * np.eye(d) - inst.gram)
         assert np.linalg.norm(x - np.linalg.solve(M, s)) <= bound
-        inv = inst._inverse[1]
+        inv = inst.prox(alpha, np.eye(d))
         assert np.array_equal(inv, inv.T)
 
     def test_step_size_switch_rebuilds_inverse(self, rng):
         inst = DPCAInstance(rng.standard_normal((20, 6)))
         s = rng.standard_normal((6, 3))
         first = inst.prox(0.3, s)
-        assert inst._inverse[0] == 0.3
+        assert inst._factor[0] == 0.3
         other = inst.prox(0.7, s)
-        assert inst._inverse[0] == 0.7
+        assert inst._factor[0] == 0.7
         M = np.eye(6) + 0.7 * (inst.shift * np.eye(6) - inst.gram)
         assert np.abs(other - np.linalg.solve(M, s)).max() < 1e-12
         assert np.array_equal(inst.prox(0.3, s), first)
+
+    def test_step_size_switch_keeps_the_low_rank_factor(self, rng):
+        # A rank-1 Gram of width 12 keeps at most 4 eigenpairs, its one and
+        # any rounding puts above u shift, so it takes the low-rank form, and
+        # a switch reuses the factor the first prox built.
+        inst = DPCAInstance(rng.standard_normal((1, 12)))
+        s = rng.standard_normal((12, 3))
+        first = inst.prox(0.3, s)
+        factor = inst._factor
+        assert factor[0] is None and 1 <= inst.prox_rank <= 4
+        other = inst.prox(0.7, s)
+        assert inst._factor is factor
+        M = np.eye(12) + 0.7 * (inst.shift * np.eye(12) - inst.gram)
+        assert np.abs(other - np.linalg.solve(M, s)).max() < 1e-12
+        assert np.array_equal(inst.prox(0.3, s), first)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 48), st.floats(0.0, 1.0), st.floats(-3.0, 3.0),
+           st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+    @example(30, 0.1, 3.0, -3.0, 0)
+    @example(30, 0.9, -3.0, 3.0, 0)
+    def test_exact_prox_over_rank_deficient_grams(self, d, rank_share,
+                                                  log_aL, log_aL_next, seed):
+        # Ranks 1 to d - 1, on both sides of the low-rank form's limit, and
+        # one step-size switch: each prox is as accurate as a direct solve.
+        rng = np.random.default_rng(seed)
+        rank = 1 + int(rank_share * (d - 2))
+        inst = DPCAInstance(rng.standard_normal((rank, d))
+                            * rng.uniform(0.1, 10.0))
+        s = rng.standard_normal((d, 3))
+        for log_alpha_L in (log_aL, log_aL_next):
+            alpha_L = 10.0 ** log_alpha_L
+            alpha = alpha_L / inst.smoothness()
+            x = inst.prox(alpha, s)
+            bound = 1e-12 * (1.0 + alpha_L) * np.linalg.norm(s)
+            assert np.linalg.norm(x - s + alpha * inst.egrad(x)) <= bound
+            M = np.eye(d) + alpha * (inst.shift * np.eye(d) - inst.gram)
+            assert np.linalg.norm(x - np.linalg.solve(M, s)) <= bound
+            low_rank = inst.prox_rank <= problems.LOW_RANK_MAX_SHARE * d
+            assert (inst._factor[0] is None) == low_rank
+            assert inst.prox_rank >= rank
+
+    @pytest.mark.parametrize("shape, low_rank", [
+        ((8, 1000, 10, 5, 0.8, PRESET_SEED), False),
+        ((8, 1000, 784, 5, 0.8, PRESET_SEED), True)], ids=["preset", "d784"])
+    def test_the_prox_form_each_agent_takes(self, shape, low_rank):
+        # The preset's Grams keep every eigenpair (k = d) and take the dense
+        # inverse; at d = 784 the spectrum's decay leaves far fewer than d/3.
+        d = shape[2]
+        for inst in gen_synthetic(*shape).instances():
+            inst.prox(0.01, np.ones((d, 1)))
+            assert (inst._factor[0] is None) == low_rank
+            if low_rank:
+                assert inst.prox_rank <= problems.LOW_RANK_MAX_SHARE * d
+            else:
+                assert inst.prox_rank == d
 
     def test_optimality_against_gradient_descent(self, rng):
         inst = DPCAInstance(rng.standard_normal((8, 3)))
@@ -302,7 +367,7 @@ class TestProxInexact:
     def test_a_tolerance_below_rounding_certifies_the_floor(self, rng,
                                                            monkeypatch):
         # 1e-40 lies far below the rounding floor of the computed residual:
-        # CG alone certifies the floor, with no exact prox or kept inverse.
+        # CG alone certifies the floor, with no exact prox or its factor.
         inst = DPCAInstance(rng.standard_normal((20, 5)))
         s = rng.standard_normal((5, 2))
         called = []
@@ -313,7 +378,7 @@ class TestProxInexact:
         assert np.array_equal(mu, inst.residual(0.6, s, x))
         assert 1e-40 < float(np.vdot(mu, mu)) <= inst.residual_floor(0.6, s)
         assert called == []
-        assert inst._inverse is None
+        assert inst.prox_rank is None
 
     def test_warm_start(self, rng):
         inst = DPCAInstance(rng.standard_normal((40, 6)))
@@ -699,7 +764,6 @@ class TestSynthetic:
 
 # The preset shape, the golden d = 64 shape and MNIST width, where only 324
 # of the 784 directions are formed.
-PRESET_SEED = 214748364
 EQUIVALENT_SHAPES = [
     (8, 1000, 10, 5, 0.8, PRESET_SEED),
     (8, 1000, 64, 5, 0.8, PRESET_SEED),

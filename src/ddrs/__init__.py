@@ -61,6 +61,7 @@ from .metrics import (
     IterationRecord,
     NeighborhoodReport,
     consensus_and_stationarity,
+    dre_gap,
     dre_value,
     induced_mean,
     neighborhood_report,

@@ -255,7 +255,8 @@ def iddrs_step(stack, problem, W, params, k):
     product.  The first step, which has no products, starts at
     ``stack.x`` (there ``x = s``), and the next at the last prox alone.
     The solves run through ``map_agents``, so at MNIST width they overlap
-    on the per-agent pool; a start uses only its agent's history.
+    on the per-agent pool; a start uses only its agent's history.  A
+    record's envelope and gap read the step's ``x``, ``gx`` and ``mu_sq``.
     """
     eps_k = epsilon_schedule(params.eps0, params.rho, k)
     if k == 0:

@@ -23,7 +23,6 @@ from .algorithms import (
     ddrs_step,
     iddrs_step,
 )
-from .fanout import map_agents
 from .manifold import (
     RankDeficientError,
     manifold_constants,
@@ -36,6 +35,7 @@ from .metrics import (
     VIOLATION_KINDS,
     IterationRecord,
     consensus_and_stationarity,
+    dre_gap,
     dre_value,
     induced_mean,
     neighborhood_report,
@@ -119,9 +119,6 @@ class ExperimentConfig:
     log_every: int = 1
     out: str = None
     master_seed: int = 0
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _leaf_fields(cls, prefix=""):
@@ -346,11 +343,14 @@ def build_run(config):
     ]
 
     L = max(inst.smoothness() for inst in problem)
-    zero = np.zeros((d, r))
-    grads0 = [inst.egrad(zero) for inst in problem]
-    grad0 = float(np.sqrt(sum(np.vdot(g, g) for g in grads0)))
+    if not L > 0:
+        # Every Gram is a multiple of I, as blank images give.
+        raise ConfigTypeError("the data have no variance: every agent's "
+                              "Gram matrix has L = %r" % (L,))
+    # egrad(0) = shift * 0 - G 0 = 0 for the shifted PCA loss, so the
+    # stacked gradient at zero has norm 0 and needs no Gram product.
     return RunSetup(dataset=dataset, problem=problem, W=W, params=params,
-                    x0=x0, constants=consts, L=L, grad0_norm=grad0)
+                    x0=x0, constants=consts, L=L, grad0_norm=0.0)
 
 
 def start_run(config, setup):
@@ -385,6 +385,10 @@ def run_experiment(config):
     unless explicit seeds are given.  Records are emitted for the initial
     state, every ``log_every``-th iteration, and the final one.  Module
     errors during stepping mark the run ``diverged`` instead of raising.
+
+    An iDDRS record takes the envelope ``dre`` at the step's certified
+    proxes, and ``dre_gap`` bounds its distance from the exact proxes'
+    value; at k = 0 it has neither, as the first step leaves s unchanged.
 
     ``rate_slope`` is the log-log slope of the running minimum of
     ``stationarity_sq`` (``rate_fit``) over every record with k >= 1, and
@@ -443,39 +447,6 @@ def _record_configuration_warnings():
             module.pattern if module else "", lineno)
 
 
-# An iDDRS record's envelope asks each agent's own conjugate-gradient solver
-# for ||mu_i||^2 <= _ENVELOPE_PROX_TOL (1 + ||s_i||^2).  Against the exact
-# prox, every recorded envelope value stayed within 3.8e-14 relative on the
-# preset, 4.0e-14 at d=64 and 1.6e-13 at d=784, and within 3.0e-11 at
-# alpha * shift = 8.3e5 (preset data, 20 iterations).
-_ENVELOPE_PROX_TOL = 1e-24
-
-
-def _envelope_proxes(stack, problem, alpha):
-    """
-    Proxes of ``stack.s`` for an iDDRS record's envelope, none exact, and
-    the Gram products that certified them: ``(xs, gxs)``, each (n, d, r).
-
-    Each agent runs ``prox_inexact`` warm-started at its ``x``, with the
-    Gram product ``stack.gx`` that certified it after a step, so the start
-    makes no product; it certifies the rounding floor where that lies
-    above the tolerance.  ``dre_value`` takes ``gxs`` in place of products
-    of its own.  The solves run through ``map_agents``, like the step's,
-    so at MNIST width they run on the per-agent pool, and none builds the
-    exact prox's factor.  A stalled solve ends the run
-    ``diverged``, as a step's does.
-    """
-
-    def prox_one(inst, s, x, gx):
-        eps = _ENVELOPE_PROX_TOL * (1.0 + float(np.vdot(s, s)))
-        x, _, gx = inst.prox_inexact(alpha, s, eps, x0=x, gx0=gx)
-        return x, gx
-
-    solved = map_agents(prox_one, problem, stack.s, stack.x, stack.gx)
-    return (np.stack([x for x, _ in solved]),
-            np.stack([gx for _, gx in solved]))
-
-
 def _run(config):
     setup = build_run(config)
     dataset, problem, W, params = (setup.dataset, setup.problem, setup.W,
@@ -491,10 +462,12 @@ def _run(config):
         xbar = induced_mean(stack.x)
         consensus_sq, stationarity_sq, obj = consensus_and_stationarity(
             stack.x, xbar, problem)
-        dre = None
-        if algo == "iddrs":
-            dre = dre_value(stack.s, problem, alpha,
-                            *_envelope_proxes(stack, problem, alpha))
+        dre = gap = None
+        if algo == "iddrs" and stack.k >= 1:
+            # The start's x = s is no certified prox, and the first step
+            # leaves s as it is, so record 1 holds the same envelope.
+            dre = dre_value(stack.s, problem, alpha, stack.x, stack.gx)
+            gap = dre_gap(stack.x, stack.gx, stack.mu_sq, problem, alpha)
         elif algo == "ddrs":
             # An exact step leaves x = prox(alpha, s) bitwise; the start,
             # where x = s, does not.
@@ -508,7 +481,7 @@ def _run(config):
             mu_sq_max = float(stack.mu_sq.max())
         return IterationRecord(
             k=k, consensus_sq=consensus_sq, stationarity_sq=stationarity_sq,
-            dre=dre, obj=obj, ds=ds, mu_sq_max=mu_sq_max,
+            dre=dre, dre_gap=gap, obj=obj, ds=ds, mu_sq_max=mu_sq_max,
             wall_ns=time.perf_counter_ns() - start_ns,
         )
 
@@ -563,7 +536,7 @@ def _run(config):
         "status": status,
         "error": error,
         "iterations": stack.k,
-        "final": _record_to_dict(final) if final else None,
+        "final": asdict(final) if final else None,
         "rate_slope": slope,
         "rate_window": window,
         "neighborhood_violations": violations if splitting else None,
@@ -578,13 +551,9 @@ def _run(config):
         "resolved_alpha": alpha,
         "resolved_seeds": resolved_seeds(config),
         "sigma2": W.sigma2,
-        "config": config.to_dict(),
+        "config": asdict(config),
     }
     return records, summary
-
-
-def _record_to_dict(rec):
-    return {name: getattr(rec, name) for name in RECORD_FIELDS}
 
 
 def _format_cell(value):
@@ -610,12 +579,16 @@ def write_records(records, path, fmt="csv"):
                 _format_cell(getattr(rec, name)) for name in RECORD_FIELDS))
         payload = "\n".join(lines) + "\n"
     elif fmt == "jsonl":
-        lines = [json.dumps(_record_to_dict(rec)) for rec in records]
+        lines = [json.dumps(asdict(rec)) for rec in records]
         payload = "\n".join(lines) + ("\n" if lines else "")
     else:
         raise ValueError("format must be 'csv' or 'jsonl', got %r" % (fmt,))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)
+
+
+# The fields of a record file written before ``dre_gap`` existed.
+_FIELDS_WITHOUT_DRE_GAP = tuple(f for f in RECORD_FIELDS if f != "dre_gap")
 
 
 def read_records(path, fmt=None):
@@ -625,9 +598,11 @@ def read_records(path, fmt=None):
     Without ``fmt`` the format is read from the content: JSON lines start
     with ``{``, a CSV file with its header.  An empty file, which has no
     content to tell, is JSON lines if the path ends in ``.jsonl`` or
-    ``.ndjson`` and CSV otherwise.  A CSV file that is empty, whose header
-    is not ``RECORD_FIELDS``, or that has a row whose cell count differs
-    from the header's, raises ValueError naming the file and line.
+    ``.ndjson`` and CSV otherwise.  A file written without ``dre_gap``
+    reads it as None.  A CSV file that is empty, whose header is not
+    ``RECORD_FIELDS`` with or without ``dre_gap``, or that has a row whose
+    cell count differs from the header's, raises ValueError naming the
+    file and line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -643,23 +618,17 @@ def read_records(path, fmt=None):
         if not rows:
             raise ValueError("%s: empty file, expected a CSV header" % (path,))
         lineno, header = rows[0]
-        if tuple(header) != RECORD_FIELDS:
+        if tuple(header) not in (RECORD_FIELDS, _FIELDS_WITHOUT_DRE_GAP):
             raise ValueError("%s line %d: unexpected CSV header %r"
                              % (path, lineno, header))
         for lineno, cells in rows[1:]:
-            if len(cells) != len(RECORD_FIELDS):
+            if len(cells) != len(header):
                 raise ValueError("%s line %d: %d cells, the header has %d"
-                                 % (path, lineno, len(cells),
-                                    len(RECORD_FIELDS)))
-            kwargs = {}
-            for name, cell in zip(RECORD_FIELDS, cells):
-                if cell == "":
-                    kwargs[name] = None
-                elif name in ("k", "wall_ns"):
-                    kwargs[name] = int(cell)
-                else:
-                    kwargs[name] = float(cell)
-            records.append(IterationRecord(**kwargs))
+                                 % (path, lineno, len(cells), len(header)))
+            records.append(IterationRecord(**{
+                name: None if cell == "" else
+                (int if name in ("k", "wall_ns") else float)(cell)
+                for name, cell in zip(header, cells)}))
     else:
         for line in text.splitlines():
             if line:

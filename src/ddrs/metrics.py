@@ -22,12 +22,13 @@ from .manifold import (
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One monitoring row; ``ds``/``mu_sq_max``/``dre`` may be absent."""
+    """One monitoring row; ``dre`` through ``mu_sq_max`` may be absent."""
 
     k: int
     consensus_sq: float
     stationarity_sq: float
     dre: float = None
+    dre_gap: float = None
     obj: float = None
     ds: float = None
     mu_sq_max: float = None
@@ -84,15 +85,13 @@ def dre_value(s_blocks, problem, alpha, x_blocks=None, gx_blocks=None):
     value is ``sum_i f_i(x_i) + <egrad_i(x_i), ybar - x_i>
     + ||ybar - x_i||^2 / (2 alpha)``.  It is bounded below by the optimal
     consensus value and monitors progress; it needs global information and
-    is never available to agents.  A caller that already holds the proxes
-    of ``s_blocks`` at ``alpha`` passes them as ``x_blocks``: an exact
-    step's ``x``, or solves certified to a residual near rounding, which
-    keep the value within rounding of the exact prox's without building it.
-    Otherwise they are computed here with the exact prox, through
-    ``map_agents``.  Each agent's value and gradient come from one product
-    with its Gram matrix, or from its block of ``gx_blocks``, the Gram
-    products that certified ``x_blocks`` (``prox_inexact``), which makes
-    none.  They run through ``map_agents`` and are summed in agent order.
+    is never available to agents.  ``x_blocks`` are proxes of ``s_blocks``
+    the caller holds: an exact step's ``x``, or an iDDRS step's, whose
+    value lies within ``dre_gap`` of the exact one; without them the exact
+    proxes are computed here.  Each agent's value and gradient come from
+    one Gram product, or from its block of ``gx_blocks``, the products that
+    certified ``x_blocks``.  Both run through ``map_agents`` and are summed
+    in agent order.
     """
     if x_blocks is None:
         xs = np.stack(map_agents(lambda inst, s: inst.prox(alpha, s),
@@ -107,6 +106,37 @@ def dre_value(s_blocks, problem, alpha, x_blocks=None, gx_blocks=None):
     values = sum(value for value, _ in pairs)
     return (values + float(np.vdot(grads, gap))
             + float(np.vdot(gap, gap)) / (2.0 * alpha))
+
+
+def dre_gap(x_blocks, gx_blocks, mu_sq, problem, alpha):
+    """
+    Bound, rounding aside, on the distance of ``dre_value(s, problem,
+    alpha, x_blocks, gx_blocks)`` from the envelope at the exact proxes of
+    s, for proxes certified to squared residuals ``mu_sq``.
+
+    With ``H_i = shift_i I - G_i``, spectrum in ``[0, L_i]``, the value is
+    ``sum_i <x_i, (H_i - alpha H_i^2) x_i> / 2 + ||ybar - V||^2 / (2 alpha)``,
+    ``V_i = (I - alpha H_i) x_i``, ``ybar`` the replicated manifold point
+    nearest V.  As ``I + alpha H_i >= I``, ``||x_i - exact|| <= e_i =
+    sqrt(mu_sq_i)``: the first term moves by at most ``a_i (||x_i|| e_i +
+    e_i^2 / 2)``, ``a_i = max |lam - alpha lam^2|`` over ``[0, L_i]``, and
+    V by at most ``delta = ||max(1, alpha L_i - 1) e_i||``, so the second
+    by at most ``delta (2 ||ybar - V|| + delta) / (2 alpha)``.
+    """
+    xs = np.asarray(x_blocks, dtype=float)
+    shift = np.array([inst.shift for inst in problem])[:, None, None]
+    lip = np.array([inst.smoothness() for inst in problem])
+    v = xs - alpha * (shift * xs - gx_blocks)
+    dist = float(np.linalg.norm(project_stiefel(v.mean(axis=0)).mat - v))
+    e_sq = np.asarray(mu_sq, dtype=float)
+    # lam - alpha lam^2 peaks at 1 / (4 alpha), at lam = 1 / (2 alpha).
+    a = np.maximum(abs(lip - alpha * lip ** 2),
+                   np.where(2.0 * alpha * lip >= 1.0, 0.25 / alpha, 0.0))
+    value_gap = float(np.sum(
+        a * (np.linalg.norm(xs, axis=(1, 2)) * np.sqrt(e_sq) + e_sq / 2.0)))
+    delta = float(np.linalg.norm(np.maximum(1.0, alpha * lip - 1.0)
+                                 * np.sqrt(e_sq)))
+    return value_gap + delta * (2.0 * dist + delta) / (2.0 * alpha)
 
 
 def tracking_residual(stack):

@@ -56,8 +56,7 @@ _LANCZOS_TEST_EVERY = 8
 # The computed prox residual mu = x - s + alpha * (shift * x - G x) has a
 # rounding floor: for the refined exact prox, ||mu||^2 / ||s||^2 measured
 # 0.003 to 0.74 times (u alpha shift)^2, u the unit roundoff (d = 10, 36 and
-# 784, alpha * shift 1 to 1e7), so a fixed 1e-24 falls below it from
-# alpha * shift near 1e4.  Rounding x - s adds an error near u ||s|| that
+# 784, alpha * shift 1 to 1e7).  Rounding x - s adds an error near u ||s|| that
 # does not shrink with alpha * shift: at alpha * shift 0.0083 and 0.083,
 # preset iDDRS runs stalled at 237 and 5.6 times (10 u alpha shift)^2
 # (1 + ||s||^2).  A certified prox may stop at
@@ -158,14 +157,9 @@ class DPCAInstance:
     prox system for the step size in use, rebuilt when that changes (see
     ``_solve``).
 
-    The set-up computes only the two extremes of the Gram's spectrum: the
-    largest eigenvalue, the shift, and the smallest, which ``smoothness``
-    subtracts from it (``_extreme_eigenvalues``).  A Gram whose Cholesky
-    factorization fails is numerically singular, so its smallest
-    eigenvalue is taken as 0 and its largest comes from a Lanczos solve:
-    the dense spectrum returns a rounding-level smallest value there (about
-    -2e-17 for the d=784 synthetic Grams, which have rank at most 324),
-    clamped to 0.  Every other Gram takes both from the dense spectrum.
+    The set-up computes only the two extremes of the Gram's spectrum, the
+    shift and the smallest eigenvalue, which ``smoothness`` subtracts from
+    it (``_extreme_eigenvalues``).
 
     It is one agent's loss as the engines use it: ``egrad``, the loss and
     its gradient from one Gram product (``value_and_egrad``), ``smoothness``,
@@ -345,7 +339,9 @@ class DPCAInstance:
         (x, mu, gx) : the iterate, its optimality residual ``mu =
         apply_system(alpha, x, gx) - s``, and ``gx``, the Gram product of x
         it was certified from: ``_gram_apply(x)`` bitwise where the solve
-        took no CG step or a guard tripped, else the combined product.
+        took no CG step or a guard tripped, else the combined product.  Its
+        one caller in the library, an iDDRS step, keeps all three for its
+        records' envelope and gap (``metrics.dre_gap``).
         """
         if not alpha > 0:
             raise ValueError("prox needs alpha > 0, got %r" % (alpha,))

@@ -231,6 +231,25 @@ def gram_rounding(inst, x):
             * float(np.linalg.norm(x)))
 
 
+def envelope_rounding(problem, alpha, x_blocks):
+    """
+    How far two ``dre_value`` evaluations near proxes ``x_blocks`` may
+    differ by rounding alone: ``16 u sum_i (2 shift_i + 1 / alpha)
+    (||x_i|| + sqrt(r))^2``, u the unit roundoff.
+
+    The bracket bounds the size of the summands that ``dre_value`` adds:
+    the loss ``(shift ||x||^2 - <x, G x>) / 2``, the gradient term
+    ``<shift x - G x, ybar - x>`` and ``||ybar - x||^2 / (2 alpha)``, with
+    ``||ybar|| = sqrt(r)``.  They can cancel to a much smaller value.
+    """
+    u = np.finfo(float).eps / 2
+    x_blocks = np.asarray(x_blocks, dtype=float)
+    root_r = np.sqrt(x_blocks.shape[-1])
+    return 16 * u * sum(
+        (2 * inst.shift + 1 / alpha) * (float(np.linalg.norm(x)) + root_r) ** 2
+        for inst, x in zip(problem, x_blocks, strict=True))
+
+
 def assert_certified_product(inst, alpha, s, x, mu, gx, calls):
     """
     Check what a ``prox_inexact`` solve returned with x.  Its residual is

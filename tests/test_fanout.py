@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import ddrs.fanout as fanout
-import ddrs.harness as harness
 from ddrs.algorithms import SolverParams, ddrs_init, iddrs_step
 from ddrs.harness import preset, run_experiment
 from ddrs.network import gen_erdos_renyi, metropolis_weights
@@ -148,21 +147,12 @@ def _poison_at_k2(stack, *args):
 
 @pytest.mark.parametrize("inject, error", [
     ("stall", "SolverStallError: stalled on the agent with shift "),
-    ("envelope stall", "SolverStallError: stalled on the agent with shift "),
     ("nan", "NonFiniteInputError: prox input contains non-finite entries"),
 ])
 def test_worker_errors_end_the_run_as_serial_errors_do(monkeypatch, inject, error):
     raised_on = set()
-    solve = DPCAInstance.prox_inexact
 
     def stall(self, alpha, s, eps, x0=None, gx0=None):
-        # Only the step's solves, or only the records' envelope solves,
-        # stall.  The envelope asks for its own tolerance, which tells them
-        # apart.
-        envelope = eps == harness._ENVELOPE_PROX_TOL * (
-            1.0 + float(np.vdot(s, s)))
-        if envelope != (inject == "envelope stall"):
-            return solve(self, alpha, s, eps, x0=x0, gx0=gx0)
         raised_on.add(threading.current_thread().name)
         raise SolverStallError("stalled on the agent with shift %.17g"
                                % self.shift)

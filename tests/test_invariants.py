@@ -2,13 +2,14 @@
 Core invariants over random shapes, data, step sizes, round counts and
 graph kinds: the splitting engines' tracking identity, exact-prox
 optimality, certified inexact-prox tolerance and extrapolated start, the
-mean-preserving mix, polar optimality, and the tube distance as the
-distance to the projection.
+mean-preserving mix, polar optimality, the tube distance as the
+distance to the projection, and the envelope at certified proxes within
+its gap.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ddrs.algorithms import (
     AgentStack,
@@ -24,7 +25,12 @@ from ddrs.manifold import (
     project_stiefel,
     tube_distance,
 )
-from ddrs.metrics import neighborhood_report, tracking_residual
+from ddrs.metrics import (
+    dre_gap,
+    dre_value,
+    neighborhood_report,
+    tracking_residual,
+)
 from ddrs.network import (
     gen_complete,
     gen_erdos_renyi,
@@ -32,9 +38,9 @@ from ddrs.network import (
     metropolis_weights,
     mix,
 )
-from ddrs.problems import gen_synthetic
+from ddrs.problems import DPCAInstance, gen_synthetic
 
-from helpers import random_stiefel_mat
+from helpers import envelope_rounding, fresh_gram_product, random_stiefel_mat
 
 PROPERTY = settings(max_examples=30, deadline=None)
 
@@ -199,3 +205,48 @@ def test_tube_distance_is_the_distance_to_the_projection(r, extra, scale,
                        z_sv=np.linalg.svd(M, compute_uv=False)[None])
     report = neighborhood_report(stack, manifold_constants(d, r), None, 1)
     assert abs(report.max_tube - tube) <= tol
+
+
+# (n, d, r, log10(alpha L), log10 of the residual scale, spread, seed) at
+# which the bound's value term dominates and the envelope's error exceeds
+# the distance term (the V_i agree, so D is only what the residuals move
+# it), and at which the distance term dominates and the error exceeds the
+# value term (small alpha L, V_i far apart).
+VALUE_TERM_CASE = (3, 4, 2, -1.0, -8.0, 0.0, 1)
+DISTANCE_TERM_CASE = (3, 4, 2, -3.0, -6.0, 1.0, 1)
+
+
+@PROPERTY
+@example(*VALUE_TERM_CASE)
+@example(*DISTANCE_TERM_CASE)
+@given(st.integers(2, 4), st.integers(2, 8), st.integers(1, 8),
+       st.floats(-3.0, 3.0), st.floats(-12.0, -3.0),
+       st.sampled_from([0.0, 1.0]), seeds)
+def test_the_envelope_at_certified_proxes_lies_within_its_gap(
+        n, d, r, log_alpha_l, log_residual, spread, seed):
+    r = min(r, d)
+    rng = np.random.default_rng(seed)
+    problem = [DPCAInstance(rng.standard_normal((3 * d, d))) for _ in range(n)]
+    alpha = 10.0 ** log_alpha_l / max(inst.smoothness() for inst in problem)
+    # Exact proxes whose V_i = (I - alpha H_i) x_i, H_i = shift_i I - G_i,
+    # are a Stiefel point plus spread times noise, and the s they solve.
+    y = random_stiefel_mat(rng, d, r)
+    s = []
+    for inst in problem:
+        lift = (1.0 - alpha * inst.shift) * np.eye(d) + alpha * inst.gram
+        assume(np.linalg.cond(lift) < 1e8)
+        x = np.linalg.solve(lift, y + spread * rng.standard_normal((d, r)))
+        s.append(inst.apply_system(alpha, x, fresh_gram_product(inst, x)))
+    s = np.stack(s)
+    # Certified proxes: the exact ones moved by (I + alpha H)^-1 mu, whose
+    # residual against s is mu.
+    mu = 10.0 ** log_residual * rng.standard_normal((n, d, r))
+    x = np.stack([inst.prox(alpha, s_i) + inst.prox(alpha, mu_i)
+                  for inst, s_i, mu_i in zip(problem, s, mu, strict=True)])
+    gx = np.stack([fresh_gram_product(inst, x_i)
+                   for inst, x_i in zip(problem, x, strict=True)])
+    mu_sq = [float(np.vdot(mu_i, mu_i)) for mu_i in mu]
+    gap = dre_gap(x, gx, mu_sq, problem, alpha)
+    assert abs(dre_value(s, problem, alpha, x, gx)
+               - dre_value(s, problem, alpha)) <= (
+        gap + envelope_rounding(problem, alpha, x))

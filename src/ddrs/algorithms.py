@@ -179,12 +179,23 @@ def ddrs_step(stack, problem, W, params):
     ``x - s``; finally ``z`` projects the mixed iterates plus tracker back
     onto the manifold.  A RankDeficientError from that projection means
     the iterates left the certified tube (step size or t misconfigured).
-    The proxes run through ``map_agents``, as in ``iddrs_step``.
+    The proxes run through ``map_agents``, as in ``iddrs_step``, while an
+    agent's factor is still to be built or is dense.  Once every agent
+    holds its low-rank factor (``low_rank_prox``) they run on the calling
+    thread: at d = 784 such a prox takes about 50 us, and 8 of them took
+    0.54 ms serially against 0.94 ms on the pool.
     """
 
+    def prox(inst, s):
+        return inst.prox(params.alpha, s)
+
     def prox_blocks(s_new):
-        return np.stack(map_agents(lambda inst, s: inst.prox(params.alpha, s),
-                                   problem, s_new)), None, None
+        if all(inst.low_rank_prox for inst in problem):
+            x_new = [prox(inst, s)
+                     for inst, s in zip(problem, s_new, strict=True)]
+        else:
+            x_new = map_agents(prox, problem, s_new)
+        return np.stack(x_new), None, None
 
     return _advance(stack, W, params, prox_blocks)
 

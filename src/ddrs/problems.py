@@ -72,6 +72,23 @@ _ROUNDOFF_MARGIN = 10 * _UNIT_ROUNDOFF
 # 556/549, k=400 669/569.
 LOW_RANK_MAX_SHARE = 1 / 3
 
+# The sketch the exact prox tries before a full eigendecomposition
+# (``DPCAInstance._sketch``): its width as a share of d, the margin of its
+# columns that must stay above the eigenpairs it keeps, and tau, the
+# certificate's bound on ``||G - Q_k diag(theta_k) Q_k^T||_F / shift``.
+# Per call, d=784, 1 BLAS thread, medians of 5 per Gram: the 8 synthetic
+# Grams of the d=784 benchmark keep 82-83 of 131 columns at ||E||_F = 25-32
+# u shift (eigh's own factor: 20-33 u shift, 85-88 pairs), and the sketch
+# took 18.7-29.5 ms against 79.7-124.8 ms for eigh; on pixel-like data (400
+# pairs above u shift) it fills and costs 15.3-17.6 ms before eigh's
+# 89.6-100.0.  The margin is the usual oversampling of a range finder
+# (Halko, Martinsson & Tropp 2011).  At d=784 a sketch keeping 129 of 131
+# columns still certified at 94 u shift, and full ones measured 228 u shift
+# and more.  Exactly low-rank Grams (rank 20-125, Gaussian or flat spectra)
+# measured 62-480 u shift against eigh's 50-151 u, so most of those above
+# rank 60 fall back to eigh.
+_SKETCH = (1 / 6, 10, 128 * _UNIT_ROUNDOFF)
+
 
 def _lanczos_top(gram):
     """
@@ -148,14 +165,19 @@ class DPCAInstance:
     the prox system ``I + alpha (||A||_2^2 I - A^T A)`` is symmetric positive
     definite with spectrum in ``[1, 1 + alpha L]``, and the prox is an exact
     linear solve.  The instance keeps the Gram matrix of its data block and
-    the factor of the exact prox, built from one eigendecomposition of the
-    Gram by the first exact prox (on the per-agent pool at MNIST width); an
-    instance whose proxes are all conjugate-gradient solves never builds it.
-    The factor keeps the ``prox_rank`` eigenpairs above ``u shift``, u the
-    unit roundoff.  Up to ``LOW_RANK_MAX_SHARE`` of the width it is those
-    eigenpairs, whatever the step size; above it, the dense inverse of the
-    prox system for the step size in use, rebuilt when that changes (see
-    ``_solve``).
+    the factor of the exact prox, built by the first exact prox (on the
+    per-agent pool at MNIST width); an instance whose proxes are all
+    conjugate-gradient solves never builds it.  The factor keeps the
+    ``prox_rank`` eigenpairs above ``u shift``, u the unit roundoff, from a
+    randomized sketch of the Gram where its certificate holds
+    (``_sketch``), else from one eigendecomposition.  Up to
+    ``LOW_RANK_MAX_SHARE`` of the width it is those eigenpairs, whatever the
+    step size; above it, the dense inverse of the prox system for the step
+    size in use, rebuilt when that changes (see ``_solve``).  Either form
+    solves the system of ``G - E`` in place of G, E the factor's error, so
+    an exact prox's residual is at most ``alpha ||E||_2 ||x||``: a sketch
+    certifies ``||E||_F <= tau shift``, and eigh's E, about 25 u shift at
+    d = 784, is measured (``_factorize``).
 
     The set-up computes only the two extremes of the Gram's spectrum, the
     shift and the smallest eigenvalue, which ``smoothness`` subtracts from
@@ -190,6 +212,12 @@ class DPCAInstance:
         """Eigenpairs the exact prox keeps, or None before the first exact prox."""
         return None if self._factor is None else self._factor[1]
 
+    @property
+    def low_rank_prox(self):
+        """Whether the exact prox holds its low-rank factor (any step size)."""
+        factor = self._factor
+        return factor is not None and factor[0] is None
+
     def _gram_apply(self, x):
         # G x as (x^T G)^T, which G's symmetry allows: OpenBLAS streams a
         # C-ordered d-by-d operand fastest from the right of a short-wide
@@ -222,26 +250,26 @@ class DPCAInstance:
 
         The system is ``c I - alpha G``, ``c = 1 + alpha shift``, so with the
         Gram's eigenpairs ``G = Q diag(lam) Q^T`` its solution is ``x = s /
-        c + Q diag(w) Q^T s``, ``w = alpha lam / (c (c - alpha lam))``.  A
-        direction with ``lam <= u shift`` adds at most ``alpha lam / c <=
-        lam / shift <= u`` relative to x, below the rounding of a dense
-        inverse, so only the k eigenpairs above that are kept.  Where k is
-        at most ``LOW_RANK_MAX_SHARE`` of the width, the prox applies them as
-        that correction, two passes over a k-by-d factor that does not
-        depend on alpha, so a new step size costs O(k).  Otherwise it applies
-        the dense inverse ``Q diag(1 / (c - alpha lam)) Q^T`` for the step
-        size in use as ``(rhs^T M^-1)^T``, one streaming pass, and a new
-        step size takes a new eigendecomposition.  The system's spectrum lies
-        in ``[1, 1 + alpha L]``, so either form is as well conditioned as the
-        system.  A product with them passes NaN through silently, which is
-        why ``prox`` checks its input.
+        c + Q diag(w) Q^T s``, ``w = alpha lam / (c (c - alpha lam))``.
+        The factor keeps k pairs (``_factorize``) and so solves the system
+        of ``G - E``, E the Gram minus the kept pairs' matrix, with residual
+        ``||M x - s|| = alpha ||E x|| <= alpha ||E||_2 ||x||``.  Where k is
+        at most ``LOW_RANK_MAX_SHARE`` of the width, the prox applies the
+        pairs as that correction, two passes over a k-by-d factor that does
+        not depend on alpha, so a new step size costs O(k).  Otherwise it
+        applies the dense inverse ``Q diag(1 / (c - alpha lam)) Q^T`` for
+        the step size in use as ``(rhs^T M^-1)^T``, one streaming pass, and
+        a new step size takes a new eigendecomposition.  The system's
+        spectrum lies in ``[1, 1 + alpha L]``, so either form is as well
+        conditioned as the system.  A product with them passes NaN through
+        silently, which is why ``prox`` checks its input.
         """
         # The slot is replaced by one assignment and each call solves with
         # the factor it read, so concurrent callers need no lock.
         factor = self._factor
         # A low-rank factor, alpha None, serves every step size.
         if factor is None or factor[0] not in (None, alpha):
-            factor = self._factorize(alpha)
+            factor = self._factorize(alpha, sketch=factor is None)
             self._factor = factor
         if factor[0] is not None:
             return (rhs.T @ factor[2]).T
@@ -253,8 +281,24 @@ class DPCAInstance:
         x += rhs.T / c
         return x.T
 
-    def _factorize(self, alpha):
-        # The exact prox's factor at step size alpha, as _solve reads it.
+    def _factorize(self, alpha, sketch):
+        """
+        The exact prox's factor at step size alpha, as ``_solve`` reads it.
+
+        With ``sketch`` true, the sketch's factor where its certificate
+        ``||E||_F <= tau shift`` holds (``_sketch``), E the Gram minus the
+        kept pairs' matrix.  Otherwise one ``np.linalg.eigh`` of the Gram,
+        keeping the pairs above ``u shift``; its E, eigh's backward error
+        plus the dropped eigenvalues, each at most ``u shift``, measured
+        about 25 u shift in Frobenius norm at d = 784 and is not certified.
+        ``_solve`` sketches only for an agent's first factor: a later one
+        replaces a dense factor, so the sketch, which is deterministic, did
+        not hold.
+        """
+        if sketch:
+            sketched = self._sketch()
+            if sketched is not None:
+                return sketched
         lam, q = np.linalg.eigh(self.gram)
         rank = int(np.count_nonzero(lam > _UNIT_ROUNDOFF * self.shift))
         if rank <= LOW_RANK_MAX_SHARE * self.dim:
@@ -265,6 +309,43 @@ class DPCAInstance:
         inv = b @ b.T
         # Averaging with the transpose makes the inverse exactly symmetric.
         return float(alpha), rank, 0.5 * (inv + inv.T)
+
+    def _sketch(self):
+        """
+        The low-rank factor from one randomized range finder, or None.
+
+        With l = ``ceil(d / 6)`` columns (``_SKETCH``), ``Q = qr(G Omega)``
+        for a Gaussian d-by-l Omega, drawn from a generator of its own with
+        a fixed seed on each call, so concurrent calls share no state and
+        repeat bitwise.  The Rayleigh-Ritz pairs ``(theta, V)`` of ``Q^T G
+        Q`` give the k pairs with ``theta > u shift``, and the factor
+        ``(theta_k, (Q V_k)^T)`` is taken only if k leaves the sketch at
+        least its margin of columns and the certificate ``||E||_F <= tau
+        shift`` holds, ``E = G - Q_k diag(theta_k) Q_k^T`` as computed, so
+        a prox that applies it has residual at most ``alpha tau shift
+        ||x||``.  None, for a sketch that fills or misses the bound, or a
+        width with no room for its margin, leaves the eigendecomposition.
+        """
+        share, margin, tau = _SKETCH
+        width = math.ceil(share * self.dim)
+        if width <= margin:
+            return None
+        omega_t = np.random.default_rng(0).standard_normal((width, self.dim))
+        # Omega^T G = (G Omega)^T, factored in place; the rows of qt are
+        # the orthonormal columns of Q.
+        qt = _orthonormal_factor(omega_t @ self.gram).T
+        theta, v = np.linalg.eigh((qt @ self.gram) @ qt.T)
+        rank = int(np.count_nonzero(theta > _UNIT_ROUNDOFF * self.shift))
+        if rank > width - margin:
+            return None
+        # eigh sorts ascending, so the kept pairs are the last.
+        kept = slice(width - rank, None)
+        theta, qkt = theta[kept], v[:, kept].T @ qt
+        err = (qkt.T * theta) @ qkt
+        err -= self.gram
+        if np.linalg.norm(err) > tau * self.shift:
+            return None
+        return None, rank, (theta, qkt)
 
     def apply_system(self, alpha, x, gx):
         """

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ddrs.fanout as fanout
-from ddrs.algorithms import SolverParams, ddrs_init, iddrs_step
+from ddrs.algorithms import SolverParams, ddrs_init, ddrs_step, iddrs_step
 from ddrs.harness import preset, run_experiment
 from ddrs.network import gen_erdos_renyi, metropolis_weights
 from ddrs.problems import DPCAInstance, SolverStallError, gen_synthetic
@@ -124,10 +124,20 @@ def test_pooled_iddrs_step_equals_per_agent_reference(wide_data, pooled):
     assert stack.dx.shape == (4, 2, D, 3)
 
 
-@pytest.mark.parametrize("kind", ["ddrs", "iddrs"])
-def test_pooled_runs_repeat_and_match_the_serial_run(pooled, monkeypatch, kind):
-    # An exact run builds every agent's prox factor in its k = 0 envelope.
-    cfg = preset("synthetic-er06", WIDE.replace("iddrs", kind))
+@pytest.mark.parametrize("kind, extra", [
+    ("ddrs", ""), ("iddrs", ""), ("ddrs", "problem.xi = 0.5\n")],
+    ids=["ddrs", "iddrs", "ddrs-sketched"])
+def test_pooled_runs_repeat_and_match_the_serial_run(pooled, monkeypatch,
+                                                     kind, extra):
+    # An exact run builds every agent's prox factor in its k = 0 envelope:
+    # from eigh at xi = 0.8, whose Grams fill the sketch, and from the
+    # certified sketch at xi = 0.5.
+    sketch = DPCAInstance._sketch
+    sketches = []
+    monkeypatch.setattr(
+        DPCAInstance, "_sketch",
+        lambda inst: sketches.append(sketch(inst)) or sketches[-1])
+    cfg = preset("synthetic-er06", WIDE.replace("iddrs", kind) + extra)
     first, summary = run_experiment(cfg)
     again, _ = run_experiment(cfg)
     assert summary["status"] == "ok"
@@ -135,6 +145,67 @@ def test_pooled_runs_repeat_and_match_the_serial_run(pooled, monkeypatch, kind):
     monkeypatch.setattr(fanout, "FANOUT_MIN_DIM", D + 1)
     serial_records, _ = run_experiment(cfg)
     assert _strip_wall(first) == _strip_wall(serial_records)
+    if kind == "ddrs":
+        assert len(sketches) == 3 * 4
+        assert all((got is not None) == bool(extra) for got in sketches)
+    else:
+        assert sketches == []
+
+
+class _SpyPool:
+    """The per-agent pool, recording the name of each submitted function."""
+
+    def __init__(self, pool):
+        self._pool = pool
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        self.submitted.append(fn.__qualname__)
+        return self._pool.submit(fn, *args)
+
+
+@pytest.fixture
+def spy_pool(pooled, monkeypatch):
+    spy = _SpyPool(fanout._executor(os.getpid(), 2))
+    monkeypatch.setattr(fanout, "_executor", lambda pid, workers: spy)
+    return spy
+
+
+def test_low_rank_exact_steps_stay_off_the_pool(spy_pool, monkeypatch):
+    # Record 0's envelope builds every factor on the pool; each is
+    # low-rank, so no step submits its proxes.
+    built_on = []
+    factorize = DPCAInstance._factorize
+
+    def spy(inst, alpha, sketch):
+        built_on.append(threading.current_thread().name)
+        return factorize(inst, alpha, sketch)
+
+    monkeypatch.setattr(DPCAInstance, "_factorize", spy)
+    cfg = preset("synthetic-er06", WIDE.replace("iddrs", "ddrs"))
+    records, summary = run_experiment(cfg)
+    assert summary["status"] == "ok" and len(records) == 5
+    assert all(k <= D / 3 for k in summary["prox_rank"])
+    assert len(built_on) == 4
+    assert all(name.startswith("ddrs-agent") for name in built_on)
+    assert "dre_value.<locals>.<lambda>" in spy_pool.submitted
+    assert not any(name.startswith("ddrs_step") for name in spy_pool.submitted)
+
+
+def test_dense_exact_steps_use_the_pool_every_step(spy_pool):
+    # Full-rank Gaussian data keep every eigenpair, so each factor is the
+    # dense inverse, and every step pools its proxes.
+    rng = np.random.default_rng(3)
+    problem = [DPCAInstance(rng.standard_normal((D + 16, D)))
+               for _ in range(4)]
+    W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
+    params = SolverParams(alpha=1e-3, t=2)
+    stack = ddrs_init(problem, W, params, [random_stiefel_mat(rng, D, 3)] * 4)
+    for _ in range(3):
+        del spy_pool.submitted[:]
+        stack = ddrs_step(stack, problem, W, params)
+        assert spy_pool.submitted == ["ddrs_step.<locals>.prox"] * 4
+    assert [inst.prox_rank for inst in problem] == [D] * 4
 
 
 def _poison_at_k2(stack, *args):

@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 import warnings
@@ -311,13 +312,16 @@ class TestProx:
         ((8, 1000, 784, 5, 0.8, PRESET_SEED), True)], ids=["preset", "d784"])
     def test_the_prox_form_each_agent_takes(self, shape, low_rank):
         # The preset's Grams keep every eigenpair (k = d) and take the dense
-        # inverse; at d = 784 the spectrum's decay leaves far fewer than d/3.
+        # inverse; at d = 784 the spectrum's decay leaves far fewer than d/3,
+        # and each factor is the certified sketch's, with room to spare.
         d = shape[2]
+        share, margin, _ = problems._SKETCH
         for inst in gen_synthetic(*shape).instances():
             inst.prox(0.01, np.ones((d, 1)))
-            assert (inst._factor[0] is None) == low_rank
+            assert inst.low_rank_prox == low_rank
             if low_rank:
-                assert inst.prox_rank <= problems.LOW_RANK_MAX_SHARE * d
+                _assert_same_factor(inst._factor, inst._sketch())
+                assert inst.prox_rank <= math.ceil(share * d) - margin
             else:
                 assert inst.prox_rank == d
 
@@ -328,6 +332,141 @@ class TestProx:
         x = inst.prox(alpha, s)
         gd = prox_by_gradient_descent(inst, alpha, s)
         assert np.abs(x - gd).max() < 1e-6
+
+
+def _assert_same_factor(got, want):
+    """Two exact-prox factors are bitwise equal."""
+    assert want is not None
+    assert got[:2] == want[:2]
+    if got[0] is None:
+        for a, b in zip(got[2], want[2], strict=True):
+            np.testing.assert_array_equal(a, b)
+    else:
+        np.testing.assert_array_equal(got[2], want[2])
+
+
+def _low_rank_block(rng, d, rank, near=0):
+    """
+    A block whose Gram has ``rank`` eigenvalues in [0.1, 1] and ``near``
+    more within a decade of ``u shift``, on random orthonormal directions,
+    all scaled by one random factor.
+    """
+    lam = np.concatenate([rng.uniform(0.1, 1.0, rank),
+                          problems._UNIT_ROUNDOFF
+                          * 10.0 ** rng.uniform(-1.0, 1.0, near)])
+    v = np.linalg.qr(rng.standard_normal((d, rank + near)))[0]
+    return (v * np.sqrt(lam * rng.uniform(0.1, 10.0))).T
+
+
+def _sketch_error(factor, gram):
+    """``||G - Q_k diag(theta_k) Q_k^T||_F`` of a low-rank factor."""
+    theta, qkt = factor[2]
+    return np.linalg.norm(gram - (qkt.T * theta) @ qkt)
+
+
+class TestSketchedFactor:
+    # The sketch runs from width 66, where ceil(d / 6) = 11 columns leave
+    # room for its margin of 10.
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(66, 200), st.floats(0.0, 1.0), st.integers(0, 8),
+           st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+           st.integers(0, 2 ** 32 - 1))
+    @example(96, 0.0, 0, 1.0, -1.0, 0)  # accepted, rank 1
+    @example(200, 0.5, 8, 0.0, 2.0, 3)  # accepted, 4 near pairs kept
+    @example(96, 0.2, 8, 3.0, -3.0, 1)  # filled by near pairs
+    @example(120, 1.0, 4, -3.0, 3.0, 2)  # filled by rank
+    def test_exact_prox_over_sketched_grams(self, d, rank_share, near,
+                                            log_aL, log_aL_next, seed):
+        # Ranks from 1 to past the sketch's width, with up to 8 eigenvalues
+        # near u shift, and one step-size switch: each prox is as accurate
+        # as a direct solve, an accepted sketch is the factor and meets its
+        # certificate, and a refused one leaves eigh's factor.
+        rng = np.random.default_rng(seed)
+        share, margin, tau = problems._SKETCH
+        rank = 1 + int(rank_share * (math.ceil(share * d) + 4))
+        block = _low_rank_block(rng, d, rank, near)
+        inst = DPCAInstance(block)
+        sketched = inst._sketch()
+        s = rng.standard_normal((d, 3))
+        for log_alpha_L in (log_aL, log_aL_next):
+            alpha_L = 10.0 ** log_alpha_L
+            alpha = alpha_L / inst.smoothness()
+            x = inst.prox(alpha, s)
+            bound = 1e-12 * (1.0 + alpha_L) * np.linalg.norm(s)
+            assert np.linalg.norm(x - s + alpha * inst.egrad(x)) <= bound
+            M = np.eye(d) + alpha * (inst.shift * np.eye(d) - inst.gram)
+            assert np.linalg.norm(x - np.linalg.solve(M, s)) <= bound
+        if sketched is None:
+            eigh = DPCAInstance(block)._factorize(alpha, sketch=False)
+            _assert_same_factor(inst._factor, eigh)
+        else:
+            _assert_same_factor(inst._factor, sketched)
+            assert inst.prox_rank <= math.ceil(share * d) - margin
+            assert _sketch_error(sketched, inst.gram) <= tau * inst.shift
+
+    def test_a_filled_sketch_leaves_the_eigh_factor(self, rng, monkeypatch):
+        # Rank 100 fills the 20 columns at d = 120 whatever the certificate
+        # allows; the dense factor eigh gives is rebuilt on a step-size
+        # switch without a second sketch.
+        block = rng.standard_normal((100, 120))
+        inst = DPCAInstance(block)
+        share, margin, _ = problems._SKETCH
+        monkeypatch.setattr(problems, "_SKETCH", (share, margin, math.inf))
+        assert inst._sketch() is None
+        sketches = []
+        sketch = inst._sketch
+        inst._sketch = lambda: sketches.append(1) or sketch()
+        s = rng.standard_normal((120, 2))
+        inst.prox(0.3, s)
+        assert not inst.low_rank_prox
+        _assert_same_factor(inst._factor,
+                            DPCAInstance(block)._factorize(0.3, sketch=False))
+        inst.prox(0.7, s)
+        _assert_same_factor(inst._factor,
+                            DPCAInstance(block)._factorize(0.7, sketch=False))
+        assert sketches == [1]
+
+    def test_a_failed_certificate_leaves_the_eigh_factor(self, rng,
+                                                         monkeypatch):
+        # Rank 3 at d = 120 sketches with room to spare; a zero tau refuses
+        # its certificate, and the factor is eigh's.
+        block = _low_rank_block(rng, 120, 3)
+        inst = DPCAInstance(block)
+        assert inst._sketch() is not None
+        share, margin, _ = problems._SKETCH
+        monkeypatch.setattr(problems, "_SKETCH", (share, margin, 0.0))
+        assert inst._sketch() is None
+        inst.prox(0.3, rng.standard_normal((120, 2)))
+        assert inst.low_rank_prox
+        _assert_same_factor(inst._factor,
+                            DPCAInstance(block)._factorize(0.3, sketch=False))
+
+    def test_concurrent_sketches_of_one_gram_are_bitwise_equal(self, rng):
+        # Each sketch draws from a generator of its own: two instances of
+        # one Gram, factored at once on two threads, equal a serial one.
+        import threading
+
+        block = _low_rank_block(rng, 240, 12, near=4)
+        s = rng.standard_normal((240, 2))
+        insts = [DPCAInstance(block) for _ in range(3)]
+        barrier = threading.Barrier(2, timeout=60)
+
+        def work(inst):
+            barrier.wait()
+            inst.prox(0.1, s)
+
+        threads = [threading.Thread(target=work, args=(inst,))
+                   for inst in insts[:2]]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+        insts[2].prox(0.1, s)
+        want = insts[2]._sketch()
+        for inst in insts:
+            _assert_same_factor(inst._factor, want)
 
 
 class TestProxInexact:

@@ -55,7 +55,8 @@ class AgentStack:
     rounding of one; ``prox_inexact``), and ``dx``
     and ``dgx``, shape (n, m, d, r) with m = 1 or 2, the differences of
     the agent's last m + 1 certified proxes and of their products, the
-    newest first.  Like ``z_sv`` they are stale if ``x`` is edited later.
+    newest first; a column of ``dx`` that is exactly 0 has a ``dgx`` column
+    of exactly 0, as ``G 0`` is.  Like ``z_sv`` they are stale if ``x`` is edited later.
     ``ddrs_init`` and ``ddrs_step`` leave all three None, and ``dx`` and
     ``dgx`` stay None until two steps in a row have certified their
     products.
@@ -161,7 +162,11 @@ def _advance(stack, W, params, prox_blocks):
     dx = dgx = None
     if gx_new is not None and stack.gx is not None:
         dx = (x_new - stack.x)[:, None]
-        dgx = (gx_new - stack.gx)[:, None]
+        # G 0 = 0: a column the solve returned unchanged has no product
+        # difference, where the two certified products' rounding would
+        # leave one for extrapolated_start to amplify.
+        dgx = np.where((dx == 0.0).all(axis=2, keepdims=True), 0.0,
+                       (gx_new - stack.gx)[:, None])
         if stack.dx is not None:
             dx = np.concatenate([dx, stack.dx[:, :1]], axis=1)
             dgx = np.concatenate([dgx, stack.dgx[:, :1]], axis=1)

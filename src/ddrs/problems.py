@@ -157,6 +157,25 @@ def _extreme_eigenvalues(gram):
     return float(max(evals[0], 0.0)), float(max(evals[-1], 0.0))
 
 
+def _checked_input(alpha, s):
+    """
+    ``(s, ||s||^2)`` for a prox at step size alpha, s as a matrix.
+
+    Raises ValueError unless alpha > 0, and NonFiniteInputError if s has a
+    NaN or inf entry, before the solve, whose products would pass them on
+    silently.  ||s||^2 is finite only if every entry is; a non-finite one
+    may still come from finite entries that overflow it, so only then are
+    the entries tested.
+    """
+    if not alpha > 0:
+        raise ValueError("prox needs alpha > 0, got %r" % (alpha,))
+    s = _as_matrix(s)
+    s_sq = float(np.vdot(s, s))
+    if not math.isfinite(s_sq) and not np.isfinite(s).all():
+        raise NonFiniteInputError("prox input contains non-finite entries")
+    return s, s_sq
+
+
 class DPCAInstance:
     """
     Shifted PCA block loss ``-0.5 * tr(x^T (A^T A - ||A||_2^2 I) x)``.
@@ -170,14 +189,18 @@ class DPCAInstance:
     conjugate-gradient solves never builds it.  The factor keeps the
     ``prox_rank`` eigenpairs above ``u shift``, u the unit roundoff, from a
     randomized sketch of the Gram where its certificate holds
-    (``_sketch``), else from one eigendecomposition.  Up to
-    ``LOW_RANK_MAX_SHARE`` of the width it is those eigenpairs, whatever the
-    step size; above it, the dense inverse of the prox system for the step
-    size in use, rebuilt when that changes (see ``_solve``).  Either form
-    solves the system of ``G - E`` in place of G, E the factor's error, so
-    an exact prox's residual is at most ``alpha ||E||_2 ||x||``: a sketch
-    certifies ``||E||_F <= tau shift``, and eigh's E, about 25 u shift at
-    d = 784, is measured (``_factorize``).
+    (``_sketch``), else from one eigendecomposition (``_eigh_factor``).  Up
+    to ``LOW_RANK_MAX_SHARE`` of the width it is those eigenpairs, whatever
+    the step size; above it, the dense inverse of the prox system for the
+    step size in use, rebuilt when that changes (see ``_solve``).
+
+    Either form solves the system of ``G - E`` in place of G, E the Gram
+    minus the kept pairs' matrix, so an exact prox's residual ``||M x -
+    s|| = alpha ||E x||``, M the prox system, is at most ``alpha ||E||_2
+    ||x||``.  This bound is certified for a sketch, ``||E||_F <= tau
+    shift``.  For eigh it is measured: E is eigh's backward error plus the
+    dropped eigenvalues, each at most ``u shift``, about 25 u shift in
+    Frobenius norm at d = 784.
 
     The set-up computes only the two extremes of the Gram's spectrum, the
     shift and the smallest eigenvalue, which ``smoothness`` subtracts from
@@ -251,25 +274,25 @@ class DPCAInstance:
         The system is ``c I - alpha G``, ``c = 1 + alpha shift``, so with the
         Gram's eigenpairs ``G = Q diag(lam) Q^T`` its solution is ``x = s /
         c + Q diag(w) Q^T s``, ``w = alpha lam / (c (c - alpha lam))``.
-        The factor keeps k pairs (``_factorize``) and so solves the system
-        of ``G - E``, E the Gram minus the kept pairs' matrix, with residual
-        ``||M x - s|| = alpha ||E x|| <= alpha ||E||_2 ||x||``.  Where k is
-        at most ``LOW_RANK_MAX_SHARE`` of the width, the prox applies the
-        pairs as that correction, two passes over a k-by-d factor that does
-        not depend on alpha, so a new step size costs O(k).  Otherwise it
+        The factor keeps k pairs (``_factorize``), within the residual
+        bound the class docstring states.  Where k is at most
+        ``LOW_RANK_MAX_SHARE`` of the width, the prox applies the pairs as
+        that correction, two passes over a k-by-d factor that does not
+        depend on alpha, so a new step size costs O(k).  Otherwise it
         applies the dense inverse ``Q diag(1 / (c - alpha lam)) Q^T`` for
         the step size in use as ``(rhs^T M^-1)^T``, one streaming pass, and
-        a new step size takes a new eigendecomposition.  The system's
+        a new step size takes a new factor.  The system's
         spectrum lies in ``[1, 1 + alpha L]``, so either form is as well
         conditioned as the system.  A product with them passes NaN through
-        silently, which is why ``prox`` checks its input.
+        silently, which is why each prox checks its input first
+        (``_checked_input``).
         """
         # The slot is replaced by one assignment and each call solves with
         # the factor it read, so concurrent callers need no lock.
         factor = self._factor
         # A low-rank factor, alpha None, serves every step size.
         if factor is None or factor[0] not in (None, alpha):
-            factor = self._factorize(alpha, sketch=factor is None)
+            factor = self._factorize(alpha)
             self._factor = factor
         if factor[0] is not None:
             return (rhs.T @ factor[2]).T
@@ -281,34 +304,36 @@ class DPCAInstance:
         x += rhs.T / c
         return x.T
 
-    def _factorize(self, alpha, sketch):
+    def _factorize(self, alpha):
         """
-        The exact prox's factor at step size alpha, as ``_solve`` reads it.
+        The exact prox's factor at step size alpha, as ``_solve`` reads it:
+        the sketch's where its certificate holds (``_sketch``), else
+        eigh's (``_eigh_factor``), each within the residual bound the class
+        docstring states.  The sketch is deterministic, so a dense factor's
+        rebuild after a step-size switch repeats a sketch that fails,
+        15-18 ms on pixel-like data at d = 784; a run keeps one step size.
+        """
+        return self._sketch() or self._eigh_factor(alpha)
 
-        With ``sketch`` true, the sketch's factor where its certificate
-        ``||E||_F <= tau shift`` holds (``_sketch``), E the Gram minus the
-        kept pairs' matrix.  Otherwise one ``np.linalg.eigh`` of the Gram,
-        keeping the pairs above ``u shift``; its E, eigh's backward error
-        plus the dropped eigenvalues, each at most ``u shift``, measured
-        about 25 u shift in Frobenius norm at d = 784 and is not certified.
-        ``_solve`` sketches only for an agent's first factor: a later one
-        replaces a dense factor, so the sketch, which is deterministic, did
-        not hold.
+    def _eigh_factor(self, alpha):
         """
-        if sketch:
-            sketched = self._sketch()
-            if sketched is not None:
-                return sketched
+        The factor from one ``np.linalg.eigh`` of the Gram, keeping the
+        pairs above ``u shift``; its E is measured, not certified (class
+        docstring).  The dense inverse ``Q diag(1 / (c - alpha lam)) Q^T``
+        is built in eigh's own memory: the eigenvectors are scaled in place
+        by the square roots of the weights, and NumPy computes ``q @ q.T``
+        of that array as one symmetric rank-k update (syrk), which fills one
+        triangle and mirrors it, so the inverse is exactly symmetric.  The
+        build holds two d-by-d arrays.
+        """
         lam, q = np.linalg.eigh(self.gram)
         rank = int(np.count_nonzero(lam > _UNIT_ROUNDOFF * self.shift))
         if rank <= LOW_RANK_MAX_SHARE * self.dim:
             # eigh sorts ascending, so the kept eigenpairs are the last.
             kept = slice(self.dim - rank, None)
             return None, rank, (lam[kept], q[:, kept].T.copy())
-        b = q * np.sqrt(1.0 / (1.0 + alpha * (self.shift - lam)))
-        inv = b @ b.T
-        # Averaging with the transpose makes the inverse exactly symmetric.
-        return float(alpha), rank, 0.5 * (inv + inv.T)
+        q *= np.sqrt(1.0 / (1.0 + alpha * (self.shift - lam)))
+        return float(alpha), rank, q @ q.T
 
     def _sketch(self):
         """
@@ -321,10 +346,10 @@ class DPCAInstance:
         Q`` give the k pairs with ``theta > u shift``, and the factor
         ``(theta_k, (Q V_k)^T)`` is taken only if k leaves the sketch at
         least its margin of columns and the certificate ``||E||_F <= tau
-        shift`` holds, ``E = G - Q_k diag(theta_k) Q_k^T`` as computed, so
-        a prox that applies it has residual at most ``alpha tau shift
-        ||x||``.  None, for a sketch that fills or misses the bound, or a
-        width with no room for its margin, leaves the eigendecomposition.
+        shift`` holds, ``E = G - Q_k diag(theta_k) Q_k^T`` as computed,
+        which certifies the class docstring's residual bound.  None, for a
+        sketch that fills or misses the bound, or a width with no room for
+        its margin, leaves the eigendecomposition.
         """
         share, margin, tau = _SKETCH
         width = math.ceil(share * self.dim)
@@ -358,12 +383,7 @@ class DPCAInstance:
         return (1.0 + alpha * self.shift) * x - alpha * gx
 
     def prox(self, alpha, s):
-        if not alpha > 0:
-            raise ValueError("prox needs alpha > 0, got %r" % (alpha,))
-        s = _as_matrix(s)
-        if not np.all(np.isfinite(s)):
-            raise NonFiniteInputError("prox input contains non-finite entries")
-        return self._solve(alpha, s)
+        return self._solve(alpha, _checked_input(alpha, s)[0])
 
     def residual(self, alpha, s, x):
         """Prox optimality residual ``x - s + alpha * egrad(x)``, as ``M x - s``."""
@@ -411,9 +431,8 @@ class DPCAInstance:
         miss, CG restarts once from the recomputed residual, within the
         same iteration budget, and a second miss raises SolverStallError.
         With eps > 0 the exact prox's factor is never built;
-        ``eps == 0`` takes the exact path, ``prox``, and ignores the start.
-        A non-finite s raises NonFiniteInputError before any arithmetic, as
-        in ``prox``.
+        ``eps == 0`` takes ``prox``'s exact solve and ignores the start.
+        Its input is checked as ``prox``'s is (``_checked_input``).
 
         Returns
         -------
@@ -424,19 +443,11 @@ class DPCAInstance:
         one caller in the library, an iDDRS step, keeps all three for its
         records' envelope and gap (``metrics.dre_gap``).
         """
-        if not alpha > 0:
-            raise ValueError("prox needs alpha > 0, got %r" % (alpha,))
+        s, s_sq = _checked_input(alpha, s)
         if eps < 0:
             raise ValueError("tolerance must be >= 0, got %r" % (eps,))
-        s = _as_matrix(s)
-        # ||s||^2 is finite only if every entry is.  A non-finite ||s||^2
-        # may still come from finite entries that overflow it, so only then
-        # are the entries tested.
-        s_sq = float(np.vdot(s, s))
-        if not math.isfinite(s_sq) and not np.isfinite(s).all():
-            raise NonFiniteInputError("prox input contains non-finite entries")
         if eps == 0.0:
-            x = self.prox(alpha, s)
+            x = self._solve(alpha, s)
             gx = self._gram_apply(x)
             return x, self.apply_system(alpha, x, gx) - s, gx
 

@@ -177,9 +177,9 @@ def test_low_rank_exact_steps_stay_off_the_pool(spy_pool, monkeypatch):
     built_on = []
     factorize = DPCAInstance._factorize
 
-    def spy(inst, alpha, sketch):
+    def spy(inst, alpha):
         built_on.append(threading.current_thread().name)
-        return factorize(inst, alpha, sketch)
+        return factorize(inst, alpha)
 
     monkeypatch.setattr(DPCAInstance, "_factorize", spy)
     cfg = preset("synthetic-er06", WIDE.replace("iddrs", "ddrs"))

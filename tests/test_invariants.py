@@ -20,6 +20,7 @@ from ddrs.algorithms import (
     iddrs_step,
 )
 from ddrs.manifold import (
+    RankDeficientError,
     _polar,
     manifold_constants,
     project_stiefel,
@@ -60,23 +61,29 @@ def graphs(draw, n, seed):
     return gen_erdos_renyi(n, draw(st.floats(0.4, 1.0)), seed)
 
 
-@st.composite
-def runs(draw):
-    """Synthetic agents on a random graph kind, parameters, a nearby start."""
-    n = draw(st.integers(3, 8))
-    r = draw(st.integers(1, 4))
-    d = draw(st.integers(r, 12))
-    seed = draw(seeds)
-    graph = draw(graphs(n, seed))
-    data = gen_synthetic(n, draw(st.integers(d, 3 * d)), d, r,
-                         draw(st.floats(0.3, 0.9)), seed)
-    params = SolverParams(alpha=draw(st.floats(0.1, 10.0)),
-                          t=draw(st.integers(1, 4)))
+def build_run(graph, d, r, m_per, xi, alpha, t, seed):
+    """Synthetic agents on a graph, their parameters and a nearby start."""
+    n = graph.n
+    data = gen_synthetic(n, m_per, d, r, xi, seed)
+    params = SolverParams(alpha=alpha, t=t)
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((d, r))
     x0 = [project_stiefel(base + 0.05 * rng.standard_normal((d, r)))
           for _ in range(n)]
     return data.instances(), metropolis_weights(graph), params, x0
+
+
+@st.composite
+def runs(draw):
+    """``build_run`` on a random graph kind, shape and parameters."""
+    n = draw(st.integers(3, 8))
+    r = draw(st.integers(1, 4))
+    d = draw(st.integers(r, 12))
+    seed = draw(seeds)
+    graph = draw(graphs(n, seed))
+    return build_run(graph, d, r, draw(st.integers(d, 3 * d)),
+                     draw(st.floats(0.3, 0.9)), draw(st.floats(0.1, 10.0)),
+                     draw(st.integers(1, 4)), seed)
 
 
 @pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
@@ -117,6 +124,47 @@ def _system_residual_norm(inst, alpha, s, x):
                                                       inst._gram_apply(x))))
 
 
+def _inexact_step_and_starts(stack, problem, W, params, k):
+    """``iddrs_step``, and each agent's ``(s, x0, gx0)`` its solve took."""
+    starts = {}
+    for i, inst in enumerate(problem):
+        solve = inst.prox_inexact
+
+        def spy(alpha, s, eps, x0=None, gx0=None, i=i, solve=solve):
+            starts[i] = (s, x0, gx0)
+            return solve(alpha, s, eps, x0=x0, gx0=gx0)
+
+        inst.prox_inexact = spy
+    try:
+        stack = iddrs_step(stack, problem, W, params, k)
+    finally:
+        for inst in problem:
+            del inst.prox_inexact
+    assert sorted(starts) == list(range(W.n))
+    return stack, starts
+
+
+def _assert_starts_no_worse_than_the_last_prox(problem, params, previous,
+                                               starts):
+    """Each start's product is within rounding of its Gram product, and
+    its system residual is no worse than the agent's last prox's."""
+    for i, (s, start, gstart) in starts.items():
+        inst, x_k = problem[i], previous.x[i]
+        if previous.gx is None:
+            # Without certified products the start is the last prox.
+            np.testing.assert_array_equal(start, x_k)
+            assert gstart is None
+            continue
+        # The start's product stands in for its Gram product.
+        rounding = 1e-13 * (1.0 + np.linalg.norm(inst.gram)) * (
+            np.linalg.norm(start) + np.linalg.norm(x_k))
+        assert np.linalg.norm(gstart - inst._gram_apply(start)) <= rounding
+        bound = _system_residual_norm(inst, params.alpha, s, x_k)
+        assert (_system_residual_norm(inst, params.alpha, s, start)
+                <= bound * (1.0 + 1e-12)
+                + (1.0 + params.alpha * inst.shift) * rounding)
+
+
 @pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
 @PROPERTY
 @given(runs())
@@ -124,38 +172,39 @@ def test_inexact_steps_start_no_worse_than_the_agents_last_prox(run):
     problem, W, params, x0 = run
     stack = ddrs_init(problem, W, params, x0)
     for k in range(STEPS + 2):
-        starts = {}
-        for i, inst in enumerate(problem):
-            solve = inst.prox_inexact
-
-            def spy(alpha, s, eps, x0=None, gx0=None, i=i, solve=solve):
-                starts[i] = (s, x0, gx0)
-                return solve(alpha, s, eps, x0=x0, gx0=gx0)
-
-            inst.prox_inexact = spy
+        previous = stack
         try:
-            previous = stack
-            stack = iddrs_step(stack, problem, W, params, k)
-        finally:
-            for inst in problem:
-                del inst.prox_inexact
-        assert sorted(starts) == list(range(W.n))
-        for i, (s, start, gstart) in starts.items():
-            inst, x_k = problem[i], previous.x[i]
-            if previous.gx is None:
-                # Without certified products the start is the last prox.
-                np.testing.assert_array_equal(start, x_k)
-                assert gstart is None
-                continue
-            # The start's product stands in for its Gram product.
-            rounding = 1e-13 * (1.0 + np.linalg.norm(inst.gram)) * (
-                np.linalg.norm(start) + np.linalg.norm(x_k))
-            assert np.linalg.norm(gstart - inst._gram_apply(start)) <= rounding
-            bound = _system_residual_norm(inst, params.alpha, s, x_k)
-            assert (_system_residual_norm(inst, params.alpha, s, start)
-                    <= bound * (1.0 + 1e-12)
-                    + (1.0 + params.alpha * inst.shift) * rounding)
+            stack, starts = _inexact_step_and_starts(stack, problem, W,
+                                                     params, k)
+        except RankDeficientError:
+            # The documented end of a run whose mixed iterates have no
+            # unique projection: at d = r = 1, starts of opposite signs
+            # whose mixed mean is 0.
+            return
+        _assert_starts_no_worse_than_the_last_prox(problem, params,
+                                                   previous, starts)
     assert stack.dx.shape[1] == 2
+
+
+@pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
+def test_a_prox_returned_unchanged_moves_no_start_product():
+    # On this ring an agent's solve returns its start bitwise, so its
+    # newest difference dx is exactly 0 while the two certified products'
+    # rounding left a nonzero dgx, which the next starts amplified into a
+    # carried gx0 billions of times the allowance from G x0.
+    problem, W, params, x0 = build_run(
+        gen_ring(6), d=2, r=1, m_per=6, xi=0.6605766651807164,
+        alpha=1.3728664103270254, t=4, seed=1238425068)
+    stack = ddrs_init(problem, W, params, x0)
+    zero_differences = 0
+    for k in range(STEPS + 2):
+        previous = stack
+        stack, starts = _inexact_step_and_starts(stack, problem, W, params, k)
+        _assert_starts_no_worse_than_the_last_prox(problem, params,
+                                                   previous, starts)
+        if stack.dx is not None:
+            zero_differences += int((stack.dx[:, 0] == 0.0).all(axis=1).sum())
+    assert zero_differences > 0
 
 
 @PROPERTY

@@ -255,6 +255,22 @@ class TestProx:
         inv = inst.prox(alpha, np.eye(d))
         assert np.array_equal(inv, inv.T)
 
+    def test_the_dense_build_holds_two_width_squared_arrays(self, rng):
+        # A full-rank Gram fills the sketch and takes the dense inverse,
+        # built in eigh's eigenvectors: they and the inverse are 2 d^2
+        # doubles, where a copy of either would make 3.
+        d = 400
+        inst = DPCAInstance(rng.standard_normal((2 * d, d)))
+        s = rng.standard_normal((d, 5))
+        tracemalloc.start()
+        try:
+            inst.prox(0.1 / inst.smoothness(), s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.prox_rank == d and not inst.low_rank_prox
+        assert peak <= 2.5 * d * d * 8
+
     def test_step_size_switch_rebuilds_inverse(self, rng):
         inst = DPCAInstance(rng.standard_normal((20, 6)))
         s = rng.standard_normal((6, 3))
@@ -398,7 +414,7 @@ class TestSketchedFactor:
             M = np.eye(d) + alpha * (inst.shift * np.eye(d) - inst.gram)
             assert np.linalg.norm(x - np.linalg.solve(M, s)) <= bound
         if sketched is None:
-            eigh = DPCAInstance(block)._factorize(alpha, sketch=False)
+            eigh = DPCAInstance(block)._eigh_factor(alpha)
             _assert_same_factor(inst._factor, eigh)
         else:
             _assert_same_factor(inst._factor, sketched)
@@ -408,7 +424,7 @@ class TestSketchedFactor:
     def test_a_filled_sketch_leaves_the_eigh_factor(self, rng, monkeypatch):
         # Rank 100 fills the 20 columns at d = 120 whatever the certificate
         # allows; the dense factor eigh gives is rebuilt on a step-size
-        # switch without a second sketch.
+        # switch after the same deterministic sketch fails again.
         block = rng.standard_normal((100, 120))
         inst = DPCAInstance(block)
         share, margin, _ = problems._SKETCH
@@ -421,11 +437,11 @@ class TestSketchedFactor:
         inst.prox(0.3, s)
         assert not inst.low_rank_prox
         _assert_same_factor(inst._factor,
-                            DPCAInstance(block)._factorize(0.3, sketch=False))
+                            DPCAInstance(block)._eigh_factor(0.3))
         inst.prox(0.7, s)
         _assert_same_factor(inst._factor,
-                            DPCAInstance(block)._factorize(0.7, sketch=False))
-        assert sketches == [1]
+                            DPCAInstance(block)._eigh_factor(0.7))
+        assert sketches == [1, 1]
 
     def test_a_failed_certificate_leaves_the_eigh_factor(self, rng,
                                                          monkeypatch):
@@ -440,7 +456,7 @@ class TestSketchedFactor:
         inst.prox(0.3, rng.standard_normal((120, 2)))
         assert inst.low_rank_prox
         _assert_same_factor(inst._factor,
-                            DPCAInstance(block)._factorize(0.3, sketch=False))
+                            DPCAInstance(block)._eigh_factor(0.3))
 
     def test_concurrent_sketches_of_one_gram_are_bitwise_equal(self, rng):
         # Each sketch draws from a generator of its own: two instances of

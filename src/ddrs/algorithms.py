@@ -22,10 +22,11 @@ from .manifold import (
     _tangent_dir,
     manifold_constants,
     project_stiefel,
-    tube_distance,
 )
 from .fanout import map_agents
+from .metrics import neighborhood_report
 from .network import mix
+from .problems import exact_proxes
 
 
 class ConfigurationWarning(UserWarning):
@@ -122,9 +123,9 @@ def ddrs_init(problem, W, params, x0):
 
     Sets ``s = z = x`` and a zero tracker, and records the singular
     values of ``mix(x)``, the blocks a step would project.  The consensus
-    quality of the start is checked against the certified neighborhood and
-    a ConfigurationWarning (not an error) is emitted when it is too spread
-    out.
+    quality of the start is checked against the certified neighborhood
+    (``neighborhood_report``'s x-neighborhood) and a ConfigurationWarning
+    (not an error) is emitted when it is too spread out.
     """
     x = _stack_blocks(x0, W.n)
     if len(problem) != W.n:
@@ -132,22 +133,20 @@ def ddrs_init(problem, W, params, x0):
             "got %d local objectives for %d agents" % (len(problem), W.n)
         )
     try:
-        spread = tube_distance(x.mean(axis=0))
-    except RankDeficientError:
-        spread = math.inf
-    delta1 = manifold_constants(*x.shape[1:]).delta1
-    if spread > delta1:
-        warnings.warn(
-            "initial consensus error %.3e exceeds the certified bound %.3e"
-            % (spread, delta1),
-            ConfigurationWarning,
-        )
-    try:
         z_sv = _polar(mix(W, params.t, x))[1]
     except RankDeficientError:
         z_sv = np.full((x.shape[0], x.shape[2]), math.inf)
-    return AgentStack(s=x.copy(), x=x.copy(), z=x.copy(),
-                      d=np.zeros_like(x), k=0, z_sv=z_sv)
+    stack = AgentStack(s=x.copy(), x=x.copy(), z=x.copy(),
+                       d=np.zeros_like(x), k=0, z_sv=z_sv)
+    report = neighborhood_report(stack, manifold_constants(*x.shape[1:]),
+                                 W, params.t)
+    if "x-neighborhood" in report.violations:
+        warnings.warn(
+            "initial consensus error %.3e exceeds the certified bound %.3e"
+            % (report.x_dev, report.x_bound),
+            ConfigurationWarning,
+        )
+    return stack
 
 
 def _advance(stack, W, params, prox_blocks):
@@ -184,25 +183,10 @@ def ddrs_step(stack, problem, W, params):
     ``x - s``; finally ``z`` projects the mixed iterates plus tracker back
     onto the manifold.  A RankDeficientError from that projection means
     the iterates left the certified tube (step size or t misconfigured).
-    The proxes run through ``map_agents``, as in ``iddrs_step``, while an
-    agent's factor is still to be built or is dense.  Once every agent
-    holds its low-rank factor (``low_rank_prox``) they run on the calling
-    thread: at d = 784 such a prox takes about 50 us, and 8 of them took
-    0.54 ms serially against 0.94 ms on the pool.
+    The proxes come from ``exact_proxes``, which decides where they run.
     """
-
-    def prox(inst, s):
-        return inst.prox(params.alpha, s)
-
-    def prox_blocks(s_new):
-        if all(inst.low_rank_prox for inst in problem):
-            x_new = [prox(inst, s)
-                     for inst, s in zip(problem, s_new, strict=True)]
-        else:
-            x_new = map_agents(prox, problem, s_new)
-        return np.stack(x_new), None, None
-
-    return _advance(stack, W, params, prox_blocks)
+    return _advance(stack, W, params, lambda s_new: (
+        exact_proxes(problem, params.alpha, s_new), None, None))
 
 
 # Below this share of ||M d1||^2 ||M d2||^2 the determinant of the start's

@@ -4,11 +4,9 @@ Per-agent fan-out.
 Each agent's conjugate-gradient prox, and the factorization behind its
 first exact prox, reads only that agent's data, and NumPy releases the
 interpreter lock inside the products and LAPACK calls that dominate them,
-so at MNIST width the agents' work overlaps on a thread pool.  Work much
-shorter than the pool's hand-off stays with the caller: ``ddrs_step``
-runs low-rank exact proxes, about 50 us each at d = 784, on its own
-thread.  Every agent's computation is unchanged and the results come back
-in agent order, so a pooled run is bitwise identical to a serial one.
+so at MNIST width the agents' work overlaps on a thread pool.  Every
+agent's computation is unchanged and the results come back in agent order,
+so a pooled run is bitwise identical to a serial one.
 """
 
 import functools
@@ -21,9 +19,7 @@ from itertools import repeat
 # thread, 2-vCPU VM): d=10 0.65/0.85 ms, d=64 1.05/1.45, d=128 1.58/2.70,
 # d=256 2.62/3.00, d=384 5.75/4.28, d=784 26.4/15.1.  Below d=384 a CG
 # iteration is mostly short NumPy calls that hold the interpreter lock, and
-# the two workers wait on each other for it.  The width says nothing of the
-# work per call above it: 8 low-rank exact proxes at d=784 took 0.54 ms
-# serially against 0.94 ms pooled, so ``ddrs_step`` keeps them off the pool.
+# the two workers wait on each other for it.
 FANOUT_MIN_DIM = 384
 
 # Variables OpenBLAS and MKL read their thread count from, OpenBLAS's own

@@ -19,6 +19,8 @@ from .manifold import (
     _tangent_dir,
     project_stiefel,
 )
+from .problems import exact_proxes
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -88,14 +90,13 @@ def dre_value(s_blocks, problem, alpha, x_blocks=None, gx_blocks=None):
     is never available to agents.  ``x_blocks`` are proxes of ``s_blocks``
     the caller holds: an exact step's ``x``, or an iDDRS step's, whose
     value lies within ``dre_gap`` of the exact one; without them the exact
-    proxes are computed here.  Each agent's value and gradient come from
-    one Gram product, or from its block of ``gx_blocks``, the products that
-    certified ``x_blocks``.  Both run through ``map_agents`` and are summed
-    in agent order.
+    proxes are computed here (``exact_proxes``).  Each agent's value and
+    gradient come from one Gram product, or from its block of
+    ``gx_blocks``, the products that certified ``x_blocks``; they run
+    through ``map_agents`` and are summed in agent order.
     """
     if x_blocks is None:
-        xs = np.stack(map_agents(lambda inst, s: inst.prox(alpha, s),
-                                 problem, s_blocks))
+        xs = exact_proxes(problem, alpha, s_blocks)
     else:
         xs = np.asarray(x_blocks, dtype=float)
     pairs = map_agents(lambda inst, x, gx: inst.value_and_egrad(x, gx),

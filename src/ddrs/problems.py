@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import lapack_lite
 
+from .fanout import map_agents
 from .manifold import StiefelPoint, _as_matrix
 
 
@@ -234,12 +235,6 @@ class DPCAInstance:
     def prox_rank(self):
         """Eigenpairs the exact prox keeps, or None before the first exact prox."""
         return None if self._factor is None else self._factor[1]
-
-    @property
-    def low_rank_prox(self):
-        """Whether the exact prox holds its low-rank factor (any step size)."""
-        factor = self._factor
-        return factor is not None and factor[0] is None
 
     def _gram_apply(self, x):
         # G x as (x^T G)^T, which G's symmetry allows: OpenBLAS streams a
@@ -510,6 +505,31 @@ class DPCAInstance:
             r = -mu
         raise SolverStallError("inexact prox stalled at ||mu||^2 = %.3e > %.3e "
                                "and its rounding floor %.3e" % (mu_sq, eps, floor))
+
+
+def exact_proxes(problem, alpha, s_blocks):
+    """
+    The agents' exact proxes ``inst.prox(alpha, s_i)``, stacked.
+
+    This is the one place that decides where they run.  Once every agent
+    holds its low-rank factor they run on the calling thread: at d = 784
+    such a prox takes about 50 us, and 8 of them took 0.54 ms serially
+    against 0.94 ms on the pool.  Otherwise, while a factor is still to be
+    built or is dense, they run through ``map_agents``: 8 dense proxes at
+    d = 784 took 4.30 ms serially against 2.62 ms pooled (1 BLAS thread).
+    Each prox is the same computation either way, so the stack is bitwise
+    the same.
+    """
+
+    def prox(inst, s):
+        return inst.prox(alpha, s)
+
+    # A low-rank factor has no step size (``_solve``).
+    if all(inst._factor is not None and inst._factor[0] is None
+           for inst in problem):
+        return np.stack([prox(inst, s)
+                         for inst, s in zip(problem, s_blocks, strict=True)])
+    return np.stack(map_agents(prox, problem, s_blocks))
 
 
 @dataclass

@@ -152,6 +152,10 @@ def test_pooled_runs_repeat_and_match_the_serial_run(pooled, monkeypatch,
         assert sketches == []
 
 
+# The name ``_SpyPool`` records for an exact prox.
+EXACT_PROX = "exact_proxes.<locals>.prox"
+
+
 class _SpyPool:
     """The per-agent pool, recording the name of each submitted function."""
 
@@ -172,8 +176,8 @@ def spy_pool(pooled, monkeypatch):
 
 
 def test_low_rank_exact_steps_stay_off_the_pool(spy_pool, monkeypatch):
-    # Record 0's envelope builds every factor on the pool; each is
-    # low-rank, so no step submits its proxes.
+    # Record 0's envelope builds every factor on the pool, n exact proxes in
+    # all; each factor is low-rank, so no step submits its proxes.
     built_on = []
     factorize = DPCAInstance._factorize
 
@@ -181,15 +185,23 @@ def test_low_rank_exact_steps_stay_off_the_pool(spy_pool, monkeypatch):
         built_on.append(threading.current_thread().name)
         return factorize(inst, alpha)
 
+    def step(*args):
+        spy_pool.submitted.append("step")
+        return ddrs_step(*args)
+
     monkeypatch.setattr(DPCAInstance, "_factorize", spy)
+    monkeypatch.setattr("ddrs.harness.ddrs_step", step)
     cfg = preset("synthetic-er06", WIDE.replace("iddrs", "ddrs"))
     records, summary = run_experiment(cfg)
     assert summary["status"] == "ok" and len(records) == 5
     assert all(k <= D / 3 for k in summary["prox_rank"])
     assert len(built_on) == 4
     assert all(name.startswith("ddrs-agent") for name in built_on)
+    first_step = spy_pool.submitted.index("step")
+    assert spy_pool.submitted.count(EXACT_PROX) == 4
+    assert spy_pool.submitted[:first_step].count(EXACT_PROX) == 4
+    assert spy_pool.submitted.count("step") == 12
     assert "dre_value.<locals>.<lambda>" in spy_pool.submitted
-    assert not any(name.startswith("ddrs_step") for name in spy_pool.submitted)
 
 
 def test_dense_exact_steps_use_the_pool_every_step(spy_pool):
@@ -204,7 +216,7 @@ def test_dense_exact_steps_use_the_pool_every_step(spy_pool):
     for _ in range(3):
         del spy_pool.submitted[:]
         stack = ddrs_step(stack, problem, W, params)
-        assert spy_pool.submitted == ["ddrs_step.<locals>.prox"] * 4
+        assert spy_pool.submitted == [EXACT_PROX] * 4
     assert [inst.prox_rank for inst in problem] == [D] * 4
 
 

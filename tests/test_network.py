@@ -46,7 +46,7 @@ class TestGraphs:
 
     def test_er_not_connected(self):
         with pytest.raises(NotConnectedError):
-            gen_erdos_renyi(8, 1e-6, seed=0, max_tries=50)
+            gen_erdos_renyi(8, 1e-6, seed=0)
 
     def test_disconnected_rejected(self):
         with pytest.raises(NotConnectedError):

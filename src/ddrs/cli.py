@@ -41,8 +41,8 @@ def _load_config(args):
 def _cmd_run(args):
     config = _load_config(args)
     records, summary = run_experiment(config)
-    out = args.out or config.out or "records.%s" % args.format
-    write_records(records, out, fmt=args.format)
+    out = args.out or config.out or "records.csv"
+    write_records(records, out)
     stem = str(Path(out).with_suffix(""))
     summary_path = stem + ".summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
@@ -115,7 +115,6 @@ def build_parser():
     run_p = sub.add_parser("run", parents=[source],
                            help="execute a configured experiment")
     run_p.add_argument("--out", help="records output path")
-    run_p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     run_p.add_argument("--emit-plotdata", action="store_true",
                        help="also write per-metric two-column files")
     run_p.set_defaults(func=_cmd_run)

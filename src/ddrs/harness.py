@@ -3,10 +3,9 @@ Experiment harness.
 
 Flat key-value configuration with validated schema, named presets matching
 the benchmark protocol, deterministic seeding with independent per-purpose
-substreams, the experiment driver, and CSV / JSON-lines record sinks.
+substreams, the experiment driver, and the CSV records file.
 """
 
-import json
 import time
 import warnings
 from dataclasses import dataclass, asdict, fields, is_dataclass
@@ -597,75 +596,56 @@ def _format_cell(value):
     return "%.17g" % value
 
 
-def write_records(records, path, fmt="csv"):
+def write_records(records, path):
     """
-    Persist records as CSV or JSON-lines.
+    Persist records as CSV.
 
-    The CSV header is the fixed field order; absent values become empty
-    cells (CSV) or nulls (JSON-lines).  Floats carry 17 significant digits
-    so reading them back reproduces the in-memory values exactly.
+    The header is the fixed field order and absent values are empty cells.
+    Floats carry 17 significant digits, so reading them back reproduces the
+    in-memory values exactly.
     """
-    if fmt == "csv":
-        lines = [",".join(RECORD_FIELDS)]
-        for rec in records:
-            lines.append(",".join(
-                _format_cell(getattr(rec, name)) for name in RECORD_FIELDS))
-        payload = "\n".join(lines) + "\n"
-    elif fmt == "jsonl":
-        lines = [json.dumps(asdict(rec)) for rec in records]
-        payload = "\n".join(lines) + ("\n" if lines else "")
-    else:
-        raise ValueError("format must be 'csv' or 'jsonl', got %r" % (fmt,))
+    lines = [",".join(RECORD_FIELDS)]
+    for rec in records:
+        lines.append(",".join(
+            _format_cell(getattr(rec, name)) for name in RECORD_FIELDS))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+        fh.write("\n".join(lines) + "\n")
 
 
-# The fields of a record file written before ``dre_gap`` existed.
-_FIELDS_WITHOUT_DRE_GAP = tuple(f for f in RECORD_FIELDS if f != "dre_gap")
-
-
-def read_records(path, fmt=None):
+def read_records(path):
     """
     Read records written by ``write_records``.
 
-    Without ``fmt`` the format is read from the content: JSON lines start
-    with ``{``, a CSV file with its header.  An empty file, which has no
-    content to tell, is JSON lines if the path ends in ``.jsonl`` or
-    ``.ndjson`` and CSV otherwise.  A file written without ``dre_gap``
-    reads it as None.  A CSV file that is empty, whose header is not
-    ``RECORD_FIELDS`` with or without ``dre_gap``, or that has a row whose
-    cell count differs from the header's, raises ValueError naming the
-    file and line.
+    A file that is empty, whose header is not ``RECORD_FIELDS``, that has a
+    row whose cell count differs from the header's, or that has a cell its
+    field cannot take raises ValueError naming the file and line.  Only the
+    fields a record may leave absent take an empty cell.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if fmt is None:
-        first = text.lstrip()[:1]
-        jsonl = (first == "{" if first
-                 else str(path).endswith((".jsonl", ".ndjson")))
-        fmt = "jsonl" if jsonl else "csv"
+    rows = [(lineno, line.split(",")) for lineno, line
+            in enumerate(text.splitlines(), start=1) if line]
+    if not rows:
+        raise ValueError("%s: empty file, expected a CSV header" % (path,))
+    lineno, header = rows[0]
+    if tuple(header) != RECORD_FIELDS:
+        raise ValueError("%s line %d: unexpected CSV header %r"
+                         % (path, lineno, header))
+    optional = {f.name for f in fields(IterationRecord) if f.default is None}
     records = []
-    if fmt == "csv":
-        rows = [(lineno, line.split(",")) for lineno, line
-                in enumerate(text.splitlines(), start=1) if line]
-        if not rows:
-            raise ValueError("%s: empty file, expected a CSV header" % (path,))
-        lineno, header = rows[0]
-        if tuple(header) not in (RECORD_FIELDS, _FIELDS_WITHOUT_DRE_GAP):
-            raise ValueError("%s line %d: unexpected CSV header %r"
-                             % (path, lineno, header))
-        for lineno, cells in rows[1:]:
-            if len(cells) != len(header):
-                raise ValueError("%s line %d: %d cells, the header has %d"
-                                 % (path, lineno, len(cells), len(header)))
-            records.append(IterationRecord(**{
-                name: None if cell == "" else
-                (int if name in ("k", "wall_ns") else float)(cell)
-                for name, cell in zip(header, cells)}))
-    else:
-        for line in text.splitlines():
-            if line:
-                records.append(IterationRecord(**json.loads(line)))
+    for lineno, cells in rows[1:]:
+        if len(cells) != len(header):
+            raise ValueError("%s line %d: %d cells, the header has %d"
+                             % (path, lineno, len(cells), len(header)))
+        values = {}
+        for name, cell in zip(header, cells):
+            try:
+                values[name] = None if cell == "" and name in optional else (
+                    int if name in ("k", "wall_ns") else float)(cell)
+            except ValueError:
+                raise ValueError("%s line %d: cannot read %s from %r"
+                                 % (path, lineno, name, cell)) from None
+        records.append(IterationRecord(**values))
     return records
 
 

@@ -93,6 +93,14 @@ class TestInit:
         with pytest.raises(ValueError):
             ddrs_init(problem, W, params, _consensus_start(rng, 3, 6, 2))
 
+    def test_objective_count_mismatch(self, rng, small_dataset):
+        problem = small_dataset.instances()[:3]
+        W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
+        params = SolverParams(alpha=1.0, t=2)
+        with pytest.raises(ValueError,
+                           match="got 3 local objectives for 4 agents"):
+            ddrs_init(problem, W, params, _consensus_start(rng, 4, 6, 2))
+
 
 class TestStepInvariants:
     def test_thirty_iterations(self, rng, small_dataset):
@@ -422,6 +430,12 @@ class TestAdvisor:
     def test_rejects_bad_sigma2(self):
         with pytest.raises(ValueError):
             advise_parameters(L=1.0, gamma=0.5, zeta=2.0, sigma2=1.0, n=4,
+                              grad0_norm=0.0)
+
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.nan])
+    def test_rejects_a_non_positive_smoothness(self, L):
+        with pytest.raises(ValueError, match="L must be positive"):
+            advise_parameters(L=L, gamma=0.5, zeta=2.0, sigma2=0.5, n=4,
                               grad0_norm=0.0)
 
 

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import textwrap
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ddrs.cli as cli
 import ddrs.harness as harness
@@ -182,6 +185,11 @@ class TestParseConfig:
         with pytest.raises(UnknownKeyError, match="line 6.*alhpa"):
             parse_config(MINIMAL + "alhpa = 1.0\n")
 
+    def test_a_line_without_a_value_names_its_line(self):
+        with pytest.raises(ConfigTypeError, match=re.escape(
+                "line 6: expected 'key = value': 'alpha 1.0'")):
+            parse_config(MINIMAL + "alpha 1.0\n")
+
     def test_type_error_with_line(self):
         with pytest.raises(ConfigTypeError, match="line"):
             parse_config(MINIMAL.replace("alpha = 1.0", "alpha = fast"))
@@ -259,49 +267,107 @@ class TestRecordIO:
                         wall_ns=999),
     ]
 
+    # RECS as write_records writes them: the header, then 17 significant
+    # digits per float and an empty cell for each absent value.
+    RECS_TEXT = (
+        "k,consensus_sq,stationarity_sq,dre,dre_gap,obj,ds,mu_sq_max,wall_ns\n"
+        "0,0.25,0.33333333333333331,-1.5,2.4999999999999999e-07,2,"
+        "0.10000000000000001,,12\n"
+        "1,1.0000000000000001e-17,0,,,,,3e-09,999\n")
+
     def test_empty_csv_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_records([], path, fmt="csv")
+        write_records([], path)
         assert path.read_text() == ",".join(RECORD_FIELDS) + "\n"
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_records(self.RECS, path, fmt="csv")
+        write_records(self.RECS, path)
         back = read_records(path)
         assert back == list(self.RECS)
 
-    def test_jsonl_round_trip(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        write_records(self.RECS, path, fmt="jsonl")
-        back = read_records(path)
-        assert back == list(self.RECS)
+    def test_the_written_text_is_pinned(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_records(self.RECS, path)
+        assert path.read_bytes() == self.RECS_TEXT.encode("ascii")
 
-    def test_jsonl_line_count(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        write_records(self.RECS, path, fmt="jsonl")
-        assert len(path.read_text().splitlines()) == 2
+    _doubles = st.floats(allow_nan=True, allow_infinity=True,
+                         allow_subnormal=True)
+    _special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                2.2250738585072009e-308, math.inf,
+                                -math.inf, math.nan, 1.0 / 3.0])
+    _value = st.one_of(_special, _doubles)
+
+    @given(records=st.lists(st.builds(
+        IterationRecord,
+        k=st.integers(0, 2 ** 63 - 1),
+        consensus_sq=_value, stationarity_sq=_value,
+        dre=st.none() | _value, dre_gap=st.none() | _value,
+        obj=st.none() | _value, ds=st.none() | _value,
+        mu_sq_max=st.none() | _value,
+        wall_ns=st.integers(0, 2 ** 63 - 1)), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_is_exact(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("records") / "r.csv"
+        write_records(records, path)
+        back = read_records(path)
+        assert len(back) == len(records)
+        for got, want in zip(back, records):
+            for name in RECORD_FIELDS:
+                a, b = getattr(got, name), getattr(want, name)
+                if isinstance(b, float):
+                    # NaN-aware and sign-aware: the same double, bit for bit.
+                    assert type(a) is float
+                    assert (math.isnan(a) and math.isnan(b)
+                            or struct.pack("<d", a) == struct.pack("<d", b))
+                else:
+                    assert a == b and type(a) is type(b)
 
     def test_absent_cells_empty(self, tmp_path):
         path = tmp_path / "r.csv"
-        write_records(self.RECS, path, fmt="csv")
+        write_records(self.RECS, path)
         row = path.read_text().splitlines()[2].split(",")
         assert row[RECORD_FIELDS.index("dre")] == ""
         assert row[RECORD_FIELDS.index("ds")] == ""
-
-    def test_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_records([], tmp_path / "x", fmt="xml")
 
     @pytest.mark.parametrize("cells", [5, len(RECORD_FIELDS) + 1])
     def test_row_with_the_wrong_cell_count_names_its_line(self, tmp_path,
                                                          cells):
         path = tmp_path / "r.csv"
-        write_records(self.RECS, path, fmt="csv")
+        write_records(self.RECS, path)
         header, first, second = path.read_text().splitlines()
         row = (second.split(",") + ["7"])[:cells]
         path.write_text("\n".join([header, first, ",".join(row)]) + "\n")
         with pytest.raises(ValueError, match=re.escape(
                 "%s line 3: %d cells" % (path, cells))):
+            read_records(path)
+
+    def _with_cell(self, tmp_path, name, cell):
+        """RECS' file with field ``name`` of its second row set to ``cell``."""
+        path = tmp_path / "r.csv"
+        header, first, second = self.RECS_TEXT.splitlines()
+        row = second.split(",")
+        row[RECORD_FIELDS.index(name)] = cell
+        path.write_text("\n".join([header, first, ",".join(row)]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("name", ["k", "consensus_sq", "stationarity_sq",
+                                      "wall_ns"])
+    def test_an_empty_required_cell_names_its_line_and_field(self, tmp_path,
+                                                             name):
+        path = self._with_cell(tmp_path, name, "")
+        with pytest.raises(ValueError, match=re.escape(
+                "%s line 3: cannot read %s from ''" % (path, name))):
+            read_records(path)
+
+    @pytest.mark.parametrize("name, cell", [
+        ("consensus_sq", "abc"), ("dre", "abc"), ("k", "1.5"),
+        ("wall_ns", "1.5"), ("wall_ns", "1e3")])
+    def test_an_unparsable_cell_names_its_line_and_field(self, tmp_path,
+                                                         name, cell):
+        path = self._with_cell(tmp_path, name, cell)
+        with pytest.raises(ValueError, match=re.escape(
+                "%s line 3: cannot read %s from %r" % (path, name, cell))):
             read_records(path)
 
     def test_empty_csv_file_is_rejected(self, tmp_path):
@@ -315,7 +381,7 @@ class TestRecordIO:
     def test_wrong_header_names_its_file_and_line(self, tmp_path,
                                                   blank_lines):
         path = tmp_path / "r.csv"
-        write_records(self.RECS, path, fmt="csv")
+        write_records(self.RECS, path)
         header, first, second = path.read_text().splitlines()
         header = header.replace("dre", "envelope")
         path.write_text("\n" * blank_lines
@@ -325,45 +391,15 @@ class TestRecordIO:
                 % (path, blank_lines + 1, header.split(",")))):
             read_records(path)
 
-    # RECS as written by the last version whose records had no dre_gap.
-    WITHOUT_DRE_GAP = {
-        "csv": "k,consensus_sq,stationarity_sq,dre,obj,ds,mu_sq_max,wall_ns\n"
-               "0,0.25,0.33333333333333331,-1.5,2,0.10000000000000001,,12\n"
-               "1,1.0000000000000001e-17,0,,,,3e-09,999\n",
-        "jsonl": '{"k": 0, "consensus_sq": 0.25, "stationarity_sq": '
-                 '0.3333333333333333, "dre": -1.5, "obj": 2.0, "ds": 0.1, '
-                 '"mu_sq_max": null, "wall_ns": 12}\n'
-                 '{"k": 1, "consensus_sq": 1e-17, "stationarity_sq": 0.0, '
-                 '"dre": null, "obj": null, "ds": null, "mu_sq_max": 3e-09, '
-                 '"wall_ns": 999}\n',
-    }
-
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_a_file_without_dre_gap_reads_it_as_none(self, tmp_path, fmt):
-        path = tmp_path / ("r." + fmt)
-        path.write_text(self.WITHOUT_DRE_GAP[fmt])
-        assert read_records(path) == [
-            dataclasses.replace(rec, dre_gap=None) for rec in self.RECS]
-
-    @pytest.mark.parametrize("drop", ["ds", "k"])
+    # dre_gap: the header of files written before that field existed.
+    @pytest.mark.parametrize("drop", ["dre_gap", "ds", "k"])
     def test_a_header_missing_another_field_is_rejected(self, tmp_path, drop):
         path = tmp_path / "r.csv"
-        header = [f for f in RECORD_FIELDS if f not in ("dre_gap", drop)]
+        header = [f for f in RECORD_FIELDS if f != drop]
         path.write_text(",".join(header) + "\n")
         with pytest.raises(ValueError, match=re.escape(
                 "%s line 1: unexpected CSV header %r" % (path, header))):
             read_records(path)
-
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_format_is_read_from_the_content(self, tmp_path, fmt):
-        path = tmp_path / ("r.csv" if fmt == "jsonl" else "r.jsonl")
-        write_records(self.RECS, path, fmt=fmt)
-        assert read_records(path) == list(self.RECS)
-
-    def test_an_empty_file_takes_its_format_from_the_suffix(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        path.write_text("")
-        assert read_records(path) == []
 
 
 def _strip_wall(records):
@@ -731,13 +767,19 @@ class TestCli:
         # Each agent's full-rank 6 x 6 Gram keeps all its eigenpairs.
         assert summary["prox_rank"] == [6] * 4
 
-    def test_run_jsonl_format(self, tmp_path):
+    def test_run_writes_records_csv_by_default(self, tmp_path, monkeypatch):
         cfg = self._write(tmp_path, TINY)
-        out = str(tmp_path / "rec.jsonl")
-        rc = cli.main(["run", "--config", cfg, "--out", out,
-                       "--format", "jsonl"])
-        assert rc == 0
-        assert len(read_records(out)) == 31
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--config", cfg]) == 0
+        assert len(read_records(tmp_path / "records.csv")) == 31
+        assert (tmp_path / "records.summary.json").exists()
+
+    def test_run_has_no_format_option(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, TINY)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", cfg, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
 
     def test_run_with_preset_and_override(self, tmp_path):
         cfg = self._write(tmp_path, "max_iters = 3\nlog_every = 1\n")
@@ -783,7 +825,8 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [
         ("alpha", "0"), ("beta_hat", "-1"), ("master_seed", "-1"),
-        ("problem.seed", "-1"), ("graph.seed", "-1")] + [
+        ("problem.seed", "-1"), ("graph.seed", "-1"), ("graph.p", "0"),
+        ("graph.p", "1.5"), ("problem.xi", "1"), ("algorithm.rho", "1")] + [
         (key, value) for key in ("alpha", "beta_hat", "algorithm.eps0")
         for value in ("inf", "-inf", "nan")])
     @pytest.mark.parametrize("command", ["run", "advise"])
@@ -815,12 +858,10 @@ class TestCli:
         assert (run_dir / "records.stationarity_sq.dat").exists()
         assert not (tmp_path / "run.summary.json").exists()
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    def test_records_at_a_suffixless_out_read_back(self, tmp_path, fmt):
+    def test_records_at_a_suffixless_out_read_back(self, tmp_path):
         cfg = self._write(tmp_path, TINY)
         out = tmp_path / "recs"
-        assert cli.main(["run", "--config", cfg, "--out", str(out),
-                         "--format", fmt]) == 0
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         records, _ = run_experiment(parse_config(TINY))
         assert _strip_wall(read_records(out)) == _strip_wall(records)
 

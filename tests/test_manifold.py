@@ -34,6 +34,10 @@ class TestStiefelPoint:
         with pytest.raises(ValueError):
             StiefelPoint(np.eye(2, 3))
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match="expected a 2-D matrix, got ndim=1"):
+            StiefelPoint(np.ones(3))
+
 
 class TestProjection:
     def test_identity_block_fixed(self):
@@ -43,6 +47,11 @@ class TestProjection:
     def test_column_normalization_rank_one(self):
         out = project_stiefel(np.array([[3.0], [4.0]]))
         assert np.allclose(out.mat, [[0.6], [0.8]])
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3), (1, 2, 2, 2)])
+    def test_rejects_what_is_not_tall_blocks(self, shape):
+        with pytest.raises(ValueError, match="expected a tall d x r matrix"):
+            project_stiefel(np.ones(shape))
 
     def test_zero_matrix_rank_deficient(self):
         with pytest.raises(RankDeficientError):
@@ -243,6 +252,11 @@ class TestConstants:
 
     def test_type(self):
         assert isinstance(manifold_constants(4, 2), ManifoldConstants)
+
+    @pytest.mark.parametrize("d, r", [(2, 3), (3, 0)])
+    def test_rejects_a_shape_without_a_manifold(self, d, r):
+        with pytest.raises(ValueError, match="need d >= r >= 1"):
+            manifold_constants(d, r)
 
 
 def test_random_stiefel_is_on_manifold(rng):

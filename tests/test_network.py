@@ -56,6 +56,19 @@ class TestGraphs:
         with pytest.raises(ValueError):
             Graph(3, frozenset([(0, 0), (0, 1), (1, 2)]))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Graph(3, frozenset([(0, 1), (1, 3)])),
+         r"edge \(1, 3\) out of range for n=3"),
+        (lambda: Graph(0, frozenset()), "need at least one node"),
+        (lambda: gen_complete(1), "complete graph needs n >= 2, got 1"),
+        (lambda: gen_erdos_renyi(1, 0.5, seed=0), "need n >= 2, got 1"),
+        (lambda: gen_erdos_renyi(4, 0.0, seed=0), r"need p in \(0, 1\]"),
+        (lambda: gen_erdos_renyi(4, 1.5, seed=0), r"need p in \(0, 1\]"),
+    ])
+    def test_bad_graph_arguments_are_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 def _assumption_holds(W, graph, tol=1e-12):
     M = W.W
@@ -95,6 +108,24 @@ class TestMetropolis:
     def test_rejects_bad_matrix(self):
         with pytest.raises(ValueError):
             MixingMatrix(np.array([[0.5, 0.6], [0.4, 0.5]]))
+
+    @pytest.mark.parametrize("W, message", [
+        (np.full((2, 3), 1.0 / 3.0), "must be square"),
+        (np.array([0.5, 0.5]), "must be square"),
+        (np.array([[1.5, -0.5], [-0.5, 1.5]]), "negative entries"),
+        (np.array([[0.5, 0.4], [0.4, 0.5]]), "rows do not sum to 1"),
+    ])
+    def test_each_broken_assumption_is_named(self, W, message):
+        with pytest.raises(ValueError, match=message):
+            MixingMatrix(W)
+
+    def test_a_pattern_check_rejects_another_graph(self):
+        W = metropolis_weights(gen_ring(4))
+        with pytest.raises(ValueError, match="graph size 3 vs matrix size 4"):
+            W.check_pattern(gen_ring(3))
+        with pytest.raises(ValueError,
+                           match=r"entry \(0, 2\) inconsistent with edge set"):
+            W.check_pattern(gen_complete(4))
 
 
 class TestSecondSingular:

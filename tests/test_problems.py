@@ -12,6 +12,7 @@ from ddrs.manifold import StiefelPoint
 from ddrs.problems import (
     BadMagicError,
     DPCAInstance,
+    Dataset,
     DimMismatchError,
     NonFiniteInputError,
     SolverStallError,
@@ -142,6 +143,15 @@ class TestProx:
         s = np.full((3, 1), np.nan)
         with pytest.raises(ValueError):
             inst.prox(0.5, s)
+
+    def test_rejects_a_data_block_that_is_not_a_matrix(self):
+        with pytest.raises(ValueError, match="data block must be 2-D"):
+            DPCAInstance(np.ones(3))
+
+    def test_inexact_prox_rejects_a_negative_tolerance(self, rng):
+        inst = DPCAInstance(rng.standard_normal((4, 3)))
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            inst.prox_inexact(0.5, np.zeros((3, 1)), -1e-3)
 
     def test_cache_concurrent_insertion(self, rng):
         # Many threads racing on the same step size must agree with the
@@ -950,6 +960,17 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             gen_synthetic(2, 1, 40, 2, 0.8, seed=0)
 
+    @pytest.mark.parametrize("r", [0, 5])
+    def test_rejects_a_rank_outside_the_width(self, r):
+        with pytest.raises(ValueError, match="need 1 <= r <= d"):
+            gen_synthetic(2, 10, 4, r, 0.8, seed=0)
+
+    def test_a_dataset_needs_blocks_of_one_width(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            Dataset([])
+        with pytest.raises(ValueError, match="share the feature dimension"):
+            Dataset([np.ones((2, 3)), np.ones((2, 4))])
+
 
 # The preset shape, the golden d = 64 shape and MNIST width, where only 324
 # of the 784 directions are formed.
@@ -1063,6 +1084,13 @@ class TestIdxLoader:
         path = tmp_path / "stub.idx"
         path.write_bytes(struct.pack(">I", 0x00000803) + b"\x00\x00")
         with pytest.raises(TruncatedFileError):
+            load_idx(path)
+
+    @pytest.mark.parametrize("size", [0, 3])
+    def test_shorter_than_the_magic(self, tmp_path, size):
+        path = tmp_path / "stub.idx"
+        path.write_bytes(struct.pack(">I", 0x00000803)[:size])
+        with pytest.raises(TruncatedFileError, match="shorter than the 4-byte"):
             load_idx(path)
 
     def test_trailing_bytes(self, tmp_path):

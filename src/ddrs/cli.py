@@ -19,7 +19,6 @@ from .harness import (
     preset,
     run_experiment,
     write_records,
-    emit_plotdata,
     _build_graph,
     build_run,
     start_run,
@@ -29,7 +28,8 @@ from .problems import BadMagicError, DimMismatchError, TruncatedFileError
 
 
 def _load_config(args):
-    text = (Path(args.config).read_text(encoding="utf-8") if args.config
+    # utf-8-sig drops the byte-order mark some editors write first.
+    text = (Path(args.config).read_text(encoding="utf-8-sig") if args.config
             else None)
     if args.preset:
         return preset(args.preset, text or "")
@@ -41,15 +41,12 @@ def _load_config(args):
 def _cmd_run(args):
     config = _load_config(args)
     records, summary = run_experiment(config)
-    out = args.out or config.out or "records.csv"
+    out = args.out or "records.csv"
     write_records(records, out)
     stem = str(Path(out).with_suffix(""))
     summary_path = stem + ".summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, default=str)
-    if args.emit_plotdata:
-        for path in emit_plotdata(records, stem):
-            print("wrote %s" % path)
+        json.dump(summary, fh, indent=2)
     print("wrote %s and %s" % (out, summary_path))
     for message in summary.get("warnings") or ():
         print("warning: %s" % message, file=sys.stderr)
@@ -114,9 +111,7 @@ def build_parser():
 
     run_p = sub.add_parser("run", parents=[source],
                            help="execute a configured experiment")
-    run_p.add_argument("--out", help="records output path")
-    run_p.add_argument("--emit-plotdata", action="store_true",
-                       help="also write per-metric two-column files")
+    run_p.add_argument("--out", help="records output path (default: records.csv)")
     run_p.set_defaults(func=_cmd_run)
 
     advise_p = sub.add_parser("advise", parents=[source],

@@ -117,7 +117,6 @@ class ExperimentConfig:
     t: int = 1
     max_iters: int = 500
     log_every: int = 1
-    out: str = None
     master_seed: int = 0
 
 
@@ -647,24 +646,6 @@ def read_records(path):
                                  % (path, lineno, name, cell)) from None
         records.append(IterationRecord(**values))
     return records
-
-
-def emit_plotdata(records, stem):
-    """Write one two-column ``k value`` file per metric, skipping blanks."""
-    written = []
-    for name in RECORD_FIELDS:
-        if name in ("k", "wall_ns"):
-            continue
-        pairs = [(rec.k, getattr(rec, name)) for rec in records
-                 if getattr(rec, name) is not None]
-        if not pairs:
-            continue
-        path = "%s.%s.dat" % (stem, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            for k, v in pairs:
-                fh.write("%d %.17g\n" % (k, v))
-        written.append(path)
-    return written
 
 
 # Step sizes below come from our own coarse grid search over beta_hat (the

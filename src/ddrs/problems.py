@@ -322,6 +322,12 @@ class DPCAInstance:
         build holds two d-by-d arrays.
         """
         lam, q = np.linalg.eigh(self.gram)
+        # A Gram's eigenvalues lie in [0, shift], but a factor's top one
+        # exceeded the set-up's shift by rounding, up to 7.1e-16 relative on
+        # the d = 10 and d = 784 preset Grams, and 1 + alpha (shift - lam)
+        # turns negative once alpha shift passes about 1e15.  The sketch's
+        # pairs are clamped alike.
+        np.minimum(lam, self.shift, out=lam)
         rank = int(np.count_nonzero(lam > _UNIT_ROUNDOFF * self.shift))
         if rank <= LOW_RANK_MAX_SHARE * self.dim:
             # eigh sorts ascending, so the kept eigenpairs are the last.
@@ -364,7 +370,7 @@ class DPCAInstance:
             return None
         # eigh sorts ascending, so the kept pairs are the last.
         kept = slice(width - rank, None)
-        theta, qkt = theta[kept], v[:, kept].T @ qt
+        theta, qkt = np.minimum(theta[kept], self.shift), v[:, kept].T @ qt
         scaled, err_sq = qkt.T * theta, 0.0
         for lo in range(0, self.dim, width):
             panel = scaled[lo:lo + width] @ qkt

@@ -36,7 +36,7 @@ _VALID = {
     "graph.kind": st.sampled_from(["ring", "erdos_renyi", "complete"]),
     "graph.p": st.sampled_from([1e-6, 0.3, 1.0]),
     "algorithm.kind": st.sampled_from(["ddrs", "iddrs", "baseline_gt"]),
-    "alpha": st.sampled_from([1e-12, 1e-3, 1.0, 1e3, 1e12]),
+    "alpha": st.sampled_from([1e-12, 1e-3, 1.0, 1e3, 1e12, 1e17]),
     "t": st.integers(1, 3),
     "max_iters": st.integers(1, 3),
 }

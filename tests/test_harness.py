@@ -105,7 +105,6 @@ CONFIG_TABLE = {
     "t": (int, 1),
     "max_iters": (int, 500),
     "log_every": (int, 1),
-    "out": (str, None),
     "master_seed": (int, 0),
 }
 
@@ -130,7 +129,6 @@ ROUND_TRIPS = {
     "t": ("3", 3),
     "max_iters": ("9", 9),
     "log_every": ("2", 2),
-    "out": ("runs/x.csv", "runs/x.csv"),
     "master_seed": ("21", 21),
 }
 
@@ -184,6 +182,12 @@ class TestParseConfig:
     def test_unknown_key_with_line(self):
         with pytest.raises(UnknownKeyError, match="line 6.*alhpa"):
             parse_config(MINIMAL + "alhpa = 1.0\n")
+
+    def test_out_is_not_a_config_key(self):
+        # The records path is set by ``ddrs run --out`` alone.
+        with pytest.raises(UnknownKeyError, match=re.escape(
+                "line 6: unknown key 'out'")):
+            parse_config(MINIMAL + "out = x\n")
 
     def test_a_line_without_a_value_names_its_line(self):
         with pytest.raises(ConfigTypeError, match=re.escape(
@@ -670,6 +674,7 @@ class TestRunExperiment:
         assert "forced" in summary["error"]
         assert calls["n"] == 1
         assert len(records) == 1  # the initial record survives
+        json.dumps(summary)  # plain JSON, no fallback encoder
 
 
 def test_non_finite_splitting_variable_is_diverged(tmp_path, monkeypatch):
@@ -710,6 +715,7 @@ def test_a_linear_algebra_error_ends_the_run_failed(tmp_path, monkeypatch):
     assert summary["error"] == "LinAlgError: SVD did not converge"
     assert summary["iterations"] == 0
     assert len(records) == 1  # the initial record survives
+    json.dumps(summary)  # plain JSON, no fallback encoder
 
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(TINY)
@@ -718,6 +724,16 @@ def test_a_linear_algebra_error_ends_the_run_failed(tmp_path, monkeypatch):
     saved = json.loads((tmp_path / "failed.summary.json").read_text())
     assert saved["status"] == "failed"
     assert saved["error"] == summary["error"]
+
+
+def test_an_exact_run_at_a_huge_step_size_ends_ok():
+    # A factor's top eigenvalue may exceed the shift by rounding, which
+    # made 1 + alpha (shift - lam) negative here: the run ended failed at
+    # k = 0 after a square root of a negative weight.
+    records, summary = run_experiment(parse_config(
+        TINY.replace("alpha = 2.0", "alpha = 1e17")))
+    assert summary["status"] == "ok", summary["error"]
+    assert summary["iterations"] == 30
 
 
 @pytest.mark.parametrize("kind, graph", [("ring", gen_ring),
@@ -756,12 +772,10 @@ class TestCli:
     def test_run_writes_outputs(self, tmp_path, capsys):
         cfg = self._write(tmp_path, TINY)
         out = str(tmp_path / "rec.csv")
-        rc = cli.main(["run", "--config", cfg, "--out", out,
-                       "--emit-plotdata"])
+        rc = cli.main(["run", "--config", cfg, "--out", out])
         assert rc == 0
-        assert (tmp_path / "rec.csv").exists()
-        assert (tmp_path / "rec.summary.json").exists()
-        assert (tmp_path / "rec.stationarity_sq.dat").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cfg.txt", "rec.csv", "rec.summary.json"]
         summary = json.loads((tmp_path / "rec.summary.json").read_text())
         assert summary["status"] == "ok"
         # Each agent's full-rank 6 x 6 Gram keeps all its eigenpairs.
@@ -780,6 +794,21 @@ class TestCli:
             cli.main(["run", "--config", cfg, "--format", "csv"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+    def test_run_has_no_plot_data_option(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, TINY)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", cfg, "--emit-plotdata"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --emit-plotdata" in capsys.readouterr().err
+
+    def test_a_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("\ufeff" + TINY.lstrip(), encoding="utf-8")
+        out = tmp_path / "r.csv"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        records, _ = run_experiment(parse_config(TINY))
+        assert _strip_wall(read_records(out)) == _strip_wall(records)
 
     def test_run_with_preset_and_override(self, tmp_path):
         cfg = self._write(tmp_path, "max_iters = 3\nlog_every = 1\n")
@@ -845,25 +874,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
-    def test_summary_and_plot_files_stay_beside_a_suffixless_out(self,
-                                                                 tmp_path):
+    def test_summary_stays_beside_a_suffixless_out(self, tmp_path):
         cfg = self._write(tmp_path, TINY)
         run_dir = tmp_path / "run.d"
         run_dir.mkdir()
         rc = cli.main(["run", "--config", cfg, "--out",
-                       str(run_dir / "records"), "--emit-plotdata"])
+                       str(run_dir / "records")])
         assert rc == 0
         assert len(read_records(run_dir / "records")) == 31
-        assert (run_dir / "records.summary.json").exists()
-        assert (run_dir / "records.stationarity_sq.dat").exists()
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "records", "records.summary.json"]
         assert not (tmp_path / "run.summary.json").exists()
 
-    def test_records_at_a_suffixless_out_read_back(self, tmp_path):
-        cfg = self._write(tmp_path, TINY)
+    @pytest.mark.parametrize("kind", ["ddrs", "iddrs", "baseline_gt"])
+    def test_records_at_a_suffixless_out_read_back(self, tmp_path, kind):
+        text = TINY.replace("algorithm.kind = ddrs", "algorithm.kind = " + kind)
         out = tmp_path / "recs"
-        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
-        records, _ = run_experiment(parse_config(TINY))
+        assert cli.main(["run", "--config", self._write(tmp_path, text),
+                         "--out", str(out)]) == 0
+        records, summary = run_experiment(parse_config(text))
         assert _strip_wall(read_records(out)) == _strip_wall(records)
+        assert summary["status"] == "ok", summary["error"]
+        json.dumps(summary)  # plain JSON, no fallback encoder
 
     def test_run_prints_each_configuration_warning_once(self, tmp_path,
                                                         capsys):

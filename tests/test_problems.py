@@ -351,6 +351,23 @@ class TestProx:
             else:
                 assert inst.prox_rank == d
 
+    @pytest.mark.parametrize("shape", [
+        (8, 1000, 10, 5, 0.8, PRESET_SEED), (8, 1000, 784, 5, 0.8, PRESET_SEED)],
+        ids=["preset", "d784"])
+    def test_a_huge_step_size_keeps_the_factor_finite(self, shape):
+        # eigh's and the sketch's top eigenvalue can exceed the set-up's
+        # shift by rounding; unclamped, 1 + alpha (shift - lam) is negative
+        # at alpha shift = 1e17 and the dense factor's weights are NaN.
+        d = shape[2]
+        s = np.ones((d, 2))
+        for inst in gen_synthetic(*shape).instances():
+            alpha = 1e17 / inst.shift
+            assert np.isfinite(inst.prox(alpha, s)).all()
+            if inst._factor[0] is None:
+                assert inst._factor[2][0].max() <= inst.shift
+            else:
+                assert np.isfinite(inst._factor[2]).all()
+
     def test_optimality_against_gradient_descent(self, rng):
         inst = DPCAInstance(rng.standard_normal((8, 3)))
         s = rng.standard_normal((3, 2))

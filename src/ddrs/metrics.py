@@ -16,6 +16,7 @@ from .fanout import map_agents
 from .manifold import (
     RANK_TOL,
     _as_matrix,
+    _singular_values,
     _tangent_dir,
     project_stiefel,
 )
@@ -175,18 +176,21 @@ def neighborhood_report(stack, constants, W, t):
     iterates plus tracker against ``gamma``.  A spread is the distance of
     the mean to its projection onto the manifold, ``||sv - 1||`` over the
     mean's singular values, and ``inf`` when the smallest is at or below
-    ``RANK_TOL``.  The tube distance of a block is ``||sv - 1||`` over the
-    singular values ``stack.z_sv`` that the last step (or ``ddrs_init``)
-    kept from its projection of ``mix(x) + d``; it is not recomputed, so it
-    is stale on a stack whose ``x`` or ``d`` was edited afterwards.  ``W``
-    and ``t`` are unused.  Violations are named, never raised.
+    ``RANK_TOL``; the two means' singular values come from one call,
+    which takes ``_polar``'s r-by-r Gram route for a well-conditioned mean
+    and the SVD for any other.  The tube distance of a block is ``||sv -
+    1||`` over the singular values ``stack.z_sv`` that the last step (or
+    ``ddrs_init``) kept from its projection of ``mix(x) + d``; it is not
+    recomputed, so it is stale on a stack whose ``x`` or ``d`` was edited
+    afterwards.  ``W`` and ``t`` are unused.  Violations are named, never
+    raised.
     """
-    # One SVD of the two means gives both spreads.  A collapsed mean, which
+    # One call over the two means gives both spreads.  A collapsed mean, which
     # has no unique projection, is the worst possible violation, not an error.
     means = np.stack([stack.x.mean(axis=0), stack.z.mean(axis=0)])
     x_dev, z_dev = (math.inf if sv[-1] <= RANK_TOL
                     else float(np.linalg.norm(sv - 1.0))
-                    for sv in np.linalg.svd(means, compute_uv=False))
+                    for sv in _singular_values(means))
     max_tube = float(np.linalg.norm(stack.z_sv - 1.0, axis=-1).max())
     bounds = (constants.delta1, 10.0 * constants.delta2, constants.gamma)
     violations = tuple(

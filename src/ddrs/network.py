@@ -31,24 +31,18 @@ def _normalize_edges(n, edges):
 
 
 def _is_connected(n, edges):
-    if n <= 1:
-        return True
+    # Depth-first search from node 0; n >= 1.
     adj = [[] for _ in range(n)]
     for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
-    seen = [False] * n
-    stack = [0]
-    seen[0] = True
-    count = 1
+    seen, stack = {0}, [0]
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
                 stack.append(v)
-    return count == n
+    return len(seen) == n
 
 
 @dataclass(frozen=True)
@@ -207,10 +201,12 @@ def mix(W, t, X):
     """
     Apply t rounds of gossip averaging to stacked per-agent blocks.
 
-    Block i of the result is ``sum_j (W^t)_ij X_j``, realized as t sequential
-    neighbor-weighted-sum rounds (the power W^t is never formed; this is the
-    simulated communication).  Each round is one GEMM of W with the stack
-    viewed as an (n, block size) matrix.
+    Block i of the result is ``sum_j (W^t)_ij X_j``, the weighted sum that t
+    sequential neighbor-weighted-sum rounds deliver.  The simulation forms
+    the n-by-n power W^t once (``np.linalg.matrix_power``, which returns W
+    itself at t = 1) and applies it as one GEMM to the stack viewed as an
+    (n, block size) matrix; the t rounds remain the communication that a
+    run counts, and the result matches them up to rounding.
 
     Parameters
     ----------
@@ -222,7 +218,7 @@ def mix(W, t, X):
 
     Returns
     -------
-    ndarray of the same shape.
+    ndarray of the same shape; X itself when t = 0.
     """
     if t < 0:
         raise ValueError("rounds must be >= 0, got %d" % t)
@@ -231,8 +227,6 @@ def mix(W, t, X):
         raise ValueError(
             "got %d blocks for a %d-agent mixing matrix" % (X.shape[0], W.n)
         )
-    out = X.reshape(W.n, -1)
-    for _ in range(t):
-        out = W.W @ out
-    return out.reshape(X.shape)
-
+    if t == 0:
+        return X
+    return (np.linalg.matrix_power(W.W, t) @ X.reshape(W.n, -1)).reshape(X.shape)

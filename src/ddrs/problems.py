@@ -438,7 +438,9 @@ class DPCAInstance:
         below what rounding allows, ``residual_floor(alpha, s)``.  On a
         miss, CG restarts once from the recomputed residual, within the
         same iteration budget, and a second miss raises SolverStallError.
-        With eps > 0 the exact prox's factor is never built;
+        With eps > 0 the exact prox's factor is never built, and a step
+        size with ``10 u (1 + alpha shift) >= 1``, whose floor would
+        certify x = 0, raises SolverStallError before any arithmetic;
         ``eps == 0`` takes ``prox``'s exact solve and ignores the start.
         Its input is checked as ``prox``'s is (``_checked_input``).
 
@@ -458,6 +460,13 @@ class DPCAInstance:
             x = self._solve(alpha, s)
             gx = self._gram_apply(x)
             return x, self.apply_system(alpha, x, gx) - s, gx
+        if _ROUNDOFF_MARGIN * (1.0 + alpha * self.shift) >= 1.0:
+            # The floor would certify x = 0, whose residual is ||s||^2, and
+            # larger step sizes overflow the system's products.
+            raise SolverStallError(
+                "step size %.3e puts the rounding floor of an inexact prox "
+                "above ||s||^2: it needs alpha * shift < %.3e"
+                % (alpha, 1.0 / _ROUNDOFF_MARGIN - 1.0))
 
         cols = s.shape[1]
         # CG runs on transposes: the rows of xpt are x^T and p^T, so xpt.T

@@ -11,12 +11,17 @@ from ddrs.algorithms import (
     extrapolated_start,
 )
 from ddrs.manifold import StiefelPoint, project_stiefel
-from ddrs.network import mix
 from ddrs.problems import Dataset
 
 
 def random_stiefel_mat(rng, d, r):
     return project_stiefel(rng.standard_normal((d, r))).mat
+
+
+def svd_polar(M):
+    """Polar factor ``U V^T`` of the thin SVD ``M = U S V^T`` of one block."""
+    U, _, Vt = np.linalg.svd(M, full_matrices=False)
+    return U @ Vt
 
 
 def random_orthogonal(rng, r):
@@ -339,9 +344,9 @@ def per_agent_splitting_step(stack, problem, W, params, k=None):
                     dx[i].append(stack.dx[i][0])
                     dgx[i].append(stack.dgx[i][0])
             dx, dgx = np.array(dx), np.array(dgx)
-    d = mix(W, params.t, stack.d) + (x - s) - (stack.x - stack.s)
-    mixed = mix(W, params.t, x)
-    z = np.stack([project_stiefel(mixed[i] + d[i]).mat for i in range(n)])
+    d = mix_per_agent(W, params.t, stack.d) + (x - s) - (stack.x - stack.s)
+    mixed = mix_per_agent(W, params.t, x)
+    z = np.stack([svd_polar(mixed[i] + d[i]) for i in range(n)])
     return AgentStack(s=s, x=x, z=z, d=d, k=stack.k + 1,
                       mu_sq=mu_sq, gx=gx, dx=dx, dgx=dgx)
 
@@ -349,14 +354,14 @@ def per_agent_splitting_step(stack, problem, W, params, k=None):
 def per_agent_baseline_step(stack, problem, W, params):
     """The gradient-tracking baseline step written agent by agent."""
     n = stack.n
-    mixed = mix(W, params.t, stack.x)
+    mixed = mix_per_agent(W, params.t, stack.x)
     x = np.stack([
-        project_stiefel(mixed[i] - params.alpha
-                        * tangent_dir_per_block(stack.x[i], stack.v[i])).mat
+        svd_polar(mixed[i] - params.alpha
+                  * tangent_dir_per_block(stack.x[i], stack.v[i]))
         for i in range(n)
     ])
     grad = np.stack([problem[i].egrad(x[i]) for i in range(n)])
-    v = mix(W, params.t, stack.v) + grad - stack.grad
+    v = mix_per_agent(W, params.t, stack.v) + grad - stack.grad
     return BaselineStack(x=x, v=v, grad=grad, k=stack.k + 1)
 
 

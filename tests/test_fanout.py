@@ -117,9 +117,16 @@ def test_pooled_iddrs_step_equals_per_agent_reference(wide_data, pooled):
     for k in range(4):
         got = iddrs_step(stack, problem, W, params, k)
         want = per_agent_splitting_step(stack, problem, W, params, k)
-        for name in ("s", "x", "y", "z", "d", "mu_sq", "gx", "dx", "dgx"):
+        # The pool runs the proxes, whose fields are the reference's bit for
+        # bit.  z and d come from mix and the projection, which the
+        # reference computes its own way, so they agree to rounding; a pooled
+        # run's are the serial run's bit for bit (the test below).
+        for name in ("s", "x", "y", "mu_sq", "gx", "dx", "dgx"):
             np.testing.assert_array_equal(getattr(got, name),
                                           getattr(want, name), err_msg=name)
+        for name in ("z", "d"):
+            gap = np.abs(getattr(got, name) - getattr(want, name)).max()
+            assert gap <= 1e-12, name
         stack = got
     assert stack.dx.shape == (4, 2, D, 3)
 

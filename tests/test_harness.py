@@ -736,6 +736,29 @@ def test_an_exact_run_at_a_huge_step_size_ends_ok():
     assert summary["iterations"] == 30
 
 
+@pytest.mark.parametrize("alpha", ["1e100", "1e160", "1e300"])
+def test_an_inexact_run_at_a_huge_step_size_ends_diverged(tmp_path, alpha):
+    # 10 u (1 + alpha shift) >= 1 puts the rounding floor of an inexact prox
+    # above ||s||^2; such step sizes overflowed the start's products, the
+    # system products and the floor itself, each a traceback here.
+    text = (TINY.replace("algorithm.kind = ddrs", "algorithm.kind = iddrs")
+            .replace("alpha = 2.0", "alpha = " + alpha))
+    records, summary = run_experiment(parse_config(text))
+    assert summary["status"] == "diverged"
+    assert summary["error"].startswith(
+        "SolverStallError: step size %.3e puts the rounding floor"
+        % float(alpha))
+    assert summary["iterations"] == 0 and len(records) == 1
+
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    out = tmp_path / "huge.csv"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    saved = json.loads((tmp_path / "huge.summary.json").read_text())
+    assert saved["status"] == "diverged"
+    assert saved["error"] == summary["error"]
+
+
 @pytest.mark.parametrize("kind, graph", [("ring", gen_ring),
                                          ("complete", gen_complete)])
 def test_ring_and_complete_graph_runs_end_ok(kind, graph):
@@ -1027,8 +1050,8 @@ class TestCli:
             # eps0 = 1e-6 and rho = 0.9 sum to 1e-5, as before exact runs
             # stopped taking it.
             assert advice["c3"] == 1.7380492467881946e-09
-            assert advice["c4_shape"] == 2.370392430617748
-            assert advice["c5_shape"] == 2.370448999160243
+            assert advice["c4_shape"] == 2.370392430617745
+            assert advice["c5_shape"] == 2.37044899916024
             assert "%s 1e-05 " % note in printed
             assert any(n.startswith(note) for n in advice["notes"])
         else:

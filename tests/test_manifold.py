@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ddrs.manifold import (
+    RANK_TOL,
     ManifoldConstants,
     RankDeficientError,
     StiefelPoint,
+    _gram_eigh,
+    _polar,
     manifold_constants,
     project_stiefel,
     random_stiefel,
@@ -18,6 +22,7 @@ from helpers import (
     procrustes_min_by_sampling,
     random_orthogonal,
     random_stiefel_mat,
+    svd_polar,
 )
 
 
@@ -100,6 +105,119 @@ class TestProjection:
 def _unit(rng, shape):
     v = rng.standard_normal(shape)
     return v / np.linalg.norm(v)
+
+
+def _with_singular_values(rng, d, sv):
+    """A d-by-r block with singular values ``sv``; a stack for a 2-D ``sv``."""
+    sv = np.asarray(sv, dtype=float)
+    r = sv.shape[-1]
+    U = np.linalg.qr(rng.standard_normal(sv.shape[:-1] + (d, r)))[0]
+    V = np.linalg.qr(rng.standard_normal(sv.shape[:-1] + (r, r)))[0]
+    return (U * sv[..., None, :]) @ V
+
+
+def _assert_matches_svd_polar(M, tol):
+    """``_polar(M)`` against the thin SVD's ``U V^T`` and singular values."""
+    Q, sv = _polar(M)
+    want_sv = np.linalg.svd(M, compute_uv=False)
+    want_q = svd_polar(M)
+    r = M.shape[-1]
+    gap = np.linalg.norm(Q - want_q, axis=(-2, -1))
+    assert (gap <= tol * np.sqrt(r)).all()
+    assert (np.abs(sv - want_sv) <= tol * want_sv).all()
+
+
+def _assert_takes_the_svd(M):
+    """Every block is left to the SVD: Q and sv are its bits exactly."""
+    assert not _gram_eigh(M)[2].any()
+    Q, sv = _polar(M)
+    U, want_sv, Vt = np.linalg.svd(M, full_matrices=False)
+    np.testing.assert_array_equal(Q, U @ Vt)
+    np.testing.assert_array_equal(sv, want_sv)
+
+
+class TestGramRoute:
+    """The polar factor from the r-by-r Gram, and what is left to the SVD."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 40),
+           st.floats(1e-2, 1e2), st.floats(1.0, 9.5),
+           st.integers(0, 2 ** 32 - 1))
+    def test_well_conditioned_stacks_match_the_svd(self, n, r, extra, scale,
+                                                   spread, seed):
+        rng = np.random.default_rng(seed)
+        sv = scale * rng.uniform(1.0 / spread, 1.0, (n, r))
+        M = _with_singular_values(rng, r + extra, sv)
+        assert _gram_eigh(M)[2].all()
+        _assert_matches_svd_polar(M, 1e-13)
+        _assert_matches_svd_polar(M[0], 1e-13)
+
+    @pytest.mark.parametrize("kappa_sq", [1.0, 9.0, 99.0])
+    def test_mnist_width_stack_matches_the_svd(self, rng, kappa_sq):
+        sv = np.linspace(1.0, 1.0 / np.sqrt(kappa_sq), 5)
+        M = _with_singular_values(rng, 784, np.tile(sv, (8, 1)))
+        assert _gram_eigh(M)[2].all()
+        _assert_matches_svd_polar(M, 1e-13)
+
+    def test_every_block_of_the_certified_tube_takes_the_gram(self, rng):
+        sv = np.array([[1.5, 1.5, 0.5], [1.5, 0.5, 0.5], [1.0, 1.0, 1.0]])
+        assert _gram_eigh(_with_singular_values(rng, 10, sv))[2].all()
+
+    @pytest.mark.parametrize("sv", [
+        [1.0, 1e-3],          # ill-conditioned: kappa^2 = 1e6
+        [2e-8, 1e-8],         # tiny: the Gram's eigenvalues are below RANK_TOL
+        [2e160, 1e160],       # huge: the Gram overflows
+    ], ids=["ill-conditioned", "tiny", "huge"])
+    def test_other_blocks_take_the_svd(self, rng, sv):
+        M = _with_singular_values(rng, 6, sv)
+        _assert_takes_the_svd(M)
+        _assert_takes_the_svd(np.stack([M, M[::-1]]))
+
+    def test_a_stack_routes_each_block_alone(self, rng):
+        sv = [[1.0, 0.9], [1.0, 1e-3], [1.2, 1.1]]
+        M = _with_singular_values(rng, 6, sv)
+        assert list(_gram_eigh(M)[2]) == [True, False, True]
+        Q, sv = _polar(M)
+        for block, q, block_sv in zip(M, Q, sv, strict=True):
+            own_q, own_sv = _polar(block)
+            np.testing.assert_array_equal(q, own_q)
+            np.testing.assert_array_equal(block_sv, own_sv)
+        _assert_matches_svd_polar(M, 1e-13)
+
+    def test_tiny_scale_rank_deficiency_takes_the_svd(self, rng):
+        M = _with_singular_values(rng, 6, [2e-13, 1e-13])
+        assert not _gram_eigh(M)[2]
+        with pytest.raises(RankDeficientError):
+            _polar(M)
+
+    @pytest.mark.parametrize("smallest, raises", [
+        (0.0, True), (0.5 * RANK_TOL, True), (2.0 * RANK_TOL, False)])
+    def test_rank_deficiency_is_decided_by_the_svd(self, rng, smallest,
+                                                   raises):
+        block = _with_singular_values(rng, 6, [1.0, smallest])
+        stack = np.stack([_with_singular_values(rng, 6, [1.0, 0.9]), block])
+        for M in (block, stack):
+            if raises:
+                with pytest.raises(RankDeficientError):
+                    _polar(M)
+            else:
+                assert _polar(M)[1][..., -1].min() > RANK_TOL
+
+    def test_a_nan_stack_raises_a_linear_algebra_error(self, rng):
+        M = rng.standard_normal((3, 6, 2))
+        M[1, 2, 0] = np.nan
+        assert list(_gram_eigh(M)[2]) == [True, False, True]
+        with pytest.raises(np.linalg.LinAlgError):
+            _polar(M)
+
+    def test_an_infinite_block_gets_what_the_svd_gives(self, rng):
+        M = rng.standard_normal((3, 6, 2))
+        M[1, 2, 0] = np.inf
+        assert list(_gram_eigh(M)[2]) == [True, False, True]
+        Q, sv = _polar(M)
+        U, want_sv, Vt = np.linalg.svd(M[1], full_matrices=False)
+        np.testing.assert_array_equal(Q[1], U @ Vt)
+        np.testing.assert_array_equal(sv[1], want_sv)
 
 
 class TestTangent:

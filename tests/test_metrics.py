@@ -202,6 +202,22 @@ class TestNeighborhoodReport:
             assert dev == pytest.approx(
                 np.linalg.norm(hat - project_stiefel(hat).mat), rel=1e-12)
 
+    @pytest.mark.parametrize("spread", [0.0, 0.05, 0.5, 2.0])
+    def test_spreads_match_the_svd(self, rng, small_dataset, spread):
+        # Near consensus both means take the Gram route; spread out, the
+        # means may be ill conditioned and take the SVD.
+        problem = small_dataset.instances()
+        W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
+        st, params = _consensus_stack(problem, W, rng, 6, 2)
+        base = random_stiefel_mat(rng, 6, 2)
+        st.x, st.z = (np.stack([
+            project_stiefel(base + spread * rng.standard_normal((6, 2))).mat
+            for _ in range(4)]) for _ in range(2))
+        rep = neighborhood_report(st, manifold_constants(6, 2), W, params.t)
+        for dev, blocks in ((rep.x_dev, st.x), (rep.z_dev, st.z)):
+            sv = np.linalg.svd(blocks.mean(axis=0), compute_uv=False)
+            assert abs(dev - np.linalg.norm(sv - 1.0)) <= 1e-13
+
     def test_compliant_run_stays_clean(self, rng, small_dataset):
         problem = small_dataset.instances()
         W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))

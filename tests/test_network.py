@@ -175,6 +175,12 @@ class TestMix:
         out = mix(W, 4, X)
         assert np.abs(out.mean(axis=0) - X.mean(axis=0)).max() < 1e-12
 
+    def test_one_round_is_one_product_with_w(self, rng):
+        W = metropolis_weights(gen_erdos_renyi(6, 0.5, seed=2))
+        X = rng.standard_normal((6, 3, 2))
+        want = (W.W @ X.reshape(6, -1)).reshape(X.shape)
+        np.testing.assert_array_equal(mix(W, 1, X), want)
+
     def test_block_count_mismatch(self, rng):
         W = metropolis_weights(gen_ring(5))
         with pytest.raises(ValueError):

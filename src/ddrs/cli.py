@@ -40,8 +40,11 @@ def _load_config(args):
 
 def _cmd_run(args):
     config = _load_config(args)
-    records, summary = run_experiment(config)
     out = args.out or "records.csv"
+    # Fail before the run, not after it, where the files cannot be written.
+    if not Path(out).parent.is_dir():
+        raise FileNotFoundError("no directory %s for --out" % Path(out).parent)
+    records, summary = run_experiment(config)
     write_records(records, out)
     stem = str(Path(out).with_suffix(""))
     summary_path = stem + ".summary.json"

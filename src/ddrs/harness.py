@@ -361,6 +361,10 @@ def build_run(config):
     graph = _build_graph(config)
     W = metropolis_weights(graph)
     alpha = resolve_alpha(config, dataset)
+    if not 0 < alpha < np.inf:
+        # A finite beta_hat can still over- or underflow the step size.
+        raise ConfigTypeError("beta_hat = %r gives alpha = %r, not finite "
+                              "and > 0" % (config.beta_hat, alpha))
     params = SolverParams(alpha=alpha, t=config.t, eps0=config.algorithm.eps0,
                           rho=config.algorithm.rho)
     consts = manifold_constants(d, r)
@@ -395,15 +399,14 @@ def start_run(config, setup):
     ``algorithm.eps0`` says.
     """
     consts, W, params = setup.constants, setup.W, setup.params
-    if config.algorithm.kind == "baseline_gt":
-        stack = baseline_gt_init(setup.problem, W, params, setup.x0)
-        state = None
-    else:
-        stack = state = ddrs_init(setup.problem, W, params, setup.x0)
+    splitting = config.algorithm.kind != "baseline_gt"
+    stack = (ddrs_init if splitting else baseline_gt_init)(
+        setup.problem, W, params, setup.x0)
     eps0 = params.eps0 if config.algorithm.kind == "iddrs" else 0.0
     advice = advise_parameters(setup.L, consts.gamma, consts.zeta, W.sigma2,
                                setup.dataset.n, setup.grad0_norm,
-                               initial_state=state, eps0=eps0, rho=params.rho)
+                               initial_state=stack if splitting else None,
+                               eps0=eps0, rho=params.rho)
     return stack, advice
 
 
@@ -416,10 +419,17 @@ def run_experiment(config):
     unless explicit seeds are given.  Records are emitted for the initial
     state, every ``log_every``-th iteration, and the final one.  Module
     errors during stepping mark the run ``diverged`` instead of raising.
+    Each record reads the stack it measures, its ``k`` included: the run
+    steps while ``stack.k < max_iters``.
 
-    An iDDRS record takes the envelope ``dre`` at the step's certified
-    proxes, and ``dre_gap`` bounds its distance from the exact proxes'
-    value; at k = 0 it has neither, as the first step leaves s unchanged.
+    A splitting engine's record takes the envelope ``dre`` from one call,
+    ``dre_value(s, problem, alpha, x, gx)``: from k = 1 on at the step's
+    proxes x and their Gram products gx (None after an exact step), at
+    k = 0 at the exact proxes of s, computed there.  Where the step left
+    squared prox residuals ``mu_sq`` (iDDRS), ``dre_gap`` bounds the
+    value's distance from the exact proxes' and ``mu_sq_max`` is their
+    maximum.  iDDRS records no envelope at k = 0, as its first step leaves
+    s unchanged; the baseline records none.
 
     ``rate_slope`` is the log-log slope of the running minimum of
     ``stationarity_sq`` (``rate_fit``) over every record with k >= 1, and
@@ -480,57 +490,54 @@ def _record_configuration_warnings():
 
 def _run(config):
     setup = build_run(config)
-    dataset, problem, W, params = (setup.dataset, setup.problem, setup.W,
-                                   setup.params)
+    problem, W, params = setup.problem, setup.W, setup.params
     consts, alpha = setup.constants, params.alpha
     algo = config.algorithm.kind
+    splitting = algo != "baseline_gt"
     stack, advice = start_run(config, setup)
 
     start_ns = time.perf_counter_ns()
 
-    def make_record(k):
+    def make_record(stack):
         # The point every record measures at, projected once.
         xbar = induced_mean(stack.x)
         consensus_sq, stationarity_sq, obj = consensus_and_stationarity(
             stack.x, xbar, problem)
-        dre = gap = None
-        if algo == "iddrs" and stack.k >= 1:
-            # The start's x = s is no certified prox, and the first step
-            # leaves s as it is, so record 1 holds the same envelope.
-            dre = dre_value(stack.s, problem, alpha, stack.x, stack.gx)
-            gap = dre_gap(stack.x, stack.gx, stack.mu_sq, problem, alpha)
-        elif algo == "ddrs":
-            # An exact step leaves x = prox(alpha, s) bitwise; the start,
-            # where x = s, does not.
+        dre = gap = mu_sq_max = ds = None
+        # An exact step leaves x = prox(alpha, s) bitwise, and an inexact
+        # one certified proxes with their products gx; the start's x = s is
+        # neither.  iDDRS's first step leaves s as it is, so its start
+        # records no envelope, and record 1 holds the same one.
+        if splitting and (stack.k >= 1 or algo == "ddrs"):
             dre = dre_value(stack.s, problem, alpha,
-                            stack.x if stack.k >= 1 else None)
-        ds = None
-        if dataset.ground_truth is not None:
-            ds = subspace_distance(xbar, dataset.ground_truth)
-        mu_sq_max = None
-        if getattr(stack, "mu_sq", None) is not None:
-            mu_sq_max = float(stack.mu_sq.max())
+                            stack.x if stack.k >= 1 else None, stack.gx)
+        mu_sq = getattr(stack, "mu_sq", None)
+        if mu_sq is not None:
+            gap = dre_gap(stack.x, stack.gx, mu_sq, problem, alpha)
+            mu_sq_max = float(mu_sq.max())
+        if setup.dataset.ground_truth is not None:
+            ds = subspace_distance(xbar, setup.dataset.ground_truth)
         return IterationRecord(
-            k=k, consensus_sq=consensus_sq, stationarity_sq=stationarity_sq,
-            dre=dre, dre_gap=gap, obj=obj, ds=ds, mu_sq_max=mu_sq_max,
+            k=stack.k, consensus_sq=consensus_sq,
+            stationarity_sq=stationarity_sq, dre=dre, dre_gap=gap, obj=obj,
+            ds=ds, mu_sq_max=mu_sq_max,
             wall_ns=time.perf_counter_ns() - start_ns,
         )
 
     records = []
     status = "ok"
     error = None
-    splitting = algo != "baseline_gt"
     violations = 0
     by_kind = dict.fromkeys(VIOLATION_KINDS, 0)
     first_violation = dict.fromkeys(VIOLATION_KINDS)
     sigma_min = None
     try:
-        records.append(make_record(0))
-        for k in range(config.max_iters):
+        records.append(make_record(stack))
+        while stack.k < config.max_iters:
             if algo == "ddrs":
                 stack = ddrs_step(stack, problem, W, params)
             elif algo == "iddrs":
-                stack = iddrs_step(stack, problem, W, params, k)
+                stack = iddrs_step(stack, problem, W, params, stack.k)
             else:
                 stack = baseline_gt_step(stack, problem, W, params)
             if splitting:
@@ -544,8 +551,8 @@ def _run(config):
                 step_min = float(stack.z_sv.min())
                 sigma_min = (step_min if sigma_min is None
                              else min(sigma_min, step_min))
-            if (k + 1) % config.log_every == 0 or (k + 1) == config.max_iters:
-                records.append(make_record(k + 1))
+            if stack.k % config.log_every == 0 or stack.k == config.max_iters:
+                records.append(make_record(stack))
     except (RankDeficientError, SolverStallError, NonFiniteInputError) as exc:
         status = "diverged"
         error = "%s: %s" % (type(exc).__name__, exc)
@@ -554,20 +561,17 @@ def _run(config):
         error = "%s: %s" % (type(exc).__name__, exc)
 
     slope = window = None
-    try:
+    fitted = [rec.k for rec in records if rec.k >= 1]
+    if len(fitted) >= 5:
         slope, _ = rate_fit(records, "stationarity_sq")
-        fitted = [rec.k for rec in records if rec.k >= 1]
         window = [fitted[0], fitted[-1]]
-    except ValueError:
-        pass
 
-    final = records[-1] if records else None
     prox_rank = [inst.prox_rank for inst in problem]
     summary = {
         "status": status,
         "error": error,
         "iterations": stack.k,
-        "final": asdict(final) if final else None,
+        "final": asdict(records[-1]),
         "rate_slope": slope,
         "rate_window": window,
         "neighborhood_violations": violations if splitting else None,

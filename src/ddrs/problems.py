@@ -399,8 +399,12 @@ class DPCAInstance:
         return self.apply_system(alpha, x, self._gram_apply(x)) - _as_matrix(s)
 
     def residual_floor(self, alpha, s):
-        """Rounding floor ``(10 u (1 + alpha shift))^2 (1 + ||s||^2)`` of a prox of s."""
-        return self._floor(alpha, float(np.vdot(s, s)))
+        """
+        Rounding floor ``(10 u (1 + alpha shift))^2 (1 + ||s||^2)`` of a
+        prox of s; inf where that overflows.
+        """
+        with np.errstate(over="ignore"):
+            return self._floor(alpha, float(np.vdot(s, s)))
 
     def _floor(self, alpha, s_sq):
         # residual_floor from s_sq = ||s||^2.

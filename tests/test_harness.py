@@ -1109,6 +1109,35 @@ class TestCli:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.txt")]) == 1
 
+    @pytest.mark.parametrize("command", ["run", "advise"])
+    @pytest.mark.parametrize("beta_hat, alpha", [("1e308", "inf"),
+                                                 ("5e-324", "0.0")])
+    def test_a_beta_hat_whose_step_size_overflows_is_a_config_error(
+            self, tmp_path, monkeypatch, capsys, command, beta_hat, alpha):
+        # 1e308 * n overflows and 5e-324 * n / rows underflows, though each
+        # beta_hat is finite and > 0.
+        cfg = self._write(tmp_path, "beta_hat = %s\n" % beta_hat)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "--preset", "synthetic-er06",
+                         "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: beta_hat = %s gives alpha = %s,"
+                              % (float(beta_hat), alpha))
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
+
+    def test_an_out_path_without_a_directory_fails_before_the_run(
+            self, tmp_path, monkeypatch, capsys):
+        def no_run(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        cfg = self._write(tmp_path, TINY)
+        out = tmp_path / "missing" / "rec.csv"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no directory %s for --out\n" % (
+            out.parent,)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

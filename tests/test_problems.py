@@ -547,6 +547,16 @@ class TestSketchedFactor:
 
 
 class TestProxInexact:
+    def test_residual_floor_at_a_huge_step_size_is_inf_without_a_warning(
+            self, rng):
+        # (10 u (1 + alpha shift))^2 overflows at alpha = 1e300.
+        inst = DPCAInstance(rng.standard_normal((6, 4)))
+        s = rng.standard_normal((4, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert inst.residual_floor(1e300, s) == np.inf
+            assert 0 < inst.residual_floor(0.5, s) < 1e-20
+
     def test_zero_tolerance_exact_path(self, rng):
         inst = DPCAInstance(rng.standard_normal((6, 4)))
         s = rng.standard_normal((4, 2))

@@ -45,9 +45,10 @@ class AgentStack:
     and ``s`` on each read, so it cannot disagree with them.  ``mu_sq``
     holds the realized squared prox residuals of the last inexact step,
     when there was one.  ``z_sv``, shape (n, r), holds the singular values
-    of each block of ``mix(x) + d`` that produced ``z`` (inf where that
-    projection was not unique); it is recorded when the stack is built and
-    not updated if ``x`` or ``d`` is edited later.
+    of each block of ``mix(x) + d`` that produced ``z``, or of ``mix(x)``
+    at the start (inf where that projection was not unique); it is recorded
+    when the stack is built and not updated if ``x`` or ``d`` is edited
+    later.
 
     An inexact step also keeps each agent's prox history, from which the
     next step starts its solves (``iddrs_step``): ``gx``, shape (n, d, r),
@@ -108,6 +109,17 @@ def epsilon_schedule(eps0, rho, k):
     return eps0 * rho ** k
 
 
+def eps0_warning(eps0, delta2):
+    """
+    The message of an iDDRS run whose ``eps0`` is not below ``delta2``, or
+    None: ``iddrs_step`` raises it and ``ddrs advise`` prints it.
+    """
+    if eps0 < delta2:
+        return None
+    return ("eps0 = %.3e is not below delta2 = %.3e; the inexactness "
+            "assumption is violated" % (eps0, delta2))
+
+
 def _stack_blocks(x0, n_expected):
     blocks = [StiefelPoint(_as_matrix(b)).mat for b in x0]
     if len(blocks) != n_expected:
@@ -121,11 +133,13 @@ def ddrs_init(problem, W, params, x0):
     """
     Build the initial stack from on-manifold per-agent points.
 
-    Sets ``s = z = x`` and a zero tracker, and records the singular
-    values of ``mix(x)``, the blocks a step would project.  The consensus
-    quality of the start is checked against the certified neighborhood
-    (``neighborhood_report``'s x-neighborhood) and a ConfigurationWarning
-    (not an error) is emitted when it is too spread out.
+    Sets ``s = z = x`` and a zero tracker.  ``z_sv`` holds the singular
+    values of the mixed start ``mix(x)``, inf where its projection is not
+    unique, so that a start whose mix collapses reports an infinite tube
+    (``neighborhood_report``).  The consensus quality of the start is
+    checked against the certified neighborhood (``neighborhood_report``'s
+    x-neighborhood) and a ConfigurationWarning (not an error) is emitted
+    when it is too spread out.
     """
     x = _stack_blocks(x0, W.n)
     if len(problem) != W.n:
@@ -261,12 +275,9 @@ def iddrs_step(stack, problem, W, params, k):
     eps_k = epsilon_schedule(params.eps0, params.rho, k)
     if k == 0:
         delta2 = manifold_constants(*stack.s.shape[1:]).delta2
-        if params.eps0 >= delta2:
-            warnings.warn(
-                "eps0 = %.3e is not below delta2 = %.3e; the inexactness "
-                "assumption is violated" % (params.eps0, delta2),
-                ConfigurationWarning,
-            )
+        message = eps0_warning(params.eps0, delta2)
+        if message is not None:
+            warnings.warn(message, ConfigurationWarning)
 
     def prox_one(inst, s, *history):
         x0, gx0 = extrapolated_start(inst, params.alpha, s, *history)

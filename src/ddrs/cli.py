@@ -4,7 +4,9 @@ Command line driver.
 Subcommands: ``run`` executes a configured experiment and writes record and
 summary files; ``advise`` prints the certified-regime parameters for a
 configuration; ``validate-graph`` prints the mixing-matrix checks and the
-spectral gap.  Exit codes: 0 success, 1 configuration error, 2 a run whose
+spectral gap.  Exit codes: 0 success, 1 configuration error (a
+ConfigurationWarning that a warnings filter makes an error included) or an
+output path that cannot be written, found before the run, 2 a run whose
 status is not ``ok`` (diverged or failed).
 """
 
@@ -13,6 +15,7 @@ import json
 import sys
 from pathlib import Path
 
+from .algorithms import ConfigurationWarning, eps0_warning
 from .harness import (
     ConfigError,
     parse_config,
@@ -41,13 +44,16 @@ def _load_config(args):
 def _cmd_run(args):
     config = _load_config(args)
     out = args.out or "records.csv"
+    summary_path = str(Path(out).with_suffix("")) + ".summary.json"
     # Fail before the run, not after it, where the files cannot be written.
     if not Path(out).parent.is_dir():
         raise FileNotFoundError("no directory %s for --out" % Path(out).parent)
+    for path in (out, summary_path):
+        if Path(path).is_dir():
+            raise IsADirectoryError("%s is a directory, not a file to write"
+                                    % path)
     records, summary = run_experiment(config)
     write_records(records, out)
-    stem = str(Path(out).with_suffix(""))
-    summary_path = stem + ".summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
     print("wrote %s and %s" % (out, summary_path))
@@ -81,6 +87,9 @@ def _cmd_advise(args):
         print("warning: configured alpha exceeds the certified bound")
     if config.t < advice.t_min:
         print("warning: configured t is below the certified minimum")
+    message = eps0_warning(setup.params.eps0, advice.delta2)
+    if config.algorithm.kind == "iddrs" and message is not None:
+        print("warning: %s" % message)
     return 0
 
 
@@ -132,7 +141,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NotConnectedError, OSError,
+    except (ConfigError, ConfigurationWarning, NotConnectedError, OSError,
             BadMagicError, TruncatedFileError, DimMismatchError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -61,22 +61,18 @@ def consensus_and_stationarity(x_blocks, xbar, problem):
     of the stacked iterates ``x_blocks`` from their replicated induced mean
     ``xbar`` (``induced_mean(x_blocks)``, which the caller computes once),
     the squared norm of the Riemannian gradient of the summed objective at
-    that mean, and the summed objective value there.  Each agent's value
-    and gradient at ``xbar`` come from one product with its Gram matrix;
-    the products run through ``map_agents`` and are summed in agent order,
-    so a pooled record is bitwise a serial one.
+    that mean, and the summed objective value there.  Each agent's gradient
+    at ``xbar`` comes from one product with its Gram matrix; the products
+    run through ``map_agents`` and are summed in agent order, so a pooled
+    record is bitwise a serial one.  The value is ``<xbar, g> / 2`` over
+    that sum g, as each agent's loss is ``<x, egrad(x)> / 2``.
     """
     xbar = _as_matrix(xbar)
     diff = np.asarray(x_blocks, dtype=float) - xbar
     consensus_sq = float(np.vdot(diff, diff))
-    g = np.zeros_like(xbar)
-    obj = 0
-    for value, grad in map_agents(lambda inst: inst.value_and_egrad(xbar),
-                                  problem):
-        g += grad
-        obj += value
+    g = sum(map_agents(lambda inst: inst.egrad(xbar), problem))
     rg = _tangent_dir(xbar, g)
-    return consensus_sq, float(np.vdot(rg, rg)), float(obj)
+    return consensus_sq, float(np.vdot(rg, rg)), float(np.vdot(xbar, g)) / 2.0
 
 
 def dre_value(s_blocks, problem, alpha, x_blocks=None, gx_blocks=None):
@@ -91,22 +87,22 @@ def dre_value(s_blocks, problem, alpha, x_blocks=None, gx_blocks=None):
     is never available to agents.  ``x_blocks`` are proxes of ``s_blocks``
     the caller holds: an exact step's ``x``, or an iDDRS step's, whose
     value lies within ``dre_gap`` of the exact one; without them the exact
-    proxes are computed here (``exact_proxes``).  Each agent's value and
-    gradient come from one Gram product, or from its block of
-    ``gx_blocks``, the products that certified ``x_blocks``; they run
-    through ``map_agents`` and are summed in agent order.
+    proxes are computed here (``exact_proxes``).  Each agent's gradient
+    comes from one Gram product, or from its block of ``gx_blocks``, the
+    products that certified ``x_blocks``, through ``map_agents``.  As
+    ``f_i(x_i) = <x_i, egrad_i(x_i)> / 2``, the first two terms sum to
+    ``<grads, gap + xs / 2>`` over the stacked gradients, ``gap = ybar -
+    xs``.
     """
     if x_blocks is None:
         xs = exact_proxes(problem, alpha, s_blocks)
     else:
         xs = np.asarray(x_blocks, dtype=float)
-    pairs = map_agents(lambda inst, x, gx: inst.value_and_egrad(x, gx),
-                       problem, xs, gx_blocks)
-    grads = np.stack([grad for _, grad in pairs])
+    grads = np.stack(map_agents(lambda inst, x, gx: inst.egrad(x, gx),
+                                problem, xs, gx_blocks))
     ybar = project_stiefel((xs - alpha * grads).mean(axis=0)).mat
     gap = ybar - xs
-    values = sum(value for value, _ in pairs)
-    return (values + float(np.vdot(grads, gap))
+    return (float(np.vdot(grads, gap + xs / 2.0))
             + float(np.vdot(gap, gap)) / (2.0 * alpha))
 
 

@@ -207,12 +207,15 @@ class DPCAInstance:
     shift and the smallest eigenvalue, which ``smoothness`` subtracts from
     it (``_extreme_eigenvalues``).
 
-    It is one agent's loss as the engines use it: ``egrad``, the loss and
-    its gradient from one Gram product (``value_and_egrad``), ``smoothness``,
-    ``prox(alpha, s)``, the minimizer of ``f(y) + ||y - s||^2 / (2 alpha)``,
-    and ``prox_inexact``, an approximate minimizer with its optimality
-    residual ``mu = x - s + alpha * egrad(x)``, certified to a tolerance or
-    to the residual's rounding floor (``residual_floor``).
+    It is one agent's loss as the engines use it: ``egrad(x, gx=None)``,
+    the gradient from one Gram product or from one the caller holds,
+    ``smoothness``, ``prox(alpha, s)``, the minimizer of ``f(y) + ||y -
+    s||^2 / (2 alpha)``, and ``prox_inexact``, an approximate minimizer
+    with its optimality residual ``mu = x - s + alpha * egrad(x)``,
+    certified to a tolerance or to the residual's rounding floor
+    (``residual_floor``).  The loss is a homogeneous quadratic, so ``f(x) =
+    <x, egrad(x)> / 2``: a caller takes an agent's loss from a gradient it
+    holds.
     """
 
     def __init__(self, A):
@@ -242,21 +245,14 @@ class DPCAInstance:
         # product.  F-ordered operands such as G.T @ x are slower still.
         return (x.T @ self.gram).T
 
-    def egrad(self, x):
-        x = _as_matrix(x)
-        return self.shift * x - self._gram_apply(x)
-
-    def value_and_egrad(self, x, gx=None):
+    def egrad(self, x, gx=None):
         """
-        The loss and ``egrad(x)`` from one product with the Gram matrix, or
-        from ``gx``, a Gram product of x the caller holds (``prox_inexact``
+        ``shift x - G x`` from one product with the Gram matrix, or from
+        ``gx``, a Gram product of x the caller holds (``prox_inexact``
         returns the one that certified its x).
         """
         x = _as_matrix(x)
-        if gx is None:
-            gx = self._gram_apply(x)
-        value = -0.5 * (float(np.vdot(x, gx)) - self.shift * float(np.vdot(x, x)))
-        return value, self.shift * x - gx
+        return self.shift * x - (self._gram_apply(x) if gx is None else gx)
 
     def smoothness(self):
         # ||shift*I - A^T A||_2 for a PSD shift equals shift - lambda_min.

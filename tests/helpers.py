@@ -219,6 +219,16 @@ def count_gram_products(inst):
     return calls
 
 
+def gram_loss(inst, x):
+    """
+    An agent's loss ``-tr(x^T (G - shift I) x) / 2`` from its Gram matrix G
+    and shift alone, independent of ``egrad``.
+    """
+    x = np.asarray(x, dtype=float)
+    h = inst.gram - inst.shift * np.eye(inst.dim)
+    return -0.5 * float(np.trace(x.T @ h @ x))
+
+
 def fresh_gram_product(inst, x):
     """``inst._gram_apply(x)``, past any spy on the instance."""
     return type(inst)._gram_apply(inst, x)
@@ -247,9 +257,9 @@ def envelope_rounding(problem, alpha, x_blocks):
     (||x_i|| + sqrt(r))^2``, u the unit roundoff.
 
     The bracket bounds the size of the summands that ``dre_value`` adds:
-    the loss ``(shift ||x||^2 - <x, G x>) / 2``, the gradient term
-    ``<shift x - G x, ybar - x>`` and ``||ybar - x||^2 / (2 alpha)``, with
-    ``||ybar|| = sqrt(r)``.  They can cancel to a much smaller value.
+    the loss and gradient term ``<shift x - G x, ybar - x / 2>`` and
+    ``||ybar - x||^2 / (2 alpha)``, with ``||ybar|| = sqrt(r)``.  They can
+    cancel to a much smaller value.
     """
     u = np.finfo(float).eps / 2
     x_blocks = np.asarray(x_blocks, dtype=float)

@@ -1138,6 +1138,70 @@ class TestCli:
             out.parent,)
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
 
+    @pytest.mark.parametrize("out, directory", [
+        ("outdir", "outdir"), ("s/r.csv", "s/r.summary.json")],
+        ids=["records", "summary"])
+    def test_an_out_path_that_is_a_directory_fails_before_the_run(
+            self, tmp_path, monkeypatch, capsys, out, directory):
+        # Either file's path naming a directory would fail only after the
+        # run, when that file is written.
+        calls = []
+
+        def counting_step(*args):
+            calls.append(None)
+            return ddrs_step(*args)
+
+        monkeypatch.setattr(harness, "ddrs_step", counting_step)
+        cfg = self._write(tmp_path, TINY)
+        (tmp_path / directory).mkdir(parents=True)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == (
+            "error: %s is a directory, not a file to write\n" % directory)
+        assert calls == []
+        files = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                       if p.is_file())
+        assert files == ["cfg.txt"]
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        ("run", "algorithm.kind = iddrs\nalgorithm.eps0 = 1\n",
+         "eps0 = 1.000e+00 is not below delta2"),
+        # A start this wide lies outside the certified x-neighborhood.
+        ("run", "problem.d = 50\nproblem.r = 20\nproblem.m_per = 100\n",
+         "initial consensus error"),
+        ("advise", "problem.d = 50\nproblem.r = 20\nproblem.m_per = 100\n",
+         "initial consensus error"),
+    ], ids=["run-eps0", "run-wide-start", "advise-wide-start"])
+    def test_a_configuration_warning_made_an_error_is_an_error_line(
+            self, tmp_path, monkeypatch, capsys, command, overrides, message):
+        cfg = self._write(tmp_path, overrides + "max_iters = 5\n")
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConfigurationWarning)
+            assert cli.main([command, "--preset", "synthetic-er06",
+                             "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
+
+    def test_advise_prints_the_eps0_warning_a_run_lists(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        eps0 = "algorithm.eps0 = 1\nmax_iters = 2\n"
+        cfg = self._write(tmp_path, TINY + "algorithm.kind = iddrs\n" + eps0)
+        assert cli.main(["run", "--config", cfg]) == 0
+        listed = json.loads(Path("records.summary.json").read_text())["warnings"]
+        eps0_lines = ["warning: %s" % m for m in listed if m.startswith("eps0")]
+        assert len(eps0_lines) == 1
+        capsys.readouterr()
+        assert cli.main(["advise", "--config", cfg]) == 0
+        assert eps0_lines[0] in capsys.readouterr().out.splitlines()
+        # Only iDDRS solves its proxes inexactly.
+        cfg = self._write(tmp_path, TINY + eps0)
+        assert cli.main(["advise", "--config", cfg]) == 0
+        assert "eps0" not in capsys.readouterr().out
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

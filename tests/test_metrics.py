@@ -26,7 +26,7 @@ from ddrs.metrics import (
 from ddrs.network import Graph, gen_erdos_renyi, metropolis_weights, mix
 from ddrs.problems import DPCAInstance
 
-from helpers import analytic_dpca_optimum, random_stiefel_mat
+from helpers import analytic_dpca_optimum, gram_loss, random_stiefel_mat
 
 
 def _consensus_stack(problem, W, rng, d, r, alpha=1.0, t=2):
@@ -77,7 +77,7 @@ class TestDreValue:
         alpha = 1.3
         s = np.stack([vstar + alpha * inst.egrad(vstar) for inst in problem])
         val = dre_value(s, problem, alpha)
-        direct = sum(inst.value_and_egrad(vstar)[0] for inst in problem)
+        direct = sum(gram_loss(inst, vstar) for inst in problem)
         assert abs(val - direct) < 1e-9
         assert abs(direct - fstar) < 1e-9
 
@@ -268,13 +268,13 @@ class TestObjectiveAtMean:
         stacked = np.stack([x] * 4)
         _, _, val = consensus_and_stationarity(stacked, induced_mean(stacked),
                                                problem)
-        assert abs(val - sum(inst.value_and_egrad(x)[0]
-                             for inst in problem)) < 1e-12
+        assert abs(val - sum(gram_loss(inst, x) for inst in problem)) < 1e-12
 
-    def test_bitwise_equal_to_separate_value_and_egrad_sums(self, rng,
-                                                            small_dataset):
-        # The summed values and gradients are the same floats, in the same
-        # summation order, as summing each agent's egrad and value.
+    def test_obj_and_stationarity_from_the_summed_egrad(
+            self, rng, small_dataset):
+        # The summed gradient is the same floats, in the same summation
+        # order, as summing each agent's egrad; the value comes from it and
+        # agrees with the Gram formula to rounding.
         problem = small_dataset.instances()
         blocks = np.stack([random_stiefel_mat(rng, 6, 2) for _ in range(4)])
         xbar = induced_mean(blocks)
@@ -285,8 +285,9 @@ class TestObjectiveAtMean:
             g += inst.egrad(xbar)
         rg = tangent_project(xbar, g)
         assert stationarity_sq == float(np.vdot(rg, rg))
-        assert obj == float(sum(inst.value_and_egrad(xbar)[0]
-                                 for inst in problem))
+        assert obj == float(np.vdot(xbar.mat, g)) / 2.0
+        expected = sum(gram_loss(inst, xbar.mat) for inst in problem)
+        assert abs(obj - expected) <= 1e-13 * abs(expected)
 
 
 class TestRateFit:

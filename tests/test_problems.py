@@ -31,6 +31,7 @@ from helpers import (
     finite_difference_egrad,
     fresh_gram_product,
     gen_synthetic_full,
+    gram_loss,
     idx_bytes,
     load_matrix,
     pixel_like_images,
@@ -44,16 +45,21 @@ from helpers import (
 PRESET_SEED = 214748364
 
 
+def _loss(inst, x):
+    # An agent's loss from its gradient, as DPCAInstance states it.
+    return float(np.vdot(x, inst.egrad(x))) / 2.0
+
+
 class TestValue:
     def test_zero_data(self, rng):
         inst = DPCAInstance(np.zeros((4, 3)))
-        assert inst.value_and_egrad(random_stiefel_mat(rng, 3, 2))[0] == 0.0
+        assert _loss(inst, random_stiefel_mat(rng, 3, 2)) == 0.0
 
     def test_identity_data(self, rng):
         # A = I makes the shifted quadratic vanish identically.
         inst = DPCAInstance(np.eye(4))
         x = random_stiefel_mat(rng, 4, 2)
-        assert abs(inst.value_and_egrad(x)[0]) < 1e-14
+        assert abs(_loss(inst, x)) < 1e-14
 
     def test_dense_formula_oracle(self, rng):
         A = rng.standard_normal((6, 4))
@@ -61,7 +67,7 @@ class TestValue:
         x = rng.standard_normal((4, 2))
         shift = np.linalg.svd(A, compute_uv=False)[0] ** 2
         expected = -0.5 * np.trace(x.T @ (A.T @ A - shift * np.eye(4)) @ x)
-        assert abs(inst.value_and_egrad(x)[0] - expected) < 1e-12
+        assert abs(_loss(inst, x) - expected) < 1e-12
 
     def test_constant_shift_on_manifold(self, rng):
         # On the manifold the value is the raw PCA loss plus r/2 * shift.
@@ -69,7 +75,30 @@ class TestValue:
         inst = DPCAInstance(A)
         x = random_stiefel_mat(rng, 5, 3)
         raw = -0.5 * np.trace(x.T @ A.T @ A @ x)
-        assert abs(inst.value_and_egrad(x)[0] - (raw + 1.5 * inst.shift)) < 1e-12
+        assert abs(_loss(inst, x) - (raw + 1.5 * inst.shift)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 6),
+           st.floats(-3.0, 3.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
+    @example(4, 3, 2, 0.0, True, 0)  # blank data
+    @example(1000, 784, 5, 0.0, False, 0)  # MNIST width
+    def test_half_inner_product_with_egrad_is_the_gram_formula(
+            self, m, d, r, log_scale, blank, seed):
+        # The loss is homogeneous quadratic, so <x, egrad(x)> / 2 is the
+        # Gram formula up to the rounding of the two products.
+        rng = np.random.default_rng(seed)
+        A = (np.zeros((m, d)) if blank
+             else rng.standard_normal((m, d)) * 10.0 ** log_scale)
+        inst = DPCAInstance(A)
+        x = rng.standard_normal((d, r))
+        value = _loss(inst, x)
+        if blank:
+            assert value == 0.0
+        u = np.finfo(float).eps / 2
+        bound = (8 * (d + 2) * u
+                 * (float(np.linalg.norm(inst.gram)) + inst.shift)
+                 * float(np.vdot(x, x)))
+        assert abs(value - gram_loss(inst, x)) <= bound
 
 
 class TestGradient:
@@ -85,23 +114,26 @@ class TestGradient:
         inst = DPCAInstance(rng.standard_normal((7, 4)))
         x = rng.standard_normal((4, 2))
         g = inst.egrad(x)
-        fd = finite_difference_egrad(lambda y: inst.value_and_egrad(y)[0], x,
-                                     h=1e-6)
+        fd = finite_difference_egrad(lambda y: gram_loss(inst, y), x, h=1e-6)
         assert np.abs(g - fd).max() <= 1e-5 * (1.0 + np.abs(g).max())
 
 
-class TestValueAndGradient:
+class TestGradientFromProduct:
     @pytest.mark.parametrize("m, d, r", [(6, 4, 2), (1000, 10, 5),
                                          (50, 200, 3)])
-    def test_equal_to_value_and_egrad_bitwise(self, rng, m, d, r):
+    def test_the_gram_product_given_is_bitwise_egrad(self, rng, m, d, r):
         inst = DPCAInstance(rng.standard_normal((m, d)))
+        calls = count_gram_products(inst)
         for x in (random_stiefel_mat(rng, d, r), rng.standard_normal((d, r))):
-            value, grad = inst.value_and_egrad(x)
-            assert np.array_equal(grad, inst.egrad(x))
-            # The loss's expression, from the same product.
-            gx = inst._gram_apply(x)
-            assert value == -0.5 * (float(np.vdot(x, gx))
-                                    - inst.shift * float(np.vdot(x, x)))
+            grad = inst.egrad(x)
+            assert calls == [r]
+            assert np.array_equal(
+                inst.egrad(x, fresh_gram_product(inst, x)), grad)
+            # Any given product is taken as it is, with no product made.
+            gx = rng.standard_normal((d, r))
+            assert np.array_equal(inst.egrad(x, gx), inst.shift * x - gx)
+            assert calls == [r]
+            calls.clear()
 
 
 class TestProx:
@@ -967,11 +999,10 @@ class TestSynthetic:
     def test_truth_minimizes_total_objective(self, rng, small_dataset):
         insts = small_dataset.instances()
         v = small_dataset.ground_truth.mat
-        best = sum(inst.value_and_egrad(v)[0] for inst in insts)
+        best = sum(gram_loss(inst, v) for inst in insts)
         for _ in range(100):
             y = random_stiefel_mat(rng, 6, 2)
-            assert best <= sum(inst.value_and_egrad(y)[0]
-                              for inst in insts) + 1e-12
+            assert best <= sum(gram_loss(inst, y) for inst in insts) + 1e-12
 
     def test_deterministic(self):
         a = gen_synthetic(3, 20, 5, 2, 0.8, seed=5)

@@ -1,9 +1,12 @@
 """The distributed-PCA benchmark: splitting engine vs gradient tracking.
 
-Reproduces the qualitative findings on the synthetic dataset: more
-communication rounds per iteration allow larger steps and faster
-convergence, and the splitting engine outruns the gradient-tracking
-baseline at tuned steps.
+Reproduces the qualitative findings on the synthetic dataset, counted in
+iterations, which is all this demo prints: more communication rounds per
+iteration allow larger steps and reach each target in fewer iterations,
+and the splitting engine outruns the gradient-tracking baseline at tuned
+steps.  Each iteration mixes twice, so it costs 2t rounds; counted per
+communication round, t = 1 reaches every target about 4.6 times sooner
+than t = 10 on the ER p = 0.6 presets.
 
 Run with: python demos/synthetic_benchmark.py
 """

@@ -8,7 +8,6 @@ inexactness schedule, and the theory-driven parameter advisor.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +19,20 @@ from .manifold import (
     _as_matrix,
     _polar,
     _tangent_dir,
-    manifold_constants,
     project_stiefel,
 )
 from .fanout import map_agents
-from .metrics import neighborhood_report
 from .network import mix
 from .problems import exact_proxes
 
 
 class ConfigurationWarning(UserWarning):
-    """A run is outside the certified parameter regime; it still proceeds."""
+    """
+    A run is outside the certified parameter regime; it still proceeds.
+
+    The engines never raise it: ``harness.start_run`` judges a configured
+    run's start and tolerance schedule before the first step.
+    """
 
 
 @dataclass
@@ -109,17 +111,6 @@ def epsilon_schedule(eps0, rho, k):
     return eps0 * rho ** k
 
 
-def eps0_warning(eps0, delta2):
-    """
-    The message of an iDDRS run whose ``eps0`` is not below ``delta2``, or
-    None: ``iddrs_step`` raises it and ``ddrs advise`` prints it.
-    """
-    if eps0 < delta2:
-        return None
-    return ("eps0 = %.3e is not below delta2 = %.3e; the inexactness "
-            "assumption is violated" % (eps0, delta2))
-
-
 def _stack_blocks(x0, n_expected):
     blocks = [StiefelPoint(_as_matrix(b)).mat for b in x0]
     if len(blocks) != n_expected:
@@ -136,10 +127,9 @@ def ddrs_init(problem, W, params, x0):
     Sets ``s = z = x`` and a zero tracker.  ``z_sv`` holds the singular
     values of the mixed start ``mix(x)``, inf where its projection is not
     unique, so that a start whose mix collapses reports an infinite tube
-    (``neighborhood_report``).  The consensus quality of the start is
-    checked against the certified neighborhood (``neighborhood_report``'s
-    x-neighborhood) and a ConfigurationWarning (not an error) is emitted
-    when it is too spread out.
+    (``neighborhood_report``).  The start is not judged here: a caller
+    checks it against the certified neighborhood with
+    ``neighborhood_report``, as ``harness.start_run`` does.
     """
     x = _stack_blocks(x0, W.n)
     if len(problem) != W.n:
@@ -150,17 +140,8 @@ def ddrs_init(problem, W, params, x0):
         z_sv = _polar(mix(W, params.t, x))[1]
     except RankDeficientError:
         z_sv = np.full((x.shape[0], x.shape[2]), math.inf)
-    stack = AgentStack(s=x.copy(), x=x.copy(), z=x.copy(),
-                       d=np.zeros_like(x), k=0, z_sv=z_sv)
-    report = neighborhood_report(stack, manifold_constants(*x.shape[1:]),
-                                 W, params.t)
-    if "x-neighborhood" in report.violations:
-        warnings.warn(
-            "initial consensus error %.3e exceeds the certified bound %.3e"
-            % (report.x_dev, report.x_bound),
-            ConfigurationWarning,
-        )
-    return stack
+    return AgentStack(s=x.copy(), x=x.copy(), z=x.copy(),
+                      d=np.zeros_like(x), k=0, z_sv=z_sv)
 
 
 def _advance(stack, W, params, prox_blocks):
@@ -271,13 +252,10 @@ def iddrs_step(stack, problem, W, params, k):
     The solves run through ``map_agents``, so at MNIST width they overlap
     on the per-agent pool; a start uses only its agent's history.  A
     record's envelope and gap read the step's ``x``, ``gx`` and ``mu_sq``.
+    ``k`` only sets the tolerance: whether ``eps0`` lies below ``delta2``
+    is judged by ``harness.start_run``, not here.
     """
     eps_k = epsilon_schedule(params.eps0, params.rho, k)
-    if k == 0:
-        delta2 = manifold_constants(*stack.s.shape[1:]).delta2
-        message = eps0_warning(params.eps0, delta2)
-        if message is not None:
-            warnings.warn(message, ConfigurationWarning)
 
     def prox_one(inst, s, *history):
         x0, gx0 = extrapolated_start(inst, params.alpha, s, *history)

@@ -4,10 +4,13 @@ Command line driver.
 Subcommands: ``run`` executes a configured experiment and writes record and
 summary files; ``advise`` prints the certified-regime parameters for a
 configuration; ``validate-graph`` prints the mixing-matrix checks and the
-spectral gap.  Exit codes: 0 success, 1 configuration error (a
-ConfigurationWarning that a warnings filter makes an error included) or an
-output path that cannot be written, found before the run, 2 a run whose
-status is not ``ok`` (diverged or failed).
+spectral gap.  A config file is read as UTF-8.  ``run`` and ``advise`` both
+start the run with ``harness.start_run``, which judges the configuration,
+and print each ConfigurationWarning it raised as a ``warning:`` line.  Exit
+codes: 0 success, 1 configuration error (a config file that is not UTF-8,
+and a ConfigurationWarning that a warnings filter makes an error, included)
+or an output path that cannot be written, found before the run, 2 a run
+whose status is not ``ok`` (diverged or failed).
 """
 
 import argparse
@@ -15,9 +18,10 @@ import json
 import sys
 from pathlib import Path
 
-from .algorithms import ConfigurationWarning, eps0_warning
+from .algorithms import ConfigurationWarning
 from .harness import (
     ConfigError,
+    configuration_warnings,
     parse_config,
     preset,
     run_experiment,
@@ -31,9 +35,13 @@ from .problems import BadMagicError, DimMismatchError, TruncatedFileError
 
 
 def _load_config(args):
-    # utf-8-sig drops the byte-order mark some editors write first.
-    text = (Path(args.config).read_text(encoding="utf-8-sig") if args.config
-            else None)
+    try:
+        # utf-8-sig drops the byte-order mark some editors write first.
+        text = (Path(args.config).read_text(encoding="utf-8-sig")
+                if args.config else None)
+    except UnicodeDecodeError as exc:
+        raise ConfigError("%s is not UTF-8: byte 0x%02x at offset %d" % (
+            args.config, exc.object[exc.start], exc.start)) from None
     if args.preset:
         return preset(args.preset, text or "")
     if text is None:
@@ -69,7 +77,8 @@ def _cmd_run(args):
 def _cmd_advise(args):
     config = _load_config(args)
     setup = build_run(config)
-    _, advice = start_run(config, setup)
+    with configuration_warnings() as messages:
+        _, advice = start_run(config, setup)
     alpha = setup.params.alpha
     print("L = %.6g   sigma2 = %.6g   n = %d" % (setup.L, setup.W.sigma2,
                                                 setup.dataset.n))
@@ -83,12 +92,13 @@ def _cmd_advise(args):
     print("C4_shape = %s   C5_shape = %s" % (advice.c4_shape, advice.c5_shape))
     for note in advice.notes:
         print("note: %s" % note)
-    if alpha > advice.alpha_max:
-        print("warning: configured alpha exceeds the certified bound")
-    if config.t < advice.t_min:
-        print("warning: configured t is below the certified minimum")
-    message = eps0_warning(setup.params.eps0, advice.delta2)
-    if config.algorithm.kind == "iddrs" and message is not None:
+    # The baseline is not a splitting method; its run reports no ratios.
+    if config.algorithm.kind != "baseline_gt":
+        if alpha > advice.alpha_max:
+            print("warning: configured alpha exceeds the certified bound")
+        if config.t < advice.t_min:
+            print("warning: configured t is below the certified minimum")
+    for message in messages:
         print("warning: %s" % message)
     return 0
 

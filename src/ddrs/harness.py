@@ -8,6 +8,7 @@ substreams, the experiment driver, and the CSV records file.
 
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict, fields, is_dataclass
 
 import numpy as np
@@ -392,6 +393,13 @@ def start_run(config, setup):
     """
     Initial state of a built run and its certified-regime advice.
 
+    This is the one place a configuration is judged against the certified
+    regime, for ``ddrs run`` and ``ddrs advise`` alike; the engines only
+    compute.  It raises a ConfigurationWarning (not an error) for a
+    splitting engine's start whose consensus error lies outside the
+    certified x-neighborhood (``neighborhood_report``), and then for an
+    iDDRS ``eps0`` not below ``delta2``.
+
     The splitting engines' initial stack enters ``c2``/``c4_shape``/
     ``c5_shape``; the baseline has no splitting state, so those stay None.
     Only iDDRS solves its proxes inexactly: the advice of an exact run
@@ -402,12 +410,59 @@ def start_run(config, setup):
     splitting = config.algorithm.kind != "baseline_gt"
     stack = (ddrs_init if splitting else baseline_gt_init)(
         setup.problem, W, params, setup.x0)
+    if splitting:
+        report = neighborhood_report(stack, consts, W, params.t)
+        if "x-neighborhood" in report.violations:
+            warnings.warn("initial consensus error %.3e exceeds the certified "
+                          "bound %.3e" % (report.x_dev, report.x_bound),
+                          ConfigurationWarning)
+    # An exact run solves to tolerance 0, below any delta2.
     eps0 = params.eps0 if config.algorithm.kind == "iddrs" else 0.0
+    if eps0 >= consts.delta2:
+        warnings.warn("eps0 = %.3e is not below delta2 = %.3e; the inexactness "
+                      "assumption is violated" % (eps0, consts.delta2),
+                      ConfigurationWarning)
     advice = advise_parameters(setup.L, consts.gamma, consts.zeta, W.sigma2,
                                setup.dataset.n, setup.grad0_norm,
                                initial_state=stack if splitting else None,
                                eps0=eps0, rho=params.rho)
     return stack, advice
+
+
+@contextmanager
+def configuration_warnings():
+    """
+    Keep the ConfigurationWarnings raised inside the block.
+
+    Yields a list that, once the block ends, holds the message of each,
+    once each, in the order first raised; they are kept there instead of
+    shown, even where a filter would ignore them or show them once.  One
+    that a filter turns into an error still raises.  Other warnings are
+    shown again, as usual, when the block ends.
+
+    In front of the filters in force goes, for each filter that can match
+    a ConfigurationWarning, in the same order, a copy limited to that
+    category whose action is "error" if the filter's is and "always"
+    otherwise, and behind those an "always" for the rest; the filters are
+    restored when the block ends.
+    """
+    messages = []
+    with warnings.catch_warnings(record=True) as caught:
+        matching = [f for f in warnings.filters
+                    if issubclass(ConfigurationWarning, f[2])]
+        warnings.simplefilter("always", ConfigurationWarning)
+        for action, message, _, module, lineno in reversed(matching):
+            warnings.filterwarnings(
+                "error" if action == "error" else "always",
+                message.pattern if message else "", ConfigurationWarning,
+                module.pattern if module else "", lineno)
+        yield messages
+    for w in caught:
+        if not issubclass(w.category, ConfigurationWarning):
+            warnings.warn_explicit(w.message, w.category, w.filename,
+                                   w.lineno, source=w.source)
+        elif str(w.message) not in messages:
+            messages.append(str(w.message))
 
 
 def run_experiment(config):
@@ -436,65 +491,29 @@ def run_experiment(config):
     ``rate_window`` the first and last k it fits; both are None for a run
     with fewer than 5 such records.
 
-    For the splitting engines the summary counts the iterations with any
-    certified-regime violation (``neighborhood_violations``), the
-    violations of each kind (``violations_by_kind``), the iteration at
-    which each kind first occurred (``first_violation_iter``) and the
-    smallest singular value any step projected (``sigma_min``), and
-    ``alpha_over_alpha_max`` and ``t_over_t_min``, at most and at least 1
-    inside the certified regime.  The baseline reports None for all six.
-    ``prox_rank`` lists each agent's ``DPCAInstance.prox_rank``, the
-    eigenpairs its exact prox kept, which say whether it took the low-rank
-    or the dense form; it is None for a run that took no exact prox.
+    For the splitting engines each step's ``neighborhood_report`` and
+    smallest projected singular value are kept, and the summary folds them
+    into the count of iterations with any certified-regime violation
+    (``neighborhood_violations``), the violations of each kind
+    (``violations_by_kind``), the iteration at which each kind first
+    occurred (``first_violation_iter``) and the smallest singular value any
+    step projected (``sigma_min``); with ``alpha_over_alpha_max`` and
+    ``t_over_t_min``, at most and at least 1 inside the certified regime.
+    The baseline reports None for all six.  ``prox_rank`` lists each
+    agent's ``DPCAInstance.prox_rank``, the eigenpairs its exact prox kept,
+    which say whether it took the low-rank or the dense form; it is None
+    for a run that took no exact prox.
 
-    The summary's ``warnings`` lists the message of each
-    ConfigurationWarning the run raised, once each, in the order first
-    raised; they are kept there instead of shown, even where a filter
-    would ignore them or show them once.  One that a filter turns into an
-    error still raises.  Other warnings are shown as usual.
+    The summary's ``warnings`` lists the messages ``start_run`` raised as
+    ConfigurationWarnings, as ``configuration_warnings`` keeps them.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        _record_configuration_warnings()
-        records, summary = _run(config)
-    messages = []
-    for w in caught:
-        if issubclass(w.category, ConfigurationWarning):
-            messages.append(str(w.message))
-        else:
-            warnings.warn_explicit(w.message, w.category, w.filename,
-                                   w.lineno, source=w.source)
-    summary["warnings"] = list(dict.fromkeys(messages))
-    return records, summary
-
-
-def _record_configuration_warnings():
-    """
-    Make the warning filters in force pass on every ConfigurationWarning,
-    each time it is raised, except one they turn into an error.
-
-    In front of the filters goes, for each filter that can match one, in
-    the same order, a copy limited to ConfigurationWarning whose action is
-    "error" if the filter's is and "always" otherwise, and behind those an
-    "always" for the rest.  Call inside ``catch_warnings``: it edits the
-    copy of the filters that that context restores.
-    """
-    matching = [f for f in warnings.filters
-                if issubclass(ConfigurationWarning, f[2])]
-    warnings.simplefilter("always", ConfigurationWarning)
-    for action, message, _, module, lineno in reversed(matching):
-        warnings.filterwarnings(
-            "error" if action == "error" else "always",
-            message.pattern if message else "", ConfigurationWarning,
-            module.pattern if module else "", lineno)
-
-
-def _run(config):
     setup = build_run(config)
     problem, W, params = setup.problem, setup.W, setup.params
     consts, alpha = setup.constants, params.alpha
     algo = config.algorithm.kind
     splitting = algo != "baseline_gt"
-    stack, advice = start_run(config, setup)
+    with configuration_warnings() as messages:
+        stack, advice = start_run(config, setup)
 
     start_ns = time.perf_counter_ns()
 
@@ -527,10 +546,8 @@ def _run(config):
     records = []
     status = "ok"
     error = None
-    violations = 0
-    by_kind = dict.fromkeys(VIOLATION_KINDS, 0)
-    first_violation = dict.fromkeys(VIOLATION_KINDS)
-    sigma_min = None
+    # (k, violated kinds, smallest projected singular value) of each step.
+    steps = []
     try:
         records.append(make_record(stack))
         while stack.k < config.max_iters:
@@ -542,15 +559,8 @@ def _run(config):
                 stack = baseline_gt_step(stack, problem, W, params)
             if splitting:
                 report = neighborhood_report(stack, consts, W, params.t)
-                if not report.ok:
-                    violations += 1
-                for kind in report.violations:
-                    by_kind[kind] += 1
-                    if first_violation[kind] is None:
-                        first_violation[kind] = stack.k
-                step_min = float(stack.z_sv.min())
-                sigma_min = (step_min if sigma_min is None
-                             else min(sigma_min, step_min))
+                steps.append((stack.k, report.violations,
+                              float(stack.z_sv.min())))
             if stack.k % config.log_every == 0 or stack.k == config.max_iters:
                 records.append(make_record(stack))
     except (RankDeficientError, SolverStallError, NonFiniteInputError) as exc:
@@ -566,6 +576,10 @@ def _run(config):
         slope, _ = rate_fit(records, "stationarity_sq")
         window = [fitted[0], fitted[-1]]
 
+    by_kind = {kind: sum(kind in v for _, v, _ in steps)
+               for kind in VIOLATION_KINDS}
+    first_violation = {kind: next((k for k, v, _ in steps if kind in v), None)
+                       for kind in VIOLATION_KINDS}
     prox_rank = [inst.prox_rank for inst in problem]
     summary = {
         "status": status,
@@ -574,10 +588,11 @@ def _run(config):
         "final": asdict(records[-1]),
         "rate_slope": slope,
         "rate_window": window,
-        "neighborhood_violations": violations if splitting else None,
+        "neighborhood_violations": (sum(bool(v) for _, v, _ in steps)
+                                    if splitting else None),
         "violations_by_kind": by_kind if splitting else None,
         "first_violation_iter": first_violation if splitting else None,
-        "sigma_min": sigma_min,
+        "sigma_min": min((sv for _, _, sv in steps), default=None),
         "prox_rank": (None if all(k is None for k in prox_rank)
                       else prox_rank),
         "alpha_over_alpha_max": alpha / advice.alpha_max if splitting else None,
@@ -587,6 +602,7 @@ def _run(config):
         "resolved_seeds": resolved_seeds(config),
         "sigma2": W.sigma2,
         "config": asdict(config),
+        "warnings": messages,
     }
     return records, summary
 

@@ -19,7 +19,7 @@ from ddrs.algorithms import (
 )
 from ddrs.harness import build_run, preset, start_run
 from ddrs.manifold import StiefelPoint, manifold_constants, project_stiefel
-from ddrs.metrics import tracking_residual
+from ddrs.metrics import neighborhood_report, tracking_residual
 from ddrs.network import Graph, gen_complete, gen_erdos_renyi, metropolis_weights
 from ddrs.problems import DPCAInstance, NonFiniteInputError
 
@@ -55,20 +55,44 @@ class TestInit:
         W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
         params = SolverParams(alpha=1.0, t=2)
         x0 = [project_stiefel(rng.standard_normal((6, 2))) for _ in range(4)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            st = ddrs_init(problem, W, params, x0)
+        st = ddrs_init(problem, W, params, x0)
         assert np.all(st.d == 0.0)
         assert tracking_residual(st) == 0.0
 
-    def test_spread_start_warns_but_proceeds(self, rng, small_dataset):
+    def test_spread_start_warns_but_proceeds(self, rng):
+        # start_run judges a splitting engine's start; the baseline has no
+        # certified neighborhood.
+        for kind in ("ddrs", "iddrs", "baseline_gt"):
+            config = preset("synthetic-er06", "algorithm.kind = %s\n" % kind)
+            setup = build_run(config)
+            x0 = [project_stiefel(rng.standard_normal((10, 5)))
+                  for _ in range(8)]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                st, _ = start_run(config, dataclasses.replace(setup, x0=x0))
+            assert st.n == 8
+            messages = [str(w.message) for w in caught]
+            if kind == "baseline_gt":
+                assert messages == []
+            else:
+                assert len(messages) == 1
+                assert messages[0].startswith("initial consensus error ")
+                assert caught[0].category is ConfigurationWarning
+
+    def test_the_engines_judge_nothing(self, rng, small_dataset):
+        # A spread start and eps0 >= delta2: the engines only compute.
         problem = small_dataset.instances()
         W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
-        params = SolverParams(alpha=1.0, t=2)
+        params = SolverParams(alpha=2.0, t=2, eps0=0.02, rho=0.5)
+        consts = manifold_constants(6, 2)
+        assert params.eps0 >= consts.delta2
         x0 = [project_stiefel(rng.standard_normal((6, 2))) for _ in range(4)]
-        with pytest.warns(ConfigurationWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             st = ddrs_init(problem, W, params, x0)
-        assert st.n == 4
+            iddrs_step(st, problem, W, params, 0)
+        report = neighborhood_report(st, consts, W, params.t)
+        assert "x-neighborhood" in report.violations
 
     def test_consensus_start_no_warning(self, rng, small_dataset):
         problem = small_dataset.instances()
@@ -319,13 +343,21 @@ class TestInexactStep:
             with pytest.raises(NonFiniteInputError):
                 iddrs_step(dataclasses.replace(st, s=s), *args, 4)
 
-    def test_eps0_above_delta2_warns(self, rng, small_dataset):
-        problem = small_dataset.instances()
-        W = metropolis_weights(gen_erdos_renyi(4, 0.8, seed=1))
-        params = SolverParams(alpha=2.0, t=2, eps0=0.02, rho=0.5)
-        st = ddrs_init(problem, W, params, _consensus_start(rng, 4, 6, 2))
-        with pytest.warns(ConfigurationWarning, match="eps0"):
-            iddrs_step(st, problem, W, params, 0)
+    def test_eps0_above_delta2_warns(self):
+        # Only iDDRS solves its proxes inexactly, so only it is judged.
+        for kind, want in (("iddrs", ["eps0 = 2.000e-02 is not below delta2 "
+                                      "= 1.042e-02; the inexactness "
+                                      "assumption is violated"]),
+                           ("ddrs", [])):
+            config = preset("synthetic-er06", "algorithm.kind = %s\n"
+                            "algorithm.eps0 = 0.02\n" % kind)
+            setup = build_run(config)
+            assert setup.params.eps0 >= setup.constants.delta2
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                start_run(config, setup)
+            assert [str(w.message) for w in caught] == want
+            assert all(w.category is ConfigurationWarning for w in caught)
 
 
 class TestBaseline:

@@ -1037,11 +1037,19 @@ class TestCli:
         out = str(tmp_path / "p.csv")
         assert cli.main(["run", "--preset", "synthetic-er06",
                          "--config", cfg, "--out", out]) == 0
-        advice = json.loads((tmp_path / "p.summary.json").read_text())["advice"]
+        summary = json.loads((tmp_path / "p.summary.json").read_text())
+        advice = summary["advice"]
         capsys.readouterr()
         assert cli.main(["advise", "--preset", "synthetic-er06",
                          "--config", cfg]) == 0
         printed = capsys.readouterr().out
+        # The baseline is not judged against the splitting method's regime.
+        ratio = summary["alpha_over_alpha_max"]
+        assert ("warning: configured alpha exceeds the certified bound"
+                in printed) == (ratio is not None and ratio > 1)
+        ratio = summary["t_over_t_min"]
+        assert ("warning: configured t is below the certified minimum"
+                in printed) == (ratio is not None and ratio < 1)
         note = "c3/c4_shape use the schedule limit"
         assert "C3 = %.6g\n" % advice["c3"] in printed
         assert "C4_shape = %s   C5_shape = %s\n" % (
@@ -1061,8 +1069,6 @@ class TestCli:
             assert note not in printed
             assert not any(n.startswith(note) for n in advice["notes"])
 
-    # advise shows the run's warning as a Python warning, as before.
-    @pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
     def test_mnist_width_setup_matches_the_dense_spectrum(self, tmp_path,
                                                           capsys):
         wide = "problem.d = 784\nmax_iters = 2\nlog_every = 1\n"
@@ -1092,7 +1098,11 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["advise", "--preset", "synthetic-er06",
                          "--config", cfg]) == 0
-        printed = capsys.readouterr().out
+        printed, err = capsys.readouterr()
+        # advise prints the warning the run lists, and shows nothing else.
+        assert ("warning: initial consensus error 7.889e-01 exceeds the "
+                "certified bound 1.250e-01") in printed.splitlines()
+        assert err == ""
         advice = saved["advice"]
         assert "L = %.6g " % setup.L in printed
         assert "C2 = %s " % advice["c2"] in printed
@@ -1105,6 +1115,22 @@ class TestCli:
         assert cli.main(["validate-graph", "--config", cfg]) == 0
         out = capsys.readouterr().out
         assert "sigma2" in out and "row-sum residual" in out
+
+    @pytest.mark.parametrize("command", ["run", "advise", "validate-graph"])
+    @pytest.mark.parametrize("encoded, byte", [
+        # What PowerShell's ">" writes: UTF-16 behind a byte-order mark.
+        (TINY.encode("utf-16"), "0xff at offset 0"),
+        (("# caf\u00e9\n" + TINY).encode("latin-1"), "0xe9 at offset 5"),
+    ], ids=["utf16", "latin1"])
+    def test_a_config_that_is_not_utf8_is_an_error_line(
+            self, tmp_path, monkeypatch, capsys, command, encoded, byte):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(encoded)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: %s is not UTF-8: byte %s\n" % (cfg, byte))
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.txt")]) == 1
@@ -1171,7 +1197,9 @@ class TestCli:
          "initial consensus error"),
         ("advise", "problem.d = 50\nproblem.r = 20\nproblem.m_per = 100\n",
          "initial consensus error"),
-    ], ids=["run-eps0", "run-wide-start", "advise-wide-start"])
+        ("advise", "algorithm.kind = iddrs\nalgorithm.eps0 = 1\n",
+         "eps0 = 1.000e+00 is not below delta2"),
+    ], ids=["run-eps0", "run-wide-start", "advise-wide-start", "advise-eps0"])
     def test_a_configuration_warning_made_an_error_is_an_error_line(
             self, tmp_path, monkeypatch, capsys, command, overrides, message):
         cfg = self._write(tmp_path, overrides + "max_iters = 5\n")
@@ -1185,7 +1213,7 @@ class TestCli:
         assert err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.txt"]
 
-    def test_advise_prints_the_eps0_warning_a_run_lists(
+    def test_advise_prints_the_eps0_line_a_run_lists(
             self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         eps0 = "algorithm.eps0 = 1\nmax_iters = 2\n"

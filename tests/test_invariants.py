@@ -8,7 +8,6 @@ its gap.
 """
 
 import numpy as np
-import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ddrs.algorithms import (
@@ -86,7 +85,6 @@ def runs(draw):
                      draw(st.integers(1, 4)), seed)
 
 
-@pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
 @PROPERTY
 @given(runs())
 def test_exact_steps_track_the_mean_and_solve_each_prox(run):
@@ -100,7 +98,6 @@ def test_exact_steps_track_the_mean_and_solve_each_prox(run):
             assert np.linalg.norm(res) <= 1e-10 * (1.0 + np.linalg.norm(s))
 
 
-@pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
 @PROPERTY
 @given(runs())
 def test_inexact_steps_track_the_mean_within_their_tolerances(run):
@@ -165,7 +162,6 @@ def _assert_starts_no_worse_than_the_last_prox(problem, params, previous,
                 + (1.0 + params.alpha * inst.shift) * rounding)
 
 
-@pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
 @PROPERTY
 @given(runs())
 def test_inexact_steps_start_no_worse_than_the_agents_last_prox(run):
@@ -186,7 +182,6 @@ def test_inexact_steps_start_no_worse_than_the_agents_last_prox(run):
     assert stack.dx.shape[1] == 2
 
 
-@pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
 def test_a_prox_returned_unchanged_moves_no_start_product():
     # On this ring an agent's solve returns its start bitwise, so its
     # newest difference dx is exactly 0 while the two certified products'

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ddrs.algorithms import (
-    ConfigurationWarning,
     SolverParams,
     ddrs_init,
     ddrs_step,
@@ -254,8 +253,7 @@ class TestNeighborhoodReport:
         W = metropolis_weights(Graph(2, frozenset([(0, 1)])))
         params = SolverParams(alpha=1.0, t=1)
         x = random_stiefel_mat(rng, 3, 1)
-        with pytest.warns(ConfigurationWarning):
-            st = ddrs_init(problem, W, params, [StiefelPoint(x), StiefelPoint(-x)])
+        st = ddrs_init(problem, W, params, [StiefelPoint(x), StiefelPoint(-x)])
         assert st.z_sv.shape == (2, 1) and np.all(st.z_sv == np.inf)
         rep = neighborhood_report(st, manifold_constants(3, 1), W, params.t)
         assert rep.max_tube == np.inf and "projection-tube" in rep.violations

@@ -117,7 +117,6 @@ def _close(a, b):
     return np.abs(a - b).max() <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
 @PROPERTY
 @given(networks(), st.sampled_from([0.3, 1.0, 3.0]), st.integers(1, 3))
 def test_splitting_steps_match_per_agent_reference(net, alpha, t):
@@ -155,7 +154,6 @@ def test_baseline_step_matches_per_agent_reference(net, alpha, t):
         stack = got
 
 
-@pytest.mark.filterwarnings("ignore::ddrs.algorithms.ConfigurationWarning")
 @PROPERTY
 @given(networks(), st.integers(1, 3))
 def test_report_tube_is_largest_per_block_tube_distance(net, t):

@@ -1,12 +1,15 @@
 """
 Per-agent fan-out.
 
-Each agent's conjugate-gradient prox, and the factorization behind its
-first exact prox, reads only that agent's data, and NumPy releases the
+Each agent's conjugate-gradient prox, its dense exact prox, and the
+eigendecomposition behind the first exact prox of an agent whose pivoted
+factor is refused, reads only that agent's data, and NumPy releases the
 interpreter lock inside the products and LAPACK calls that dominate them,
-so at MNIST width the agents' work overlaps on a thread pool.  Every
-agent's computation is unchanged and the results come back in agent order,
-so a pooled run is bitwise identical to a serial one.
+so at MNIST width the agents' work overlaps on a thread pool
+(``problems.exact_proxes`` keeps the pivoted factors and the low-rank
+proxes on the calling thread).  Every agent's computation is unchanged and
+the results come back in agent order, so a pooled run is bitwise identical
+to a serial one.
 """
 
 import functools

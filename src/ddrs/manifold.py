@@ -114,10 +114,14 @@ def _gram_eigh(M):
     with np.errstate(over="ignore", invalid="ignore"):
         G = M.swapaxes(-1, -2) @ M
     finite = np.isfinite(G).all(axis=(-2, -1))
-    G[~finite] = np.eye(G.shape[-1])
+    # Each masked assignment costs a few microseconds even when it masks
+    # nothing, which is most of a single small block's projection.
+    if not finite.all():
+        G[~finite] = np.eye(G.shape[-1])
     lam, V = np.linalg.eigh(G)
     ok = finite & (lam[..., 0] >= np.maximum(_GRAM_CUT * lam[..., -1], RANK_TOL))
-    lam[~ok] = 1.0
+    if not ok.all():
+        lam[~ok] = 1.0
     return lam, V, ok
 
 

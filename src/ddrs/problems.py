@@ -73,22 +73,24 @@ _ROUNDOFF_MARGIN = 10 * _UNIT_ROUNDOFF
 # 556/549, k=400 669/569.
 LOW_RANK_MAX_SHARE = 1 / 3
 
-# The sketch the exact prox tries before a full eigendecomposition
-# (``DPCAInstance._sketch``): its width as a share of d, the margin of its
-# columns that must stay above the eigenpairs it keeps, and tau, the
-# certificate's bound on ``||G - Q_k diag(theta_k) Q_k^T||_F / shift``.
-# Per call, d=784, 1 BLAS thread, medians of 5 per Gram: the 8 synthetic
-# Grams of the d=784 benchmark keep 82-83 of 131 columns at ||E||_F = 25-32
-# u shift (eigh's own factor: 20-33 u shift, 85-88 pairs), and the sketch
-# took 18.7-29.5 ms against 79.7-124.8 ms for eigh; on pixel-like data (400
-# pairs above u shift) it fills and costs 15.3-17.6 ms before eigh's
-# 89.6-100.0.  The margin is the usual oversampling of a range finder
-# (Halko, Martinsson & Tropp 2011).  At d=784 a sketch keeping 129 of 131
-# columns still certified at 94 u shift, and full ones measured 228 u shift
-# and more.  Exactly low-rank Grams (rank 20-125, Gaussian or flat spectra)
-# measured 62-480 u shift against eigh's 50-151 u, so most of those above
-# rank 60 fall back to eigh.
-_SKETCH = (1 / 6, 10, 128 * _UNIT_ROUNDOFF)
+# tau, the bound of the low-rank factor's certificate on ``||G - Q_k
+# diag(theta_k) Q_k^T||_F / shift`` (``DPCAInstance._pivoted_factor``), and
+# the rows of the panels its error is summed over.  Per call, d=784, 1 BLAS
+# thread, medians of 5 per Gram: the 8 synthetic Grams of the d=784
+# benchmark take 77-78 pivots and keep as many pairs at ||E||_F = 58-84 u
+# shift, in 4.4-4.6 ms, against 24.0-25.5 ms for a randomized sketch with
+# ceil(d/6) columns (82-83 pairs, 27-32 u shift; Halko, Martinsson & Tropp
+# 2011) and 79.7-124.8 ms for eigh (85-88 pairs, 20-33 u shift).  On
+# pixel-like data (400 pairs above u shift) the factor is refused after 261
+# pivots in 10 ms, where the sketch filled after 15-18 ms; eigh takes
+# 90-100.  At xi = 0.9 it keeps 168 pairs at 88
+# u shift in 16 ms.  Exactly low-rank Grams with Gaussian or flat spectra
+# certified up to rank 60 (40-114 u shift); from rank 100 they measured
+# 184-270 u shift and fall back to eigh.  Summing the error over panels of
+# 64 or 128 rows took 1.6-1.9 ms, of 262 rows 2.0-2.8 ms, and in one panel
+# of all 784 rows 3.1-3.4 ms.
+_LOW_RANK_TAU = 128 * _UNIT_ROUNDOFF
+_PANEL_ROWS = 128
 
 
 def _lanczos_top(gram):
@@ -185,23 +187,24 @@ class DPCAInstance:
     the prox system ``I + alpha (||A||_2^2 I - A^T A)`` is symmetric positive
     definite with spectrum in ``[1, 1 + alpha L]``, and the prox is an exact
     linear solve.  The instance keeps the Gram matrix of its data block and
-    the factor of the exact prox, built by the first exact prox (on the
-    per-agent pool at MNIST width); an instance whose proxes are all
+    the factor of the exact prox, built by the first exact prox
+    (``exact_proxes`` says where); an instance whose proxes are all
     conjugate-gradient solves never builds it.  The factor keeps the
     ``prox_rank`` eigenpairs above ``u shift``, u the unit roundoff, from a
-    randomized sketch of the Gram where its certificate holds
-    (``_sketch``), else from one eigendecomposition (``_eigh_factor``).  Up
-    to ``LOW_RANK_MAX_SHARE`` of the width it is those eigenpairs, whatever
-    the step size; above it, the dense inverse of the prox system for the
-    step size in use, rebuilt when that changes (see ``_solve``).
+    pivoted Cholesky factor of the Gram where its certificate holds
+    (``_pivoted_factor``), else from one eigendecomposition
+    (``_eigh_factor``).  Up to ``LOW_RANK_MAX_SHARE`` of the width it is
+    those eigenpairs, whatever the step size; above it, the dense inverse of
+    the prox system for the step size in use, rebuilt when that changes (see
+    ``_solve``).
 
     Either form solves the system of ``G - E`` in place of G, E the Gram
     minus the kept pairs' matrix, so an exact prox's residual ``||M x -
     s|| = alpha ||E x||``, M the prox system, is at most ``alpha ||E||_2
-    ||x||``.  This bound is certified for a sketch, ``||E||_F <= tau
-    shift``.  For eigh it is measured: E is eigh's backward error plus the
-    dropped eigenvalues, each at most ``u shift``, about 25 u shift in
-    Frobenius norm at d = 784.
+    ||x||``, plus rounding.  This bound is certified for a pivoted factor,
+    ``||E||_F <= tau shift``.  For eigh it is measured: E is eigh's backward
+    error plus the dropped eigenvalues, each at most ``u shift``, about 25 u
+    shift in Frobenius norm at d = 784.
 
     The set-up computes only the two extremes of the Gram's spectrum, the
     shift and the smallest eigenvalue, which ``smoothness`` subtracts from
@@ -265,10 +268,14 @@ class DPCAInstance:
         The system is ``c I - alpha G``, ``c = 1 + alpha shift``, so with the
         Gram's eigenpairs ``G = Q diag(lam) Q^T`` its solution is ``x = s /
         c + Q diag(w) Q^T s``, ``w = alpha lam / (c (c - alpha lam))``.
-        The factor keeps k pairs (``_factorize``), within the residual
-        bound the class docstring states.  Where k is at most
-        ``LOW_RANK_MAX_SHARE`` of the width, the prox applies the pairs as
-        that correction, two passes over a k-by-d factor that does not
+        The factor keeps k pairs, the pivoted factor's where its
+        certificate holds (``_pivoted_factor``), else eigh's
+        (``_eigh_factor``), within the residual bound the class docstring
+        states.  Only a first factor tries the pivoted one; a dense
+        factor's rebuild after a step-size switch goes to eigh at once,
+        since the deterministic pivoted factor was refused.  Where k is at
+        most ``LOW_RANK_MAX_SHARE`` of the width, the prox applies the pairs
+        as that correction, two passes over a k-by-d factor that does not
         depend on alpha, so a new step size costs O(k).  Otherwise it
         applies the dense inverse ``Q diag(1 / (c - alpha lam)) Q^T`` for
         the step size in use as ``(rhs^T M^-1)^T``, one streaming pass, and
@@ -283,7 +290,8 @@ class DPCAInstance:
         factor = self._factor
         # A low-rank factor, alpha None, serves every step size.
         if factor is None or factor[0] not in (None, alpha):
-            factor = self._factorize(alpha)
+            factor = ((factor is None and self._pivoted_factor())
+                      or self._eigh_factor(alpha))
             self._factor = factor
         if factor[0] is not None:
             return (rhs.T @ factor[2]).T
@@ -294,17 +302,6 @@ class DPCAInstance:
         x = y @ qt
         x += rhs.T / c
         return x.T
-
-    def _factorize(self, alpha):
-        """
-        The exact prox's factor at step size alpha, as ``_solve`` reads it:
-        the sketch's where its certificate holds (``_sketch``), else
-        eigh's (``_eigh_factor``), each within the residual bound the class
-        docstring states.  The sketch is deterministic, so a dense factor's
-        rebuild after a step-size switch repeats a sketch that fails,
-        15-18 ms on pixel-like data at d = 784; a run keeps one step size.
-        """
-        return self._sketch() or self._eigh_factor(alpha)
 
     def _eigh_factor(self, alpha):
         """
@@ -321,8 +318,8 @@ class DPCAInstance:
         # A Gram's eigenvalues lie in [0, shift], but a factor's top one
         # exceeded the set-up's shift by rounding, up to 7.1e-16 relative on
         # the d = 10 and d = 784 preset Grams, and 1 + alpha (shift - lam)
-        # turns negative once alpha shift passes about 1e15.  The sketch's
-        # pairs are clamped alike.
+        # turns negative once alpha shift passes about 1e15.  The pivoted
+        # factor's pairs are clamped alike.
         np.minimum(lam, self.shift, out=lam)
         rank = int(np.count_nonzero(lam > _UNIT_ROUNDOFF * self.shift))
         if rank <= LOW_RANK_MAX_SHARE * self.dim:
@@ -332,49 +329,58 @@ class DPCAInstance:
         q *= np.sqrt(1.0 / (1.0 + alpha * (self.shift - lam)))
         return float(alpha), rank, q @ q.T
 
-    def _sketch(self):
+    def _pivoted_factor(self):
         """
-        The low-rank factor from one randomized range finder, or None.
+        The low-rank factor from a pivoted Cholesky factorization of the
+        Gram, or None.
 
-        With l = ``ceil(d / 6)`` columns (``_SKETCH``), ``Q = qr(G Omega)``
-        for a Gaussian d-by-l Omega, drawn from a generator of its own with
-        a fixed seed on each call, so concurrent calls share no state and
-        repeat bitwise.  The Rayleigh-Ritz pairs ``(theta, V)`` of ``Q^T G
-        Q`` give the k pairs with ``theta > u shift``, and the factor
-        ``(theta_k, (Q V_k)^T)`` is taken only if k leaves the sketch at
-        least its margin of columns and the certificate ``||E||_F <= tau
-        shift`` holds, ``E = G - Q_k diag(theta_k) Q_k^T`` as computed,
-        which certifies the class docstring's residual bound.  Its norm is
-        summed over panels of l rows of E, so the sketch holds no d-by-d
-        array: at d = 784 one sketch's traced peak is 3.5 MiB, where a
-        whole E took 7.4 MiB.  None, for a sketch that fills or misses the
-        bound, or a width with no room for its margin, leaves the
-        eigendecomposition.
+        Each step pivots on the largest diagonal entry of the Schur
+        complement left (Harbrecht, Peters & Schneider 2012), and the
+        factorization stops once that entry is at most ``u shift``; a Gram
+        that would need more than ``LOW_RANK_MAX_SHARE`` of the width in
+        pivots returns None at the first pivot past it.  The k pivots' rows
+        L, ``G ~ L^T L``, give one k-by-k ``eigh(L L^T) = V diag(theta)
+        V^T``, and the factor keeps the pairs with ``theta > u shift`` as
+        ``(theta, Q^T)``, ``Q^T = V^T L / sqrt(theta)``, theta then clamped
+        at shift: step-size free, and read by ``_solve`` as eigh's is.  It
+        is taken only if the certificate ``||E||_F <= tau shift`` holds
+        (``_LOW_RANK_TAU``), ``E = G - S^T S`` as computed, ``S =
+        diag(sqrt(theta)) Q^T``, which certifies the class docstring's
+        residual bound.  S^T S and G are exactly symmetric, so ``||E||_F^2``
+        is summed over panels of ``_PANEL_ROWS`` rows of E's upper half, a
+        panel's part right of its diagonal block counted twice, and the
+        build holds no d-by-d array.  Nothing is drawn at random, so builds
+        of one Gram are bitwise equal on any thread.
         """
-        share, margin, tau = _SKETCH
-        width = math.ceil(share * self.dim)
-        if width <= margin:
+        d, cut = self.dim, _UNIT_ROUNDOFF * self.shift
+        limit = int(LOW_RANK_MAX_SHARE * d)
+        diag = self.gram.diagonal().copy()
+        rows = np.empty((limit, d))
+        k, p = 0, int(diag.argmax())
+        while diag[p] > cut:
+            if k == limit:
+                return None
+            rows[k] = row = ((self.gram[p] - rows[:k, p] @ rows[:k])
+                             / math.sqrt(diag[p]))
+            diag -= row * row
+            diag[p] = 0.0
+            k, p = k + 1, int(diag.argmax())
+        theta, v = np.linalg.eigh(rows[:k] @ rows[:k].T)
+        kept = theta > cut
+        qt = (v[:, kept].T @ rows[:k]) / np.sqrt(theta[kept])[:, None]
+        # Freed before the certificate's panels are formed.
+        del rows
+        theta = np.minimum(theta[kept], self.shift)
+        s, err_sq = qt * np.sqrt(theta)[:, None], 0.0
+        for lo in range(0, d, _PANEL_ROWS):
+            panel = s[:, lo:lo + _PANEL_ROWS].T @ s[:, lo:]
+            panel -= self.gram[lo:lo + _PANEL_ROWS, lo:]
+            block = panel[:, :_PANEL_ROWS]
+            err_sq += 2.0 * float(np.vdot(panel, panel)) - float(np.vdot(block, block))
+        # Written so that a NaN error refuses the factor.
+        if not math.sqrt(err_sq) <= _LOW_RANK_TAU * self.shift:
             return None
-        # Omega^T G = (G Omega)^T, factored in place; the rows of qt are
-        # the orthonormal columns of Q.  Omega has no name, so its buffer is
-        # freed before the certificate's panels are formed.
-        qt = _orthonormal_factor(np.random.default_rng(0).standard_normal(
-            (width, self.dim)) @ self.gram).T
-        theta, v = np.linalg.eigh((qt @ self.gram) @ qt.T)
-        rank = int(np.count_nonzero(theta > _UNIT_ROUNDOFF * self.shift))
-        if rank > width - margin:
-            return None
-        # eigh sorts ascending, so the kept pairs are the last.
-        kept = slice(width - rank, None)
-        theta, qkt = np.minimum(theta[kept], self.shift), v[:, kept].T @ qt
-        scaled, err_sq = qkt.T * theta, 0.0
-        for lo in range(0, self.dim, width):
-            panel = scaled[lo:lo + width] @ qkt
-            panel -= self.gram[lo:lo + width]
-            err_sq += float(np.vdot(panel, panel))
-        if math.sqrt(err_sq) > tau * self.shift:
-            return None
-        return None, rank, (theta, qkt)
+        return None, theta.size, (theta, qt)
 
     def apply_system(self, alpha, x, gx):
         """
@@ -533,17 +539,29 @@ def exact_proxes(problem, alpha, s_blocks):
     """
     The agents' exact proxes ``inst.prox(alpha, s_i)``, stacked.
 
-    This is the one place that decides where they run.  Once every agent
-    holds its low-rank factor they run on the calling thread: at d = 784
-    such a prox takes about 50 us, and 8 of them took 0.54 ms serially
-    against 0.94 ms on the pool.  Otherwise, while a factor is still to be
-    built or is dense, they run through ``map_agents``: 8 dense proxes at
-    d = 784 took 4.30 ms serially against 2.62 ms pooled (1 BLAS thread).
-    Each prox is the same computation either way, so the stack is bitwise
-    the same.
+    This is the one place that decides where they and their factors run.
+    An agent without a factor first tries its pivoted factor on the calling
+    thread (``DPCAInstance._pivoted_factor``): the 8 first proxes of the
+    d = 784 benchmark took 38-54 ms so, against 95-122 ms with randomized
+    sketches of the Grams on the pool, and building one factor at a time
+    keeps the run's memory peak at its set-up's.  An agent whose attempt is refused
+    builds eigh's factor on the pool, inside its first prox, without a
+    second attempt: on pixel-like data at d = 784 the 8 first proxes took
+    549-707 ms pooled against 862-1074 ms serially.  Once every agent holds its
+    low-rank factor the proxes run on the calling thread: at d = 784 such a
+    prox takes about 50 us, and 8 of them took 0.54 ms serially against
+    0.94 ms on the pool.  Otherwise they run through ``map_agents``: 8
+    dense proxes at d = 784 took 4.30 ms serially against 2.62 ms pooled
+    (1 BLAS thread).  Each prox is the same computation either way, so the
+    stack is bitwise the same.
     """
+    for inst in problem:
+        if inst._factor is None:
+            inst._factor = inst._pivoted_factor()
 
     def prox(inst, s):
+        if inst._factor is None:
+            inst._factor = inst._eigh_factor(alpha)
         return inst.prox(alpha, s)
 
     # A low-rank factor has no step size (``_solve``).

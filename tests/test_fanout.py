@@ -132,18 +132,18 @@ def test_pooled_iddrs_step_equals_per_agent_reference(wide_data, pooled):
 
 
 @pytest.mark.parametrize("kind, extra", [
-    ("ddrs", ""), ("iddrs", ""), ("ddrs", "problem.xi = 0.5\n")],
-    ids=["ddrs", "iddrs", "ddrs-sketched"])
+    ("ddrs", ""), ("iddrs", ""), ("ddrs", "problem.xi = 0.9\n")],
+    ids=["ddrs", "iddrs", "ddrs-dense"])
 def test_pooled_runs_repeat_and_match_the_serial_run(pooled, monkeypatch,
                                                      kind, extra):
     # An exact run builds every agent's prox factor in its k = 0 envelope:
-    # from eigh at xi = 0.8, whose Grams fill the sketch, and from the
-    # certified sketch at xi = 0.5.
-    sketch = DPCAInstance._sketch
-    sketches = []
+    # the certified pivoted factor at xi = 0.8, and at xi = 0.9, whose
+    # Grams keep more than d/3 pairs, eigh's dense factor on the pool.
+    pivoted = DPCAInstance._pivoted_factor
+    attempts = []
     monkeypatch.setattr(
-        DPCAInstance, "_sketch",
-        lambda inst: sketches.append(sketch(inst)) or sketches[-1])
+        DPCAInstance, "_pivoted_factor",
+        lambda inst: attempts.append(pivoted(inst)) or attempts[-1])
     cfg = preset("synthetic-er06", WIDE.replace("iddrs", kind) + extra)
     first, summary = run_experiment(cfg)
     again, _ = run_experiment(cfg)
@@ -153,10 +153,10 @@ def test_pooled_runs_repeat_and_match_the_serial_run(pooled, monkeypatch,
     serial_records, _ = run_experiment(cfg)
     assert _strip_wall(first) == _strip_wall(serial_records)
     if kind == "ddrs":
-        assert len(sketches) == 3 * 4
-        assert all((got is not None) == bool(extra) for got in sketches)
+        assert len(attempts) == 3 * 4
+        assert all((got is None) == bool(extra) for got in attempts)
     else:
-        assert sketches == []
+        assert attempts == []
 
 
 # The name ``_SpyPool`` records for an exact prox.
@@ -182,38 +182,46 @@ def spy_pool(pooled, monkeypatch):
     return spy
 
 
-def test_low_rank_exact_steps_stay_off_the_pool(spy_pool, monkeypatch):
-    # Record 0's envelope builds every factor on the pool, n exact proxes in
-    # all; each factor is low-rank, so no step submits its proxes.
-    built_on = []
-    factorize = DPCAInstance._factorize
+def _spy_builds(monkeypatch):
+    """The thread of each pivoted and eigh factor build, by kind."""
+    built_on = {"_pivoted_factor": [], "_eigh_factor": []}
+    for name, calls in built_on.items():
+        def spy(inst, *args, build=getattr(DPCAInstance, name), calls=calls):
+            calls.append(threading.current_thread().name)
+            return build(inst, *args)
 
-    def spy(inst, alpha):
-        built_on.append(threading.current_thread().name)
-        return factorize(inst, alpha)
+        monkeypatch.setattr(DPCAInstance, name, spy)
+    return built_on
+
+
+def test_low_rank_exact_steps_stay_off_the_pool(spy_pool, monkeypatch):
+    # Record 0's envelope builds every factor on the calling thread, one
+    # pivoted factor per agent; each is low-rank, so nothing submits an
+    # exact prox, neither the envelope nor any step.
+    built_on = _spy_builds(monkeypatch)
 
     def step(*args):
         spy_pool.submitted.append("step")
         return ddrs_step(*args)
 
-    monkeypatch.setattr(DPCAInstance, "_factorize", spy)
     monkeypatch.setattr("ddrs.harness.ddrs_step", step)
     cfg = preset("synthetic-er06", WIDE.replace("iddrs", "ddrs"))
     records, summary = run_experiment(cfg)
     assert summary["status"] == "ok" and len(records) == 5
     assert all(k <= D / 3 for k in summary["prox_rank"])
-    assert len(built_on) == 4
-    assert all(name.startswith("ddrs-agent") for name in built_on)
-    first_step = spy_pool.submitted.index("step")
-    assert spy_pool.submitted.count(EXACT_PROX) == 4
-    assert spy_pool.submitted[:first_step].count(EXACT_PROX) == 4
+    main = threading.current_thread().name
+    assert built_on == {"_pivoted_factor": [main] * 4, "_eigh_factor": []}
+    assert EXACT_PROX not in spy_pool.submitted
     assert spy_pool.submitted.count("step") == 12
     assert "dre_value.<locals>.<lambda>" in spy_pool.submitted
 
 
-def test_dense_exact_steps_use_the_pool_every_step(spy_pool):
-    # Full-rank Gaussian data keep every eigenpair, so each factor is the
-    # dense inverse, and every step pools its proxes.
+def test_dense_exact_steps_use_the_pool_every_step(spy_pool, monkeypatch):
+    # Full-rank Gaussian data keep every eigenpair, so each pivoted attempt
+    # is refused on the calling thread and each factor is eigh's dense
+    # inverse, built on the pool inside the first step's prox; every step
+    # pools its proxes, and none tries the pivoted factor again.
+    built_on = _spy_builds(monkeypatch)
     rng = np.random.default_rng(3)
     problem = [DPCAInstance(rng.standard_normal((D + 16, D)))
                for _ in range(4)]
@@ -225,6 +233,10 @@ def test_dense_exact_steps_use_the_pool_every_step(spy_pool):
         stack = ddrs_step(stack, problem, W, params)
         assert spy_pool.submitted == [EXACT_PROX] * 4
     assert [inst.prox_rank for inst in problem] == [D] * 4
+    assert built_on["_pivoted_factor"] == [threading.current_thread().name] * 4
+    assert len(built_on["_eigh_factor"]) == 4
+    assert all(name.startswith("ddrs-agent")
+               for name in built_on["_eigh_factor"])
 
 
 def _poison_at_k2(stack, *args):

@@ -298,9 +298,9 @@ class TestProx:
         assert np.array_equal(inv, inv.T)
 
     def test_the_dense_build_holds_two_width_squared_arrays(self, rng):
-        # A full-rank Gram fills the sketch and takes the dense inverse,
-        # built in eigh's eigenvectors: they and the inverse are 2 d^2
-        # doubles, where a copy of either would make 3.
+        # A full-rank Gram refuses the pivoted factor and takes the dense
+        # inverse, built in eigh's eigenvectors: they and the inverse are
+        # 2 d^2 doubles, where a copy of either would make 3.
         d = 400
         inst = DPCAInstance(rng.standard_normal((2 * d, d)))
         s = rng.standard_normal((d, 5))
@@ -371,15 +371,14 @@ class TestProx:
     def test_the_prox_form_each_agent_takes(self, shape, low_rank):
         # The preset's Grams keep every eigenpair (k = d) and take the dense
         # inverse; at d = 784 the spectrum's decay leaves far fewer than d/3,
-        # and each factor is the certified sketch's, with room to spare.
+        # and each factor is the certified pivoted factor's.
         d = shape[2]
-        share, margin, _ = problems._SKETCH
         for inst in gen_synthetic(*shape).instances():
             inst.prox(0.01, np.ones((d, 1)))
             assert (inst._factor[0] is None) == low_rank
             if low_rank:
-                _assert_same_factor(inst._factor, inst._sketch())
-                assert inst.prox_rank <= math.ceil(share * d) - margin
+                _assert_same_factor(inst._factor, inst._pivoted_factor())
+                assert inst.prox_rank <= problems.LOW_RANK_MAX_SHARE * d
             else:
                 assert inst.prox_rank == d
 
@@ -387,9 +386,10 @@ class TestProx:
         (8, 1000, 10, 5, 0.8, PRESET_SEED), (8, 1000, 784, 5, 0.8, PRESET_SEED)],
         ids=["preset", "d784"])
     def test_a_huge_step_size_keeps_the_factor_finite(self, shape):
-        # eigh's and the sketch's top eigenvalue can exceed the set-up's
-        # shift by rounding; unclamped, 1 + alpha (shift - lam) is negative
-        # at alpha shift = 1e17 and the dense factor's weights are NaN.
+        # eigh's and the pivoted factor's top eigenvalue can exceed the
+        # set-up's shift by rounding; unclamped, 1 + alpha (shift - lam) is
+        # negative at alpha shift = 1e17 and the dense factor's weights are
+        # NaN.
         d = shape[2]
         s = np.ones((d, 2))
         for inst in gen_synthetic(*shape).instances():
@@ -433,10 +433,23 @@ def _low_rank_block(rng, d, rank, near=0):
     return (v * np.sqrt(lam * rng.uniform(0.1, 10.0))).T
 
 
-def _sketch_error(factor, gram):
-    """``||G - Q_k diag(theta_k) Q_k^T||_F`` of a low-rank factor."""
-    theta, qkt = factor[2]
-    return np.linalg.norm(gram - (qkt.T * theta) @ qkt)
+def _low_rank_shape(d, rank_share, near):
+    """``(rank, near)`` for ``_low_rank_block``: rank 1 to 5 past d/3."""
+    rank = min(d, 1 + int(rank_share * (d // 3 + 4)))
+    return rank, min(near, d - rank)
+
+
+def _low_rank_error(factor, gram):
+    """
+    ``||G - S^T S||_F`` of a low-rank factor ``(theta, Q^T)``, ``S =
+    diag(sqrt(theta)) Q^T``, from the whole d-by-d product, which is the
+    symmetric completion of the upper half the certificate sums.
+    """
+    theta, qt = factor[2]
+    s = qt * np.sqrt(theta)[:, None]
+    err = s.T @ s - gram
+    assert np.array_equal(err, err.T)
+    return np.linalg.norm(err)
 
 
 @pytest.fixture(scope="module")
@@ -445,58 +458,94 @@ def mnist_width_agents():
     return gen_synthetic(8, 1000, 784, 5, 0.8, PRESET_SEED).instances()
 
 
-class TestSketchedFactor:
-    # The sketch runs from width 66, where ceil(d / 6) = 11 columns leave
-    # room for its margin of 10.
+class _CountingMath:
+    """``math`` with its ``sqrt`` calls counted: one per Cholesky pivot."""
+
+    def __init__(self):
+        self.sqrts = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def sqrt(self, x):
+        self.sqrts += 1
+        return math.sqrt(x)
+
+
+class TestPivotedFactor:
 
     def test_the_certificate_reads_the_whole_error_at_mnist_width(
             self, mnist_width_agents, monkeypatch):
-        # The sketch sums ||E||_F^2 over panels of E's rows.  On every
-        # d = 784 Gram it takes the factor at a tau 1e-12 above ||E||_F /
-        # shift, E formed whole, and refuses it 1e-12 below.
-        share, margin, _ = problems._SKETCH
-        wholes = [_sketch_error(inst._sketch(), inst.gram) / inst.shift
-                  for inst in mnist_width_agents]
+        # The build sums ||E||_F^2 over panels of E's upper half.  Every
+        # d = 784 Gram certifies, and the build takes the factor at a tau
+        # 1e-12 above ||E||_F / shift, E formed whole, and refuses it 1e-12
+        # below.
+        wholes = [_low_rank_error(inst._pivoted_factor(), inst.gram)
+                  / inst.shift for inst in mnist_width_agents]
+        assert max(wholes) <= problems._LOW_RANK_TAU
         for inst, whole in zip(mnist_width_agents, wholes, strict=True):
             for rel, taken in ((1 + 1e-12, True), (1 - 1e-12, False)):
-                monkeypatch.setattr(problems, "_SKETCH",
-                                    (share, margin, rel * whole))
-                assert (inst._sketch() is not None) == taken
+                monkeypatch.setattr(problems, "_LOW_RANK_TAU", rel * whole)
+                assert (inst._pivoted_factor() is not None) == taken
 
-    def test_a_sketch_holds_no_d_by_d_array_at_mnist_width(
+    def test_a_build_holds_no_d_by_d_array_at_mnist_width(
             self, mnist_width_agents):
-        # One d-by-d error matrix alone is d^2 doubles; a sketch's traced
-        # peak measured 3.5 MiB, 0.74 of them.
+        # One d-by-d error matrix alone is d^2 doubles; a build's traced
+        # peak measured 2.5 MiB, 0.52 of them.
         inst = mnist_width_agents[0]
         tracemalloc.start()
         try:
-            factor = inst._sketch()
+            factor = inst._pivoted_factor()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert factor is not None
         assert peak < 8 * inst.dim ** 2
 
+    def test_slower_decay_certifies_where_the_pairs_fit(self):
+        # At xi = 0.9 a d = 784 Gram keeps about 170 pairs, within d/3.
+        inst = DPCAInstance(
+            gen_synthetic(8, 1000, 784, 5, 0.9, PRESET_SEED).blocks[0])
+        factor = inst._pivoted_factor()
+        assert factor is not None
+        assert 100 < factor[1] <= problems.LOW_RANK_MAX_SHARE * 784
+
+    def test_pixel_like_data_refuse_within_a_third_of_the_pivots(
+            self, monkeypatch):
+        # About 400 pairs lie above u shift: the factorization stops at the
+        # first pivot past d/3, before any eigen-solve or certificate.
+        images = pixel_like_images(8000, 28, 28, seed=0)
+        inst = normalize_and_split(images.reshape(8000, -1), 8, 0).instances()[0]
+        counting = _CountingMath()
+        monkeypatch.setattr(problems, "math", counting)
+        assert inst._pivoted_factor() is None
+        assert counting.sqrts == int(problems.LOW_RANK_MAX_SHARE * 784)
+
+    def test_a_flat_rank_20_gram_keeps_20_pairs(self, rng):
+        v = np.linalg.qr(rng.standard_normal((784, 20)))[0]
+        inst = DPCAInstance(v.T * 3.0)
+        factor = inst._pivoted_factor()
+        assert factor is not None and factor[1] == 20
+
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(66, 200), st.floats(0.0, 1.0), st.integers(0, 8),
+    @given(st.integers(3, 128), st.floats(0.0, 1.0), st.integers(0, 8),
            st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
            st.integers(0, 2 ** 32 - 1))
-    @example(96, 0.0, 0, 1.0, -1.0, 0)  # accepted, rank 1
-    @example(200, 0.5, 8, 0.0, 2.0, 3)  # accepted, 4 near pairs kept
-    @example(96, 0.2, 8, 3.0, -3.0, 1)  # filled by near pairs
-    @example(120, 1.0, 4, -3.0, 3.0, 2)  # filled by rank
-    def test_exact_prox_over_sketched_grams(self, d, rank_share, near,
+    @example(96, 0.0, 0, 1.0, -1.0, 0)  # taken, rank 1
+    @example(120, 0.5, 8, 0.0, 2.0, 3)  # taken, rank 23 and 2 near pairs
+    @example(30, 0.6, 8, 3.0, -3.0, 1)  # refused: near pairs past d/3
+    @example(120, 1.0, 4, -3.0, 3.0, 2)  # refused: rank past d/3
+    def test_exact_prox_over_low_rank_grams(self, d, rank_share, near,
                                             log_aL, log_aL_next, seed):
-        # Ranks from 1 to past the sketch's width, with up to 8 eigenvalues
-        # near u shift, and one step-size switch: each prox is as accurate
-        # as a direct solve, an accepted sketch is the factor and meets its
-        # certificate, and a refused one leaves eigh's factor.
+        # Ranks from 1 to past d/3, with up to 8 eigenvalues near u shift,
+        # and one step-size switch: each prox is as accurate as a direct
+        # solve, a returned factor is the one the prox keeps, and a refused
+        # one leaves eigh's factor.
         rng = np.random.default_rng(seed)
-        share, margin, tau = problems._SKETCH
-        rank = 1 + int(rank_share * (math.ceil(share * d) + 4))
+        rank, near = _low_rank_shape(d, rank_share, near)
         block = _low_rank_block(rng, d, rank, near)
         inst = DPCAInstance(block)
-        sketched = inst._sketch()
+        pivoted = inst._pivoted_factor()
         s = rng.standard_normal((d, 3))
         for log_alpha_L in (log_aL, log_aL_next):
             alpha_L = 10.0 ** log_alpha_L
@@ -506,26 +555,54 @@ class TestSketchedFactor:
             assert np.linalg.norm(x - s + alpha * inst.egrad(x)) <= bound
             M = np.eye(d) + alpha * (inst.shift * np.eye(d) - inst.gram)
             assert np.linalg.norm(x - np.linalg.solve(M, s)) <= bound
-        if sketched is None:
+        if pivoted is None:
             eigh = DPCAInstance(block)._eigh_factor(alpha)
             _assert_same_factor(inst._factor, eigh)
         else:
-            _assert_same_factor(inst._factor, sketched)
-            assert inst.prox_rank <= math.ceil(share * d) - margin
-            assert _sketch_error(sketched, inst.gram) <= tau * inst.shift
+            _assert_same_factor(inst._factor, pivoted)
 
-    def test_a_filled_sketch_leaves_the_eigh_factor(self, rng, monkeypatch):
-        # Rank 100 fills the 20 columns at d = 120 whatever the certificate
-        # allows; the dense factor eigh gives is rebuilt on a step-size
-        # switch after the same deterministic sketch fails again.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 128), st.floats(0.0, 1.0), st.integers(0, 8),
+           st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+    @example(784, 0.1, 4, 1.0, 0)  # MNIST width, rank 27
+    def test_a_returned_factor_is_certified(self, d, rank_share, near,
+                                            log_aL, seed):
+        # Whenever the build returns a factor, it keeps at most d/3 pairs,
+        # each above u shift, the error recomputed whole from the matrix the
+        # prox applies meets tau, a prox's residual from a fresh Gram
+        # product is within alpha ||E||_F ||x|| and rounding, and a second
+        # build is bitwise equal.
+        rng = np.random.default_rng(seed)
+        rank, near = _low_rank_shape(d, rank_share, near)
+        inst = DPCAInstance(_low_rank_block(rng, d, rank, near))
+        factor = inst._pivoted_factor()
+        if factor is None:
+            return
+        assert factor[1] <= problems.LOW_RANK_MAX_SHARE * d
+        theta, qt = factor[2]
+        assert (theta > problems._UNIT_ROUNDOFF * inst.shift).all()
+        err = float(np.linalg.norm(inst.gram - (qt.T * theta) @ qt))
+        assert err <= problems._LOW_RANK_TAU * inst.shift
+        alpha = 10.0 ** log_aL / inst.smoothness()
+        s = rng.standard_normal((d, 3))
+        x = inst.prox(alpha, s)
+        _assert_same_factor(inst._factor, factor)
+        residual = inst.apply_system(alpha, x, fresh_gram_product(inst, x)) - s
+        assert (np.linalg.norm(residual)
+                <= alpha * err * np.linalg.norm(x)
+                + math.sqrt(inst.residual_floor(alpha, s)))
+
+    def test_a_refused_factor_leaves_the_eigh_factor(self, rng, monkeypatch):
+        # Rank 100 needs more than the 40 pivots d = 120 allows, whatever
+        # the certificate allows; the dense factor eigh gives is rebuilt on
+        # a step-size switch without a second pivoted attempt.
         block = rng.standard_normal((100, 120))
         inst = DPCAInstance(block)
-        share, margin, _ = problems._SKETCH
-        monkeypatch.setattr(problems, "_SKETCH", (share, margin, math.inf))
-        assert inst._sketch() is None
-        sketches = []
-        sketch = inst._sketch
-        inst._sketch = lambda: sketches.append(1) or sketch()
+        monkeypatch.setattr(problems, "_LOW_RANK_TAU", math.inf)
+        assert inst._pivoted_factor() is None
+        attempts = []
+        pivoted = inst._pivoted_factor
+        inst._pivoted_factor = lambda: attempts.append(1) or pivoted()
         s = rng.standard_normal((120, 2))
         inst.prox(0.3, s)
         assert inst._factor[0] is not None
@@ -534,26 +611,25 @@ class TestSketchedFactor:
         inst.prox(0.7, s)
         _assert_same_factor(inst._factor,
                             DPCAInstance(block)._eigh_factor(0.7))
-        assert sketches == [1, 1]
+        assert attempts == [1]
 
     def test_a_failed_certificate_leaves_the_eigh_factor(self, rng,
                                                          monkeypatch):
-        # Rank 3 at d = 120 sketches with room to spare; a zero tau refuses
-        # its certificate, and the factor is eigh's.
+        # Rank 3 at d = 120 is taken; a zero tau refuses its certificate,
+        # and the factor is eigh's.
         block = _low_rank_block(rng, 120, 3)
         inst = DPCAInstance(block)
-        assert inst._sketch() is not None
-        share, margin, _ = problems._SKETCH
-        monkeypatch.setattr(problems, "_SKETCH", (share, margin, 0.0))
-        assert inst._sketch() is None
+        assert inst._pivoted_factor() is not None
+        monkeypatch.setattr(problems, "_LOW_RANK_TAU", 0.0)
+        assert inst._pivoted_factor() is None
         inst.prox(0.3, rng.standard_normal((120, 2)))
         assert inst._factor[0] is None
         _assert_same_factor(inst._factor,
                             DPCAInstance(block)._eigh_factor(0.3))
 
-    def test_concurrent_sketches_of_one_gram_are_bitwise_equal(self, rng):
-        # Each sketch draws from a generator of its own: two instances of
-        # one Gram, factored at once on two threads, equal a serial one.
+    def test_concurrent_builds_of_one_gram_are_bitwise_equal(self, rng):
+        # Two instances of one Gram, factored at once on two threads, equal
+        # a serial one.
         import threading
 
         block = _low_rank_block(rng, 240, 12, near=4)
@@ -573,7 +649,7 @@ class TestSketchedFactor:
             th.join(timeout=60)
         assert not any(th.is_alive() for th in threads)
         insts[2].prox(0.1, s)
-        want = insts[2]._sketch()
+        want = insts[2]._pivoted_factor()
         for inst in insts:
             _assert_same_factor(inst._factor, want)
 
